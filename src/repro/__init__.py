@@ -23,11 +23,11 @@ documented entry point (it owns the device, keeps staging warm, and
 can dispatch batches across the chip's four core groups)::
 
     import numpy as np
-    from repro import Session, BatchItem
+    from repro import GemmRequest, Session
 
     with Session(n_core_groups=4) as s:
         c = s.dgemm(np.random.rand(128, 768), np.random.rand(768, 256))
-        r = s.batch([BatchItem(a, b) for a, b in pairs])
+        r = s.batch([GemmRequest(a, b) for a, b in pairs])
         print(s.stats())
 
 The functional entry points (``dgemm``, ``dgemm_batch``,
@@ -73,7 +73,6 @@ from repro.api import (
 )
 from repro.arch import CoreGroup, SW26010Spec, DEFAULT_SPEC
 from repro.core import (
-    BatchItem,
     BatchResult,
     BlockingParams,
     Session,
@@ -111,7 +110,6 @@ __all__ = [
     "BlockingParams",
     "Session",
     "SessionStats",
-    "BatchItem",
     "BatchResult",
     "GemmRequest",
     "LuRequest",

@@ -1,14 +1,10 @@
 """Typed request/response surface shared by ``Session`` and ``repro.serve``.
 
-The entry-point sprawl grew organically — ``dgemm`` takes
-``transa``/``transb`` keywords, ``dgemm_batch`` takes ``BatchItem``
-tuples plus ``processor=``/``n_core_groups=``, ``dgemm_multi_cg`` had
-its own spelling of everything — and a serving tier cannot be built on
-kwargs: a request must carry its *shape metadata* (for per-request
-routing and bin coalescing), its *options* (retry budget, engine,
-check) and come back as a *structured response* (value, per-request
-traffic and timing, fault reports, or a typed error — never a bare
-exception string).
+A serving tier cannot be built on kwargs: a request must carry its
+*shape metadata* (for per-request routing and bin coalescing), its
+*options* (retry budget, engine, check) and come back as a *structured
+response* (value, per-request traffic and timing, fault reports, or a
+typed error — never a bare exception string).
 
 This module is that surface:
 
@@ -25,13 +21,10 @@ This module is that surface:
   queue/service timing, fault reports from the resilience ladder, and
   a typed error instead of a raise;
 - :func:`as_request` / :func:`as_gemm_request` — the single
-  normalization funnel every public entry point routes through, which
-  also resolves the legacy kwarg spellings (``trans`` for ``transa``,
-  ``ncgs`` for ``n_core_groups``, ...) with a ``DeprecationWarning``.
+  normalization funnel every public entry point routes through.
 
-``repro.core.batch.BatchItem`` is now a thin deprecated alias of
-:class:`GemmRequest`; sync ``Session.batch``/``Session.submit`` and
-async ``repro.serve`` consume these dataclasses verbatim.
+Sync ``Session.batch``/``Session.submit`` and async ``repro.serve``
+consume these dataclasses verbatim.
 
 Import discipline: this module sits *below* ``repro.core`` — at
 runtime it imports only :mod:`repro.errors` and numpy, so the core
@@ -41,9 +34,8 @@ entry points can route through it without cycles.
 from __future__ import annotations
 
 import hashlib
-import warnings
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Any, ClassVar, Mapping
+from typing import TYPE_CHECKING, Any, ClassVar
 
 import numpy as np
 
@@ -67,50 +59,7 @@ __all__ = [
     "as_gemm_request",
     "as_request",
     "format_bin",
-    "resolve_legacy_kwargs",
 ]
-
-
-# -- legacy kwarg harmonization -----------------------------------------
-
-#: legacy spelling -> canonical keyword, across every GEMM entry point.
-LEGACY_KWARGS: dict[str, str] = {
-    "trans": "transa",
-    "trans_a": "transa",
-    "trans_b": "transb",
-    "ncgs": "n_core_groups",
-    "num_core_groups": "n_core_groups",
-    "core_groups": "n_core_groups",
-}
-
-
-def resolve_legacy_kwargs(caller: str, legacy: Mapping[str, Any]) -> dict[str, Any]:
-    """Map legacy kwarg spellings to their canonical names.
-
-    Every recognized legacy spelling (``trans`` for ``transa``,
-    ``ncgs`` for ``n_core_groups``, ...) is accepted with a
-    :class:`DeprecationWarning` naming the canonical form; an unknown
-    keyword raises :class:`TypeError` exactly as a plain signature
-    would, so typos stay loud.  Passing the same canonical keyword
-    through two legacy spellings raises :class:`ConfigError`.
-    """
-    resolved: dict[str, Any] = {}
-    for key, value in legacy.items():
-        canonical = LEGACY_KWARGS.get(key)
-        if canonical is None:
-            raise TypeError(f"{caller}() got an unexpected keyword argument {key!r}")
-        if canonical in resolved:
-            raise ConfigError(
-                f"{caller}(): {key!r} duplicates {canonical!r}, already "
-                "given through another spelling"
-            )
-        warnings.warn(
-            f"{caller}(): keyword {key!r} is deprecated, use {canonical!r}",
-            DeprecationWarning,
-            stacklevel=3,
-        )
-        resolved[canonical] = value
-    return resolved
 
 
 def apply_trans(name: str, flag: str, array: np.ndarray) -> np.ndarray:
@@ -157,12 +106,6 @@ class GemmRequest:
 
     #: workload discriminator used for binning and reporting.
     kind: ClassVar[str] = "gemm"
-
-    def __post_init__(self) -> None:
-        # intentionally empty: the deprecated BatchItem shim overrides
-        # this hook to warn on construction without re-implementing
-        # the dataclass machinery.
-        return None
 
     def validate(self) -> tuple[int, int, int]:
         """Check shapes and flags; return the effective ``(m, n, k)``.
@@ -369,8 +312,8 @@ class SubmitOptions:
     can coalesce same-option requests into one dispatched batch.
     """
 
-    #: execution engine (``"device"`` / ``"vectorized"``), or the
-    #: session default.
+    #: execution engine (a name in ``repro.core.engine.ENGINES``), or
+    #: the session default; submit rejects unknown names.
     engine: str | None = None
     #: verify results against the numpy reference.
     check: bool | None = None
@@ -462,27 +405,14 @@ def as_gemm_request(
     beta: float = 0.0,
     transa: str = "N",
     transb: str = "N",
-    legacy: Mapping[str, Any] | None = None,
-    caller: str = "dgemm",
 ) -> GemmRequest:
     """Normalize one GEMM call into a validated :class:`GemmRequest`.
 
-    The single funnel behind ``dgemm``/``dgemm_batch``/
-    ``dgemm_multi_cg``: resolves legacy kwarg spellings (with a
-    :class:`DeprecationWarning`), then validates shapes and flags up
-    front.  ``legacy`` carries the caller's ``**kwargs`` so unknown
-    keywords still raise :class:`TypeError` under the caller's name.
+    The single funnel behind ``dgemm``/``Session.dgemm``/
+    ``dgemm_multi_cg``: shapes and flags are validated up front, so a
+    bad call raises :class:`UnsupportedShapeError` before anything is
+    staged on a device.
     """
-    if legacy:
-        resolved = resolve_legacy_kwargs(caller, legacy)
-        unexpected = set(resolved) - {"transa", "transb"}
-        if unexpected:
-            raise TypeError(
-                f"{caller}() got an unexpected keyword argument "
-                f"{sorted(unexpected)[0]!r}"
-            )
-        transa = resolved.get("transa", transa)
-        transb = resolved.get("transb", transb)
     request = GemmRequest(
         a=a, b=b, c=c, alpha=alpha, beta=beta, transa=transa, transb=transb
     )
@@ -491,17 +421,13 @@ def as_gemm_request(
 
 
 def as_request(obj: Any) -> Request:
-    """Coerce ``obj`` to a typed request (the submit surfaces' funnel).
+    """Check that ``obj`` is a typed request (the submit surfaces' funnel).
 
-    Accepts the three request dataclasses (including the deprecated
-    ``BatchItem`` alias, which *is* a :class:`GemmRequest`) and bare
-    ``(a, b)`` / ``(a, b, c)`` tuples for convenience; anything else
-    raises :class:`ConfigError`.
+    Accepts the three request dataclasses; anything else raises
+    :class:`ConfigError`.
     """
     if isinstance(obj, (GemmRequest, LuRequest, ConvRequest)):
         return obj
-    if isinstance(obj, tuple) and len(obj) in (2, 3):
-        return GemmRequest(*obj)
     raise ConfigError(
         f"expected a GemmRequest/LuRequest/ConvRequest, got {type(obj).__name__}"
     )

@@ -14,7 +14,7 @@ from typing import TYPE_CHECKING, Sequence
 import numpy as np
 
 from repro.errors import ConfigError, UnsupportedShapeError
-from repro.api import GemmRequest
+from repro.api import ConvRequest
 from repro.arch.core_group import CoreGroup
 from repro.core.api import dgemm
 from repro.core.batch import dgemm_batch
@@ -71,31 +71,19 @@ def conv2d_gemm(
 
     Returns N x O x oh x ow feature maps.  The GEMM is
     ``(O x C*kh*kw) @ (C*kh*kw x N*oh*ow)``, padded to the CG block
-    factors.  Pass ``context=`` when convolving a sequence of
-    same-shape layers so the staging allocations stay warm between
-    calls.
+    factors; lowering and folding go through
+    :class:`~repro.api.ConvRequest`.  Pass ``context=`` when convolving
+    a sequence of same-shape layers so the staging allocations stay
+    warm between calls.
     """
-    if kernels.ndim != 4:
-        raise UnsupportedShapeError(f"expected OIHW kernels, got shape {kernels.shape}")
-    n, c, h, w = images.shape
-    o, ci, kh, kw = kernels.shape
-    if ci != c:
-        raise UnsupportedShapeError(
-            f"kernel expects {ci} input channels, images have {c}"
-        )
-    cols = im2col(np.asarray(images, dtype=np.float64), kh, kw, stride)
-    w_flat = np.asarray(kernels, dtype=np.float64).reshape(o, c * kh * kw)
-    params = params or BlockingParams.small(double_buffered=True)
+    request = ConvRequest(images, kernels, stride)
+    gemm = request.lower()
     out_flat = dgemm(
-        w_flat, cols, variant=variant, params=params,
+        gemm.a, gemm.b, variant=variant,
+        params=params or BlockingParams.small(double_buffered=True),
         core_group=core_group, context=context, pad=True,
     )
-    oh = (h - kh) // stride + 1
-    ow = (w - kw) // stride + 1
-    # columns are ordered (n, y, x); fold back to N O oh ow
-    return np.ascontiguousarray(
-        out_flat.reshape(o, n, oh, ow).transpose(1, 0, 2, 3)
-    )
+    return request.fold(out_flat)
 
 
 def conv2d_gemm_batch(
@@ -110,43 +98,32 @@ def conv2d_gemm_batch(
 
     Each layer lowers to one GEMM; the whole sequence then runs through
     :func:`~repro.core.batch.dgemm_batch` — serially on one CG by
-    default, or dispatched across the chip's core-group pool when
+    default, or dispatched across the chip's core-group pool by a
+    :class:`~repro.multi.scheduler.CGScheduler` when
     ``processor=``/``n_core_groups=`` is given (the layers are
-    independent, which is exactly the workload the
-    :class:`~repro.multi.scheduler.CGScheduler` exists for; same-shape
-    layers keep one CG's staging-plan cache hot).
+    independent, which is exactly the workload the scheduler exists
+    for; same-shape layers keep one CG's staging-plan cache hot).  Any
+    layer failure propagates either way.
 
     Returns the N x O x oh x ow feature maps per layer, in order.
     """
     if not layers:
         raise ConfigError("empty layer batch")
     params = params or BlockingParams.small(double_buffered=True)
-    items: list[GemmRequest] = []
-    folds: list[tuple[int, int, int, int]] = []
-    for images, kernels in layers:
-        if np.asarray(kernels).ndim != 4:
-            raise UnsupportedShapeError(
-                f"expected OIHW kernels, got shape {np.shape(kernels)}"
-            )
-        n, c, h, w = images.shape
-        o, ci, kh, kw = kernels.shape
-        if ci != c:
-            raise UnsupportedShapeError(
-                f"kernel expects {ci} input channels, images have {c}"
-            )
-        cols = im2col(np.asarray(images, dtype=np.float64), kh, kw, stride)
-        w_flat = np.asarray(kernels, dtype=np.float64).reshape(o, c * kh * kw)
-        items.append(GemmRequest(w_flat, cols))
-        folds.append((o, n, (h - kh) // stride + 1, (w - kw) // stride + 1))
-    result = dgemm_batch(
-        items, variant=variant, params=params, pad=True,
-        processor=processor, n_core_groups=n_core_groups,
-    )
+    requests = [ConvRequest(images, kernels, stride) for images, kernels in layers]
+    items = [request.lower() for request in requests]
+    if processor is None and n_core_groups is None:
+        outputs = dgemm_batch(items, variant=variant, params=params).outputs
+    else:
+        from repro.multi.scheduler import CGScheduler
+
+        with CGScheduler(
+            processor, n_core_groups=n_core_groups, variant=variant,
+            params=params,
+        ) as scheduler:
+            outputs = scheduler.run(items, isolate_failures=False).outputs
     return tuple(
-        np.ascontiguousarray(
-            out.reshape(o, n, oh, ow).transpose(1, 0, 2, 3)
-        )
-        for out, (o, n, oh, ow) in zip(result.outputs, folds)
+        request.fold(out) for request, out in zip(requests, outputs)
     )
 
 

@@ -14,9 +14,11 @@
   both a lane-accurate register-file version and the vectorised one
   the variants use;
 - :mod:`repro.core.variants` — RAW / PE / ROW / DB / SCHED;
-- :mod:`repro.core.engine` — the two execution engines: the checked
-  per-CPE ``device`` path and the mesh-wide ``vectorized`` path
-  (stacked tiles, batched matmuls, identical accounting);
+- :mod:`repro.core.engine` — the execution engines: the checked
+  per-CPE ``device`` path, the mesh-wide ``vectorized`` path (one BLAS
+  panel product per strip multiply) and the plan-compiled
+  ``stepwise`` path (stacked tiles, batched matmuls), all with
+  identical accounting;
 - :mod:`repro.core.context` — scoped staging of operands in CG main
   memory (unique handles, free-on-exit, staging-plan cache);
 - :mod:`repro.core.api` — the public ``dgemm`` entry point;
@@ -41,7 +43,7 @@ from repro.core.context import ContextStats, ExecutionContext
 from repro.core.api import dgemm
 from repro.core.engine import ENGINES, get_engine
 from repro.core.variants import VARIANTS, get_variant
-from repro.core.batch import BatchItem, BatchResult, dgemm_batch, validate_items
+from repro.core.batch import BatchResult, dgemm_batch, validate_items
 
 # imported last: Session pulls in repro.multi, which imports the
 # submodules above — reordering this import recreates the cycle.
@@ -52,7 +54,6 @@ __all__ = [
     "ExecutionContext",
     "Session",
     "SessionStats",
-    "BatchItem",
     "BatchResult",
     "dgemm_batch",
     "validate_items",

@@ -38,8 +38,10 @@ counter asserts in the regression tests.
 
 Everything here changes wall-clock only: outputs and the analytic
 DMA / register-communication statistics of a planned run are
-bit-identical to the unplanned stepwise path and to the device engine
-(enforced by ``tests/property/test_prop_engine.py``).
+bit-identical to the unplanned stepwise path at every blocking, and to
+the device engine at the 16-deep tiles of ``BlockingParams.small``
+(enforced by ``tests/property/test_prop_engine.py``; see
+:mod:`repro.core.engine.vectorized` for the paper blocking).
 """
 
 from __future__ import annotations

@@ -1,53 +1,58 @@
-"""The throughput engine: mesh-wide execution over stacked tiles.
+"""The throughput engines: mesh-wide execution over stacked tiles.
 
 The device path simulates the cluster one CPE at a time: 64 dict
 lookups and 64 tiny ``a @ b`` calls per sharing step, plus a
 :class:`~repro.arch.regcomm.RegisterComm` object round trip per
 broadcast.  That faithfulness is the point of the device model — and
-pure overhead once the protocols are trusted.  This engine runs the
-same program mesh-wide, at two fusion levels:
+pure overhead once the protocols are trusted.  Two engines here run
+the same program mesh-wide, at two fusion levels.
 
-**Stepwise mode** (``VectorizedEngine(stepwise=True)``) is the literal
-mesh-wide formulation:
+:class:`StepwiseEngine` (``"stepwise"``) is the literal mesh-wide
+formulation:
 
 - each operand's 64 thread-level tiles live in one contiguous
-  ``(64, rows, cols)`` stack (the cluster's LDM, as an array), filled
-  by ``DataThreadMapping.stack_load_* / stack_store_c`` — one strided
-  slice copy replaces 64 per-CPE DMA calls (or 8 collective ROW_MODE
-  transfers);
-- a sharing step resolves through the
-  :func:`~repro.core.sharing.step_owner_indices` tables — the owner
-  lines' tiles land where the register networks would have delivered
-  them — and all 64 tile multiplies of the step execute as one batched
-  ``matmul``;
+  ``(64, rows, cols)`` stack (the cluster's LDM, as an array) — one
+  strided slice copy replaces 64 per-CPE DMA calls (or 8 collective
+  ROW_MODE transfers);
+- a sharing step reads the owner lines' tiles where the register
+  networks would have delivered them, and all 64 tile multiplies of
+  the step execute as one batched ``matmul``;
 - the beta scaling is one ``stack *= beta`` over the whole C stack.
 
-By default the stepwise path executes through a compiled
-:class:`~repro.core.engine.plans.IndexPlan` (PR 8): the owner tables,
-stack copy recipes, and block origins are built once per
-``(shape, variant, params)`` signature, cached in an LDM-budgeted
+By default it executes through a compiled
+:class:`~repro.core.engine.plans.IndexPlan`: the owner tables, stack
+copy recipes, and block origins are built once per ``(shape, variant,
+params)`` signature, cached in an LDM-budgeted
 :class:`~repro.core.engine.plans.PlanCache`, and each sharing step's
 two gather *copies* become two broadcast *views* over a 4-D reshape of
-the stacks — same BLAS calls on the same operands, several times
-faster.  ``use_plans=False`` keeps the legacy per-call gather path
-(the benchmark baseline).
+the stacks.  ``StepwiseEngine(use_plans=False)`` keeps the legacy
+per-call gather path through the
+:func:`~repro.core.sharing.step_owner_indices` tables; the two paths
+are bitwise equal at every blocking.
 
-It performs the identical arithmetic in the identical order as the
-device path (same BLAS calls on the same operands), so its results are
-bit-for-bit equal — it exists as the bridge that *proves* the index
-algebra, and as the shape the real hardware's batched execution takes.
+It performs the device path's tile multiplies in the device path's
+order, so it exists as the bridge that *proves* the index algebra.
+Results are bit-for-bit equal to the device engine at 16-deep tiles
+(:meth:`~repro.core.params.BlockingParams.small`).  At the paper's
+blocking (96-deep tiles) they differ in the last bits (max abs error
+below 1e-13 on unit-scale one- and two-block shapes), inside the
+library's ``rtol=1e-12 / atol=1e-9`` comparison tolerance: the
+device's LDM tiles are Fortran-ordered and its received broadcast
+copies C-ordered, while the stacks are C-ordered throughout, and BLAS
+may round a product differently depending on its operands' memory
+order.
 
-**Fused mode** (the default) goes one step further: because every
-stack gather/scatter is an axis permutation and the owner tables make
-each strip multiplication a plain block matrix product, the
-permutations compose away — the eight sharing steps collapse into one
-blocked ``C_panel += alpha * A_panel @ B_panel`` on strided views of
-the operands in main memory, one BLAS call per (j, l) panel, with zero
-intermediate copies.  Results then agree with the device engine to
-well below the library's ``rtol=1e-12 / atol=1e-9`` comparison
-tolerance (the only difference is floating-point summation *order*
-inside a k-panel), which the property tests in
-``tests/property/test_prop_engine.py`` enforce across all variants.
+:class:`VectorizedEngine` (``"vectorized"``, fused) goes one step
+further: because every stack gather/scatter is an axis permutation and
+the owner tables make each strip multiplication a plain block matrix
+product, the permutations compose away — the eight sharing steps
+collapse into one blocked ``C_panel += alpha * A_panel @ B_panel`` on
+strided views of the operands in main memory, one BLAS call per
+(j, l) panel, with zero intermediate copies.  Results then agree with
+the device engine to the same tolerance (the difference is
+floating-point summation *order* inside a k-panel), which the property
+tests in ``tests/property/test_prop_engine.py`` enforce across all
+variants.
 
 Either way the DMA / register-communication statistics are booked
 analytically — per block transfer via the mapping's ``tally_*``
@@ -113,7 +118,7 @@ class TileStacks:
 
 
 class VectorizedEngine(Engine):
-    """Batched mesh-wide execution of the five variants.
+    """Fused mesh-wide execution of the five variants.
 
     Functionally equivalent to :class:`~repro.core.engine.device.DeviceEngine`
     (same blocks, same panel order, same operands) with identical
@@ -122,20 +127,13 @@ class VectorizedEngine(Engine):
     discipline and alignment hold by construction on this path, because
     the shapes were validated by :class:`BlockingParams` up front.
 
-    ``stepwise=True`` selects the per-step stacked-tile formulation
-    (bit-identical to the device); the default fused formulation
-    collapses each strip multiplication into one BLAS panel product
-    (>=10x, same results to the library comparison tolerance).  The
-    stepwise formulation executes through a cached
-    :class:`~repro.core.engine.plans.IndexPlan` unless
-    ``use_plans=False`` pins it to the legacy per-call gather path.
+    Each strip multiplication collapses into one BLAS panel product
+    (>=10x over the device path, same results to the library comparison
+    tolerance).  :class:`StepwiseEngine` overrides :meth:`_run_shared`
+    to execute the per-step stacked-tile formulation instead.
     """
 
     name = "vectorized"
-
-    def __init__(self, stepwise: bool = False, use_plans: bool = True) -> None:
-        self.stepwise = stepwise
-        self.use_plans = use_plans
 
     def run(
         self,
@@ -177,25 +175,13 @@ class VectorizedEngine(Engine):
         # or what they carry — so DB/SCHED share PE's block order here
         # and the cumulative statistics still match the device path
         # exactly.
-        if self.stepwise:
-            if self.use_plans:
-                cache = (default_plan_cache() if plan_cache is None
-                         else plan_cache)
-                plan = cache.get_or_build(impl, params, m, n, k,
-                                          tracer=tracer)
-                self._shared_stepwise_planned(cg, a, b, c, alpha, beta,
-                                              params, mapping, plan, tracer)
-            else:
-                self._shared_stepwise(impl, cg, a, b, c, alpha, beta,
-                                      params, mapping, grid, tracer)
-        else:
-            self._shared_fused(impl, cg, a, b, c, alpha, beta,
-                               params, mapping, grid, m, tracer)
+        self._run_shared(impl, cg, a, b, c, alpha, beta, params, mapping,
+                         grid, (m, n, k), tracer, plan_cache)
 
     # -- the blocked, shared variants (PE / ROW / DB / SCHED) -----------
 
-    def _shared_fused(self, impl, cg, a, b, c, alpha, beta,
-                      params, mapping, grid, m, tracer) -> None:
+    def _run_shared(self, impl, cg, a, b, c, alpha, beta, params, mapping,
+                    grid, shape, tracer, plan_cache) -> None:
         """One BLAS panel product per (j, l); stats booked analytically.
 
         The stack gathers, owner-index gathers, and write-back scatters
@@ -206,11 +192,11 @@ class VectorizedEngine(Engine):
         run over column-major-aligned memory.
         """
         grid_m, grid_n, grid_k = grid
-        b_m, b_n, b_k = params.b_m, params.b_n, params.b_k
+        b_n, b_k = params.b_n, params.b_k
         a_v = cg.memory.array(a)
         b_v = cg.memory.array(b)
         c_v = cg.memory.array(c)
-        res_t = np.empty((b_n, m))
+        res_t = np.empty((b_n, shape[0]))
         meter = cg_meter(cg)
         for j in range(grid_n):
             jb = slice(j * b_n, (j + 1) * b_n)
@@ -234,6 +220,117 @@ class VectorizedEngine(Engine):
                         _fire(cg, "dma.put")
                         mapping.tally_store_c(cg)
                         self._tally_sharing(cg, impl.scheme, params)
+
+    @staticmethod
+    def _tally_sharing(cg, scheme, params) -> None:
+        """Book the register traffic of one full strip multiplication.
+
+        Per step the device path issues 8 A broadcasts and 8 B
+        broadcasts (one per owner on the step's mesh lines) and 56 + 56
+        receives (every CPE not on an owner line pops each operand).
+        Which network carries which operand is the scheme's transpose.
+        """
+        _fire(cg, "regcomm")
+        a_nbytes = params.p_m * params.p_k * 8
+        b_nbytes = params.p_k * params.p_n * 8
+        n_bcasts = GRID * GRID  # 8 owners x 8 steps
+        receives = 2 * GRID * (GRID * GRID - GRID)  # 2 x 8 steps x 56
+        if scheme is Scheme.PE:
+            row_nbytes, col_nbytes = a_nbytes, b_nbytes
+        else:
+            row_nbytes, col_nbytes = b_nbytes, a_nbytes
+        cg.regcomm.stats.tally_broadcasts(
+            row_broadcasts=n_bcasts,
+            col_broadcasts=n_bcasts,
+            row_nbytes=row_nbytes,
+            col_nbytes=col_nbytes,
+            fanout=GRID - 1,
+            receives=receives,
+        )
+
+    # -- RAW ------------------------------------------------------------
+
+    def _run_raw(self, impl, cg, a, b, c, alpha, beta, tracer) -> None:
+        """RAW's per-thread tiled triple loop, batched over the mesh.
+
+        A tile row is shared by a whole mesh row and a B tile by a
+        whole mesh column (the 8x traffic blow-up that makes RAW
+        memory-bound), so the stacks are 8-deep per side and one
+        broadcasting ``matmul`` covers all 64 panels.
+        """
+        m, n, k = check_gemm_shapes(a, b, c)
+        t_m, t_n, t_k = impl.tile_geometry(m, n, k)
+        panel_m, panel_n = m // GRID, n // GRID
+        cg.reset_cpes()
+        cg.mpe.spawn(cg.spec.n_cpes)
+        tb = cg.spec.dma.transaction_bytes
+        stats = cg.dma.stats
+        n_cpes = GRID * GRID
+        # panel-blocked views of the resident matrices (axis splits only)
+        a_v = cg.memory.array(a).reshape(GRID, panel_m, k)
+        b_v = cg.memory.array(b).reshape(k, GRID, panel_n)
+        c_v = cg.memory.array(c).reshape(GRID, panel_m, GRID, panel_n)
+        n_kk = k // t_k
+        with tracer.span("kernel", cat="kernel", meter=cg_meter(cg),
+                         variant=impl.traits.name, engine=self.name), \
+                fault_phase(cg.injector, "kernel"):
+            for ti in range(panel_m // t_m):
+                rows = slice(ti * t_m, (ti + 1) * t_m)
+                for tj in range(panel_n // t_n):
+                    cols = slice(tj * t_n, (tj + 1) * t_n)
+                    _fire(cg, "compute")
+                    _fire(cg, "dma.get")
+                    c_region = c_v[:, rows, :, cols]
+                    c_stack = c_region.transpose(0, 2, 1, 3).copy()
+                    if beta != 1.0:
+                        c_stack *= beta
+                    for kk in range(n_kk):
+                        ks = slice(kk * t_k, (kk + 1) * t_k)
+                        a_stack = a_v[:, rows, ks].copy()           # (8, tM, tK)
+                        b_stack = b_v[ks, :, cols].transpose(1, 0, 2).copy()
+                        prod = np.matmul(a_stack[:, None], b_stack[None, :])
+                        if alpha == 1.0:
+                            c_stack += prod
+                        else:
+                            c_stack += alpha * prod
+                    _fire(cg, "dma.put")
+                    c_region[:] = c_stack.transpose(0, 2, 1, 3)
+                    stats.tally(DMAMode.PE, DMADirection.GET,
+                                t_m * t_n * 8, t_m * t_n * 8 // tb, n_cpes)
+                    stats.tally(DMAMode.PE, DMADirection.GET,
+                                t_m * t_k * 8, t_m * t_k * 8 // tb, n_cpes * n_kk)
+                    stats.tally(DMAMode.PE, DMADirection.GET,
+                                t_k * t_n * 8, t_k * t_n * 8 // tb, n_cpes * n_kk)
+                    stats.tally(DMAMode.PE, DMADirection.PUT,
+                                t_m * t_n * 8, t_m * t_n * 8 // tb, n_cpes)
+
+
+class StepwiseEngine(VectorizedEngine):
+    """The per-step stacked-tile formulation as a named engine.
+
+    Registered as ``"stepwise"``: results match the device engine to
+    the library comparison tolerance (bit for bit at 16-deep tiles, see
+    the module docstring), analytic stats match it exactly, and
+    wall-clock sits between the device and fused paths.
+    ``use_plans=False`` pins it to the legacy per-call gather path,
+    which the planned path equals bit for bit.
+    """
+
+    name = "stepwise"
+
+    def __init__(self, use_plans: bool = True) -> None:
+        self.use_plans = use_plans
+
+    def _run_shared(self, impl, cg, a, b, c, alpha, beta, params, mapping,
+                    grid, shape, tracer, plan_cache) -> None:
+        if not self.use_plans:
+            self._shared_stepwise(impl, cg, a, b, c, alpha, beta,
+                                  params, mapping, grid, tracer)
+            return
+        cache = default_plan_cache() if plan_cache is None else plan_cache
+        plan = cache.get_or_build(impl, params, *shape, tracer=tracer)
+        self._shared_stepwise_planned(cg, a, b, c, alpha, beta,
+                                      params, mapping, plan, tracer)
 
     def _shared_stepwise(self, impl, cg, a, b, c, alpha, beta,
                          params, mapping, grid, tracer) -> None:
@@ -341,103 +438,3 @@ class VectorizedEngine(Engine):
                 np.multiply(prod4, alpha, out=prod4)
                 c4 += prod4
         self._tally_sharing(cg, plan.scheme, params)
-
-    @staticmethod
-    def _tally_sharing(cg, scheme, params) -> None:
-        """Book the register traffic of one full strip multiplication.
-
-        Per step the device path issues 8 A broadcasts and 8 B
-        broadcasts (one per owner on the step's mesh lines) and 56 + 56
-        receives (every CPE not on an owner line pops each operand).
-        Which network carries which operand is the scheme's transpose.
-        """
-        _fire(cg, "regcomm")
-        a_nbytes = params.p_m * params.p_k * 8
-        b_nbytes = params.p_k * params.p_n * 8
-        n_bcasts = GRID * GRID  # 8 owners x 8 steps
-        receives = 2 * GRID * (GRID * GRID - GRID)  # 2 x 8 steps x 56
-        if scheme is Scheme.PE:
-            row_nbytes, col_nbytes = a_nbytes, b_nbytes
-        else:
-            row_nbytes, col_nbytes = b_nbytes, a_nbytes
-        cg.regcomm.stats.tally_broadcasts(
-            row_broadcasts=n_bcasts,
-            col_broadcasts=n_bcasts,
-            row_nbytes=row_nbytes,
-            col_nbytes=col_nbytes,
-            fanout=GRID - 1,
-            receives=receives,
-        )
-
-    # -- RAW ------------------------------------------------------------
-
-    def _run_raw(self, impl, cg, a, b, c, alpha, beta, tracer) -> None:
-        """RAW's per-thread tiled triple loop, batched over the mesh.
-
-        A tile row is shared by a whole mesh row and a B tile by a
-        whole mesh column (the 8x traffic blow-up that makes RAW
-        memory-bound), so the stacks are 8-deep per side and one
-        broadcasting ``matmul`` covers all 64 panels.
-        """
-        m, n, k = check_gemm_shapes(a, b, c)
-        t_m, t_n, t_k = impl.tile_geometry(m, n, k)
-        panel_m, panel_n = m // GRID, n // GRID
-        cg.reset_cpes()
-        cg.mpe.spawn(cg.spec.n_cpes)
-        tb = cg.spec.dma.transaction_bytes
-        stats = cg.dma.stats
-        n_cpes = GRID * GRID
-        # panel-blocked views of the resident matrices (axis splits only)
-        a_v = cg.memory.array(a).reshape(GRID, panel_m, k)
-        b_v = cg.memory.array(b).reshape(k, GRID, panel_n)
-        c_v = cg.memory.array(c).reshape(GRID, panel_m, GRID, panel_n)
-        n_kk = k // t_k
-        with tracer.span("kernel", cat="kernel", meter=cg_meter(cg),
-                         variant=impl.traits.name, engine=self.name), \
-                fault_phase(cg.injector, "kernel"):
-            for ti in range(panel_m // t_m):
-                rows = slice(ti * t_m, (ti + 1) * t_m)
-                for tj in range(panel_n // t_n):
-                    cols = slice(tj * t_n, (tj + 1) * t_n)
-                    _fire(cg, "compute")
-                    _fire(cg, "dma.get")
-                    c_region = c_v[:, rows, :, cols]
-                    c_stack = c_region.transpose(0, 2, 1, 3).copy()
-                    if beta != 1.0:
-                        c_stack *= beta
-                    for kk in range(n_kk):
-                        ks = slice(kk * t_k, (kk + 1) * t_k)
-                        a_stack = a_v[:, rows, ks].copy()           # (8, tM, tK)
-                        b_stack = b_v[ks, :, cols].transpose(1, 0, 2).copy()
-                        prod = np.matmul(a_stack[:, None], b_stack[None, :])
-                        if alpha == 1.0:
-                            c_stack += prod
-                        else:
-                            c_stack += alpha * prod
-                    _fire(cg, "dma.put")
-                    c_region[:] = c_stack.transpose(0, 2, 1, 3)
-                    stats.tally(DMAMode.PE, DMADirection.GET,
-                                t_m * t_n * 8, t_m * t_n * 8 // tb, n_cpes)
-                    stats.tally(DMAMode.PE, DMADirection.GET,
-                                t_m * t_k * 8, t_m * t_k * 8 // tb, n_cpes * n_kk)
-                    stats.tally(DMAMode.PE, DMADirection.GET,
-                                t_k * t_n * 8, t_k * t_n * 8 // tb, n_cpes * n_kk)
-                    stats.tally(DMAMode.PE, DMADirection.PUT,
-                                t_m * t_n * 8, t_m * t_n * 8 // tb, n_cpes)
-
-
-class StepwiseEngine(VectorizedEngine):
-    """The plan-compiled stepwise formulation as a named engine.
-
-    Registered as ``"stepwise"`` so sessions, batch items, and serve
-    requests can select the bit-exact fast path by name (previously it
-    was only reachable by constructing ``VectorizedEngine(stepwise=
-    True)`` directly).  Results and analytic stats match the device
-    engine bit for bit; wall-clock sits between the device and fused
-    paths.
-    """
-
-    name = "stepwise"
-
-    def __init__(self, use_plans: bool = True) -> None:
-        super().__init__(stepwise=True, use_plans=use_plans)

@@ -4,9 +4,9 @@ Three implementations of the same register-level blocking:
 
 - :func:`tile_multiply` — the vectorised form the GEMM variants call
   (numpy does the 16 x pN x pK arithmetic in one shot);
-- :func:`tile_multiply_batched` — the mesh-wide form the vectorized
-  engine's stepwise mode calls: all 64 CPEs' tile multiplies of one
-  sharing step as a single batched ``np.matmul``;
+- :func:`tile_multiply_batched` — the mesh-wide form the stepwise
+  engine's legacy gather path calls: all 64 CPEs' tile multiplies of
+  one sharing step as a single batched ``np.matmul``;
 - :func:`register_tile_multiply` — a lane-accurate execution of the
   paper's 4x4 register blocking through
   :class:`~repro.arch.regfile.VectorRegisterFile`, issuing one ``fma``

@@ -1,11 +1,11 @@
 """The one-true entry point: a session that owns device, context, pool.
 
-The layers below are deliberately explicit — ``dgemm`` takes a
-``core_group``/``context``, ``dgemm_batch`` takes a device or a
-processor, ``CGScheduler`` wants a pool — and that explicitness is the
-right *low-level* surface.  But a caller who just wants the paper's
-DGEMM served fast should not have to thread devices and contexts by
-hand.  :class:`Session` is that caller's API:
+The layers below are deliberately explicit — ``dgemm`` and
+``dgemm_batch`` take a ``core_group``/``context``, ``CGScheduler``
+wants a pool — and that explicitness is the right *low-level*
+surface.  But a caller who just wants the paper's DGEMM served fast
+should not have to thread devices and contexts by hand.
+:class:`Session` is that caller's API:
 
     with Session(n_core_groups=4) as s:
         y = s.dgemm(a, b)                # scalar call, staging kept warm
@@ -42,12 +42,14 @@ from repro.api import (
     RequestError,
     RequestResult,
     SubmitOptions,
+    as_gemm_request,
     as_request,
     format_bin,
 )
 from repro.arch.config import SW26010Spec, DEFAULT_SPEC
 from repro.core.api import dgemm as _dgemm
 from repro.core.context import ContextStats, ExecutionContext
+from repro.core.engine import check_engine
 from repro.core.params import BlockingParams
 from repro.core.variants import get_variant
 from repro.multi.processor import SW26010Processor
@@ -142,10 +144,6 @@ class Session:
         # path a session exists to serve — runs the vectorized engine.
         # Pass an explicit engine to force one choice everywhere.
         self.engine = None if engine is None else str(engine).lower()
-        # the learned table only fills in *defaulted* blocking; explicit
-        # params= pins every call to exactly those parameters.
-        self._explicit_params = params is not None
-        self._calibration = calibration
         self.params = params or get_variant(self.variant).default_params()
         self.pad = pad
         self.check = check
@@ -268,39 +266,28 @@ class Session:
         engine: str | None = None,
         pad: bool | None = None,
         check: bool | None = None,
-        **legacy,
     ) -> np.ndarray:
         """One multiply on CG 0, staging kept warm across calls.
 
         ``engine=`` overrides the session's engine for this call;
         scalar calls default to ``"device"`` (full protocol checking)
         unless the session was built with an explicit ``engine=``.
-        Legacy kwarg spellings (``trans``/``trans_a``/...) pass through
-        to the normalization funnel, which warns and maps them.
 
-        With ``tuned=`` configured (and no explicit session ``params=``)
-        the call's blocking comes from the learned table for this
-        shape's bin, estimator fallback on a miss — the same resolution
-        batch dispatch uses.
+        Blocking resolves exactly as for a batch item (see
+        :meth:`CGScheduler.resolve_blocking
+        <repro.multi.scheduler.CGScheduler.resolve_blocking>`): with
+        ``tuned=`` configured (and no explicit session ``params=``) it
+        comes from the learned table for this shape's bin, estimator
+        fallback on a miss.
         """
         self._require_open()
-        ctx = self._scalar_context()
+        m, n, k = as_gemm_request(
+            a, b, c, alpha=alpha, beta=beta, transa=transa, transb=transb
+        ).validate()
         eff_engine = (engine or self.engine or "device").lower()
-        params = self.params
-        if self.tuned is not None and not self._explicit_params:
-            eff_transa = legacy.get("trans", legacy.get("trans_a", transa))
-            eff_transb = legacy.get("trans_b", transb)
-            rm, rk = (
-                (a.shape[1], a.shape[0])
-                if str(eff_transa).upper() == "T" else (a.shape[0], a.shape[1])
-            )
-            rn = (
-                b.shape[0] if str(eff_transb).upper() == "T" else b.shape[1]
-            )
-            params = self.tuned.resolve(
-                self.variant, eff_engine, rm, rn, rk,
-                spec=self.processor.spec, calibration=self._calibration,
-            ).params
+        (params,) = self.scheduler.resolve_blocking([(m, n, k)], engine=eff_engine)
+        pad = self.pad if pad is None else pad
+        ctx = self._scalar_context()
         before = ctx.stats()
         out = _dgemm(
             a, b, c,
@@ -308,20 +295,12 @@ class Session:
             variant=self.variant,
             engine=eff_engine,
             params=params, context=ctx,
-            pad=self.pad if pad is None else pad,
+            pad=pad,
             check=self.check if check is None else check,
             tracer=self.tracer,
             plan_cache=self.plan_cache,
-            **legacy,
         )
-        m, n = out.shape
-        eff_transa = legacy.get("trans", legacy.get("trans_a", transa))
-        k = a.shape[0] if str(eff_transa).upper() == "T" else a.shape[1]
-        pm, pn, pk = (
-            params.pad_shape(m, n, k)
-            if (self.pad if pad is None else pad)
-            else (m, n, k)
-        )
+        pm, pn, pk = params.pad_shape(m, n, k) if pad else (m, n, k)
         with self._stats_lock:
             self._traffic = self._traffic.plus(ctx.stats().since(before))
             self._calls += 1
@@ -412,7 +391,8 @@ class Session:
         :class:`~repro.api.RequestResult` — value, this request's own
         traffic delta, fault reports from the resilience ladder, and a
         :class:`~repro.api.RequestError` instead of an exception when
-        the request is malformed or exhausts its retry budget.
+        the request is malformed, names an unknown engine, or exhausts
+        its retry budget.
         (Session-level misuse — submitting on a closed session — still
         raises.)
 
@@ -430,6 +410,8 @@ class Session:
             request = as_request(request)
             request.validate()
             bin_label = format_bin(request.shape_bin(self.params))
+            if opts.engine is not None:
+                check_engine(opts.engine)
         except (ConfigError, UnsupportedShapeError) as exc:
             return RequestResult(
                 error=RequestError(kind=type(exc).__name__, message=str(exc)),

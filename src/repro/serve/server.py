@@ -65,6 +65,7 @@ from repro.api import (
     format_bin,
 )
 from repro.core.context import ContextStats
+from repro.core.engine import check_engine
 from repro.core.session import Session
 from repro.errors import ConfigError, UnsupportedShapeError
 from repro.obs.alerts import AlertEngine, default_serve_rules
@@ -304,11 +305,12 @@ class ReproServer:
     ) -> RequestResult:
         """Admit one request and await its structured response.
 
-        Never raises for request-level failure — malformed shapes,
-        backpressure, retry exhaustion and shutdown all come back as a
-        :class:`~repro.api.RequestResult` carrying a typed
-        :class:`~repro.api.RequestError`.  (Submitting on a server
-        that was never started still raises: that is caller misuse.)
+        Never raises for request-level failure — malformed shapes, an
+        unknown engine, backpressure, retry exhaustion and shutdown all
+        come back as a :class:`~repro.api.RequestResult` carrying a
+        typed :class:`~repro.api.RequestError`.  (Submitting on a
+        server that was never started still raises: that is caller
+        misuse.)
         """
         if not self._started:
             raise ConfigError(
@@ -326,6 +328,8 @@ class ReproServer:
             shape = request.validate()
             bin_label = format_bin(request.shape_bin(self.session.params))
             flops = _request_flops(request, shape)
+            if opts.engine is not None:
+                check_engine(opts.engine)
         except (ConfigError, UnsupportedShapeError) as exc:
             result = RequestResult(
                 error=RequestError(kind=type(exc).__name__, message=str(exc)),

@@ -10,7 +10,7 @@ must also stay strictly nested (the invariant every exporter assumes).
 import numpy as np
 from hypothesis import given, settings, strategies as st
 
-from repro.core.batch import BatchItem
+from repro.api import GemmRequest
 from repro.core.params import BlockingParams
 from repro.core.session import Session
 from repro.obs import SpanTracer
@@ -25,7 +25,7 @@ def batch_items(draw):
     m, n, k = draw(_DIMS), draw(_DIMS), draw(_DIMS)
     rng = np.random.default_rng(draw(st.integers(0, 2**16)))
     beta = draw(st.sampled_from([0.0, 1.0]))
-    return BatchItem(
+    return GemmRequest(
         rng.standard_normal((m, k)),
         rng.standard_normal((k, n)),
         rng.standard_normal((m, n)) if beta else None,

@@ -9,7 +9,8 @@ for any mix of shapes, trans flags and alpha/beta.
 import numpy as np
 from hypothesis import given, settings, strategies as st
 
-from repro.core.batch import BatchItem, dgemm_batch
+from repro.api import GemmRequest
+from repro.core.batch import dgemm_batch
 from repro.core.params import BlockingParams
 from repro.multi import CGScheduler
 
@@ -32,8 +33,8 @@ def batch_items(draw):
     a = rng.standard_normal((k, m) if transa == "T" else (m, k))
     b = rng.standard_normal((n, k) if transb == "T" else (k, n))
     c = rng.standard_normal((m, n)) if beta else None
-    return BatchItem(a, b, c, alpha=alpha, beta=beta,
-                     transa=transa, transb=transb)
+    return GemmRequest(a, b, c, alpha=alpha, beta=beta,
+                       transa=transa, transb=transb)
 
 
 @settings(max_examples=10, deadline=None)

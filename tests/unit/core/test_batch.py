@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from repro.arch.core_group import CoreGroup
-from repro.core.batch import BatchItem, BatchResult, dgemm_batch, validate_items
+from repro.api import GemmRequest
+from repro.core.batch import BatchResult, dgemm_batch, validate_items
 from repro.core.params import BlockingParams
 from repro.errors import ConfigError, UnsupportedShapeError
 from repro.workloads.matrices import gemm_operands
@@ -12,11 +13,11 @@ from repro.workloads.matrices import gemm_operands
 PARAMS = BlockingParams.small(double_buffered=True)
 
 
-def make_items(count: int, seed: int = 0) -> list[BatchItem]:
+def make_items(count: int, seed: int = 0) -> list[GemmRequest]:
     items = []
     for i in range(count):
         a, b, c = gemm_operands(PARAMS.b_m, PARAMS.b_n, PARAMS.b_k, seed=seed + 7 * i)
-        items.append(BatchItem(a, b, c, alpha=1.0 + i, beta=0.5))
+        items.append(GemmRequest(a, b, c, alpha=1.0 + i, beta=0.5))
     return items
 
 
@@ -39,7 +40,7 @@ class TestBatch:
     def test_pad_default_accepts_odd_shapes(self, rng):
         a = rng.standard_normal((100, 50))
         b = rng.standard_normal((50, 30))
-        result = dgemm_batch([BatchItem(a, b)], params=PARAMS)
+        result = dgemm_batch([GemmRequest(a, b)], params=PARAMS)
         assert np.allclose(result.outputs[0], a @ b, rtol=1e-11, atol=1e-9)
 
     def test_shared_core_group_visible_to_caller(self):
@@ -57,8 +58,10 @@ class TestBatch:
 
     def test_mixed_sizes_in_one_batch(self, rng):
         items = [
-            BatchItem(rng.standard_normal((64, 32)), rng.standard_normal((32, 16))),
-            BatchItem(rng.standard_normal((128, 128)), rng.standard_normal((128, 64))),
+            GemmRequest(rng.standard_normal((64, 32)),
+                        rng.standard_normal((32, 16))),
+            GemmRequest(rng.standard_normal((128, 128)),
+                        rng.standard_normal((128, 64))),
         ]
         result = dgemm_batch(items, params=PARAMS)
         for item, out in zip(items, result.outputs):
@@ -81,21 +84,21 @@ class TestBatch:
 class TestUpFrontValidation:
     def test_inner_dim_mismatch_names_the_item(self, rng):
         items = make_items(2)
-        items.insert(1, BatchItem(rng.standard_normal((32, 16)),
-                                  rng.standard_normal((24, 8))))
+        items.insert(1, GemmRequest(rng.standard_normal((32, 16)),
+                                    rng.standard_normal((24, 8))))
         with pytest.raises(UnsupportedShapeError, match="item 1"):
             dgemm_batch(items, params=PARAMS)
 
     def test_c_shape_mismatch_names_the_item(self, rng):
-        bad = BatchItem(rng.standard_normal((32, 16)),
-                        rng.standard_normal((16, 8)),
-                        rng.standard_normal((32, 9)), beta=1.0)
+        bad = GemmRequest(rng.standard_normal((32, 16)),
+                          rng.standard_normal((16, 8)),
+                          rng.standard_normal((32, 9)), beta=1.0)
         with pytest.raises(UnsupportedShapeError, match="item 2"):
             dgemm_batch([*make_items(2), bad], params=PARAMS)
 
     def test_beta_without_c_names_the_item(self, rng):
-        bad = BatchItem(rng.standard_normal((32, 16)),
-                        rng.standard_normal((16, 8)), beta=0.5)
+        bad = GemmRequest(rng.standard_normal((32, 16)),
+                          rng.standard_normal((16, 8)), beta=0.5)
         with pytest.raises(UnsupportedShapeError, match="item 0"):
             dgemm_batch([bad], params=PARAMS)
 
@@ -103,23 +106,23 @@ class TestUpFrontValidation:
         """The bugfix: earlier items must not run before the rejection."""
         cg = CoreGroup()
         items = make_items(2)
-        items.append(BatchItem(rng.standard_normal((32, 16)),
-                               rng.standard_normal((24, 8))))
+        items.append(GemmRequest(rng.standard_normal((32, 16)),
+                                 rng.standard_normal((24, 8))))
         with pytest.raises(UnsupportedShapeError, match="item 2"):
             dgemm_batch(items, params=PARAMS, core_group=cg)
         assert cg.dma.stats.bytes_total == 0
 
     def test_validate_items_returns_trans_aware_shapes(self, rng):
         shapes = validate_items([
-            BatchItem(rng.standard_normal((16, 32)),
-                      rng.standard_normal((8, 16)),
-                      transa="T", transb="T"),
+            GemmRequest(rng.standard_normal((16, 32)),
+                        rng.standard_normal((8, 16)),
+                        transa="T", transb="T"),
         ])
         assert shapes == [(32, 8, 16)]
 
     def test_bad_trans_flag_names_the_item(self, rng):
-        bad = BatchItem(rng.standard_normal((16, 16)),
-                        rng.standard_normal((16, 16)), transa="C")
+        bad = GemmRequest(rng.standard_normal((16, 16)),
+                          rng.standard_normal((16, 16)), transa="C")
         with pytest.raises(UnsupportedShapeError, match="item 0"):
             validate_items([bad])
 
@@ -129,16 +132,16 @@ class TestHarmonizedKwargs:
         a = rng.standard_normal((64, 96))   # A^T is 96x64
         b = rng.standard_normal((48, 64))   # B^T is 64x48
         result = dgemm_batch(
-            [BatchItem(a, b, transa="T", transb="T")], params=PARAMS
+            [GemmRequest(a, b, transa="T", transb="T")], params=PARAMS
         )
         assert np.allclose(result.outputs[0], a.T @ b.T, rtol=1e-11, atol=1e-8)
         assert result.flops == 2 * 96 * 48 * 64
 
     def test_check_kwarg_verifies_each_item(self, rng):
-        good = BatchItem(rng.standard_normal((32, 16)),
-                         rng.standard_normal((16, 8)))
-        nan = BatchItem(np.full((32, 16), np.nan),
-                        rng.standard_normal((16, 8)))
+        good = GemmRequest(rng.standard_normal((32, 16)),
+                           rng.standard_normal((16, 8)))
+        nan = GemmRequest(np.full((32, 16), np.nan),
+                          rng.standard_normal((16, 8)))
         dgemm_batch([good], params=PARAMS, check=True)
         with pytest.raises(AssertionError):
             dgemm_batch([good, nan], params=PARAMS, check=True)
@@ -178,7 +181,7 @@ class TestFlopsAccounting:
     def test_padded_flops_reported_separately(self, rng):
         a = rng.standard_normal((100, 50))
         b = rng.standard_normal((50, 30))
-        result = dgemm_batch([BatchItem(a, b)], params=PARAMS)
+        result = dgemm_batch([GemmRequest(a, b)], params=PARAMS)
         assert result.flops == 2 * 100 * 30 * 50
         pm, pn, pk = PARAMS.pad_shape(100, 30, 50)
         assert result.padded_flops == 2 * pm * pn * pk

@@ -3,7 +3,8 @@
 import numpy as np
 import pytest
 
-from repro.core.batch import BatchItem, dgemm_batch
+from repro.api import GemmRequest
+from repro.core.batch import dgemm_batch
 from repro.core.api import dgemm
 from repro.core.engine import (
     ENGINES,
@@ -29,11 +30,15 @@ class TestRegistry:
         assert isinstance(get_engine("vectorized"), VectorizedEngine)
         assert isinstance(get_engine("DEVICE"), DeviceEngine)
         assert isinstance(get_engine("stepwise"), StepwiseEngine)
-        assert get_engine("stepwise").stepwise
         assert set(ENGINES) == {"device", "vectorized", "stepwise"}
 
+    def test_one_class_per_engine(self):
+        with pytest.raises(TypeError):
+            VectorizedEngine(use_plans=False)
+        assert not isinstance(get_engine("vectorized"), StepwiseEngine)
+
     def test_instances_pass_through(self):
-        eng = VectorizedEngine(stepwise=True)
+        eng = StepwiseEngine()
         assert get_engine(eng) is eng
 
     def test_unknown_name_raises(self):
@@ -90,13 +95,13 @@ class TestEngineSelection:
     def test_dgemm_accepts_engine_instance(self):
         a, b, c = gemm_operands(DOUBLE.b_m, DOUBLE.b_n, DOUBLE.b_k, seed=4)
         out = dgemm(a, b, c, beta=1.0, variant="DB",
-                    engine=VectorizedEngine(stepwise=True), params=DOUBLE)
+                    engine=StepwiseEngine(), params=DOUBLE)
         assert np.allclose(out, a @ b + c, rtol=1e-12, atol=1e-9)
 
     def test_dgemm_batch_engine_kwarg(self):
         items = [
-            BatchItem(*gemm_operands(DOUBLE.b_m, DOUBLE.b_n, DOUBLE.b_k,
-                                     seed=s), alpha=1.0, beta=1.0)
+            GemmRequest(*gemm_operands(DOUBLE.b_m, DOUBLE.b_n, DOUBLE.b_k,
+                                       seed=s), alpha=1.0, beta=1.0)
             for s in (5, 6)
         ]
         result = dgemm_batch(items, engine="vectorized", params=DOUBLE,

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro import BatchItem, Session
+from repro import GemmRequest, Session, SubmitOptions
 from repro.core.params import BlockingParams
 from repro.errors import ConfigError
 from repro.multi import SW26010Processor
@@ -79,7 +79,7 @@ class TestBatch:
     def test_batch_dispatches_and_isolates_by_default(self):
         with Session(params=PARAMS, check=True) as s:
             items = mixed_batch(6, params=PARAMS, seed=4)
-            items[1] = BatchItem(np.full_like(items[1].a, np.nan), items[1].b)
+            items[1] = GemmRequest(np.full_like(items[1].a, np.nan), items[1].b)
             result = s.batch(items)
             assert len(result.errors) == 1
             assert result.errors[0].index == 1
@@ -87,9 +87,36 @@ class TestBatch:
     def test_batch_can_propagate_failures(self):
         with Session(params=PARAMS, check=True) as s:
             items = mixed_batch(3, params=PARAMS, seed=5)
-            items[0] = BatchItem(np.full_like(items[0].a, np.nan), items[0].b)
+            items[0] = GemmRequest(np.full_like(items[0].a, np.nan), items[0].b)
             with pytest.raises(AssertionError):
                 s.batch(items, isolate_failures=False)
+
+
+class TestUnknownEngine:
+    """Unknown engine names fail where they are given; the device
+    fallback must not turn them into a recovered fault."""
+
+    def test_batch_raises_before_any_item_runs(self):
+        with Session(params=PARAMS) as s:
+            with pytest.raises(ConfigError, match="unknown engine"):
+                s.batch(mixed_batch(2, params=PARAMS, seed=9),
+                        options=SubmitOptions(engine="bogus"))
+            assert s.stats().items == 0
+            assert s.resil_stats()["fallbacks"] == 0
+
+    def test_submit_returns_config_error(self):
+        with Session(params=PARAMS) as s:
+            a, b, _ = gemm_operands(PARAMS.b_m, PARAMS.b_n, PARAMS.b_k, seed=9)
+            result = s.submit(GemmRequest(a, b),
+                              options=SubmitOptions(engine="bogus"))
+            assert not result.ok
+            assert result.error.kind == "ConfigError"
+            assert s.stats().batches == 0
+            assert s.resil_stats()["fallbacks"] == 0
+
+    def test_session_engine_checked_at_construction(self):
+        with pytest.raises(ConfigError, match="unknown engine"):
+            Session(params=PARAMS, engine="bogus")
 
 
 class TestStats:

@@ -3,7 +3,8 @@
 import numpy as np
 import pytest
 
-from repro.core.batch import BatchItem, dgemm_batch
+from repro.api import GemmRequest
+from repro.core.batch import dgemm_batch
 from repro.core.params import BlockingParams
 from repro.errors import ConfigError
 from repro.multi import CGScheduler, SW26010Processor
@@ -17,7 +18,7 @@ def same_shape_items(n, m=None, cols=None, k=None, seed=0):
     cols = cols or PARAMS.b_n
     k = k or PARAMS.b_k
     return [
-        BatchItem(*gemm_operands(m, cols, k, seed=seed + s)[:2])
+        GemmRequest(*gemm_operands(m, cols, k, seed=seed + s)[:2])
         for s in range(n)
     ]
 
@@ -40,6 +41,17 @@ class TestConstruction:
             scheduler.run([])
         with pytest.raises(ConfigError):
             scheduler.plan([])
+
+    def test_unknown_engine_names_rejected(self):
+        with pytest.raises(ConfigError, match="unknown engine"):
+            CGScheduler(params=PARAMS, engine="bogus")
+        with pytest.raises(ConfigError, match="unknown engine"):
+            CGScheduler(params=PARAMS, fallback_engine="bogus")
+        scheduler = CGScheduler(n_core_groups=2, params=PARAMS,
+                                fallback_engine="device")
+        with pytest.raises(ConfigError, match="unknown engine"):
+            scheduler.run(same_shape_items(2), engine="bogus")
+        assert scheduler.resil_stats()["fallbacks"] == 0
 
 
 class TestPlanning:
@@ -158,7 +170,7 @@ class TestExecution:
         proc = SW26010Processor()
         baselines = [proc.cg(g).memory.used_bytes for g in range(4)]
         items = same_shape_items(6)
-        items[2] = BatchItem(np.full_like(items[2].a, np.nan), items[2].b)
+        items[2] = GemmRequest(np.full_like(items[2].a, np.nan), items[2].b)
         scheduler = CGScheduler(proc, params=PARAMS, check=True)
         result = scheduler.run(items)
         assert len(result.errors) == 1
@@ -176,14 +188,14 @@ class TestExecution:
 
     def test_isolate_failures_false_raises(self):
         items = same_shape_items(3)
-        items[1] = BatchItem(np.full_like(items[1].a, np.nan), items[1].b)
+        items[1] = GemmRequest(np.full_like(items[1].a, np.nan), items[1].b)
         scheduler = CGScheduler(n_core_groups=4, params=PARAMS, check=True)
         with pytest.raises(AssertionError):
             scheduler.run(items, isolate_failures=False)
 
     def test_flops_count_successes_only(self):
         items = same_shape_items(4)
-        items[0] = BatchItem(np.full_like(items[0].a, np.nan), items[0].b)
+        items[0] = GemmRequest(np.full_like(items[0].a, np.nan), items[0].b)
         result = CGScheduler(n_core_groups=4, params=PARAMS, check=True).run(items)
         m, n, k = PARAMS.b_m, PARAMS.b_n, PARAMS.b_k
         assert result.flops == 3 * 2 * m * n * k
@@ -192,7 +204,7 @@ class TestExecution:
         rng = np.random.default_rng(5)
         a = rng.standard_normal((PARAMS.b_k, PARAMS.b_m))   # to transpose
         b = rng.standard_normal((PARAMS.b_n, PARAMS.b_k))
-        items = [BatchItem(a, b, transa="T", transb="T")]
+        items = [GemmRequest(a, b, transa="T", transb="T")]
         result = CGScheduler(n_core_groups=2, params=PARAMS).run(items)
         assert result.ok
         assert np.allclose(result.outputs[0], a.T @ b.T, rtol=1e-11, atol=1e-8)
@@ -202,39 +214,3 @@ class TestExecution:
         first = scheduler.run(same_shape_items(3))
         second = scheduler.run(same_shape_items(3, seed=7))
         assert first.ok and second.ok
-
-
-class TestDgemmBatchDelegation:
-    def test_n_core_groups_path_matches_serial(self):
-        items = mixed_batch(8, params=PARAMS, seed=0)
-        serial = dgemm_batch(items, params=PARAMS)
-        pooled = dgemm_batch(items, params=PARAMS, n_core_groups=4)
-        assert all(
-            np.array_equal(x, y)
-            for x, y in zip(serial.outputs, pooled.outputs)
-        )
-        assert pooled.n_core_groups == 4
-        assert pooled.flops == serial.flops
-
-    def test_processor_path(self):
-        proc = SW26010Processor()
-        result = dgemm_batch(
-            same_shape_items(4), params=PARAMS, processor=proc
-        )
-        assert result.ok
-
-    def test_pool_path_raises_on_failure(self):
-        """Delegation keeps the serial raise-on-error contract."""
-        items = same_shape_items(3)
-        items[1] = BatchItem(np.full_like(items[1].a, np.nan), items[1].b)
-        with pytest.raises(AssertionError):
-            dgemm_batch(items, params=PARAMS, n_core_groups=4, check=True)
-
-    def test_pool_and_single_cg_kwargs_conflict(self):
-        from repro.arch.core_group import CoreGroup
-
-        with pytest.raises(ConfigError):
-            dgemm_batch(
-                same_shape_items(2), params=PARAMS,
-                core_group=CoreGroup(), n_core_groups=4,
-            )

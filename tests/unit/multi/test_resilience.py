@@ -3,7 +3,8 @@
 import numpy as np
 import pytest
 
-from repro.core.batch import BatchItem, dgemm_batch
+from repro.api import GemmRequest
+from repro.core.batch import dgemm_batch
 from repro.core.params import BlockingParams
 from repro.core.session import Session
 from repro.multi.scheduler import CGScheduler
@@ -67,7 +68,7 @@ class TestRetry:
 
     def test_deterministic_errors_not_retried(self, items):
         bad = list(items)
-        bad[2] = BatchItem(np.full_like(bad[2].a, np.nan), bad[2].b)
+        bad[2] = GemmRequest(np.full_like(bad[2].a, np.nan), bad[2].b)
         sched = scheduler(check=True)
         result = sched.run(bad)
         assert len(result.errors) == 1 and result.errors[0].index == 2

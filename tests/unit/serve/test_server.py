@@ -86,6 +86,24 @@ class TestRequestPath:
 
         run(scenario())
 
+    def test_unknown_engine_is_invalid_not_recovered(self):
+        """A typo in ``SubmitOptions.engine`` is refused at admission;
+        it never dispatches and never counts as a recovered fault."""
+        async def scenario():
+            async with make_server() as server:
+                a, b, _ = gemm_operands(32, 16, 16, seed=0)
+                result = await server.submit(
+                    GemmRequest(a=a, b=b),
+                    options=SubmitOptions(engine="bogus"),
+                )
+                assert not result.ok
+                assert result.error.kind == "ConfigError"
+                assert "unknown engine" in result.error.message
+                assert server.stats()["batches"] == 0
+                assert server.session.resil_stats()["fallbacks"] == 0
+
+        run(scenario())
+
     def test_conv_request_folds_to_feature_maps(self):
         async def scenario():
             rng = np.random.default_rng(1)

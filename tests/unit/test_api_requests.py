@@ -10,14 +10,15 @@ from repro.api import (
     RequestError,
     RequestResult,
     SubmitOptions,
-    as_gemm_request,
     as_request,
     format_bin,
-    resolve_legacy_kwargs,
 )
-from repro.core.batch import BatchItem
+from repro.core.api import dgemm
+from repro.core.batch import dgemm_batch
 from repro.core.params import BlockingParams
+from repro.core.session import Session
 from repro.errors import ConfigError, UnsupportedShapeError
+from repro.multi.dgemm4 import dgemm_multi_cg
 
 PARAMS = BlockingParams.small(double_buffered=True)
 
@@ -189,37 +190,35 @@ class TestFormatBin:
         assert format_bin(("lu", 256, 64)) == "lu:256x64"
 
 
-class TestLegacyKwargs:
-    def test_maps_with_deprecation_warning(self):
-        with pytest.warns(DeprecationWarning, match="transa"):
-            resolved = resolve_legacy_kwargs("dgemm", {"trans": "T"})
-        assert resolved == {"transa": "T"}
+#: keyword spellings the GEMM entry points accepted with a deprecation
+#: warning before ``transa``/``transb``/``n_core_groups`` became the
+#: only ones.
+REMOVED_SPELLINGS = [
+    "trans", "trans_a", "trans_b", "ncgs", "num_core_groups", "core_groups",
+]
 
-    def test_unknown_keyword_raises_type_error(self):
-        with pytest.raises(TypeError, match="unexpected keyword"):
-            resolve_legacy_kwargs("dgemm", {"transpose_a": "T"})
 
-    def test_duplicate_spellings_rejected(self):
-        with pytest.warns(DeprecationWarning):
-            with pytest.raises(ConfigError, match="duplicates"):
-                resolve_legacy_kwargs(
-                    "dgemm_batch", {"ncgs": 2, "num_core_groups": 4}
-                )
+class TestRemovedSpellings:
+    """Typos stay loud: a removed spelling is an unknown keyword."""
 
-    def test_as_gemm_request_resolves_trans(self):
-        with pytest.warns(DeprecationWarning):
-            r = as_gemm_request(
-                np.zeros((7, 10)), np.zeros((7, 5)), legacy={"trans": "T"}
-            )
-        assert r.transa == "T"
-        assert r.validate() == (10, 5, 7)
-
-    def test_as_gemm_request_rejects_pool_kwargs(self):
-        with pytest.warns(DeprecationWarning):
-            with pytest.raises(TypeError, match="n_core_groups"):
-                as_gemm_request(
-                    np.zeros((4, 3)), np.zeros((3, 2)), legacy={"ncgs": 2}
-                )
+    @pytest.mark.parametrize("spelling", REMOVED_SPELLINGS)
+    @pytest.mark.parametrize(
+        "entry", ["dgemm", "dgemm_batch", "dgemm_multi_cg", "Session.dgemm"]
+    )
+    def test_raises_type_error(self, entry, spelling):
+        a = np.eye(PARAMS.b_m)
+        kwargs = {spelling: "T" if spelling.startswith("trans") else 2}
+        with Session(params=PARAMS) as session:
+            call = {
+                "dgemm": lambda: dgemm(a, a, **kwargs),
+                "dgemm_batch": lambda: dgemm_batch(
+                    [GemmRequest(a, a)], **kwargs
+                ),
+                "dgemm_multi_cg": lambda: dgemm_multi_cg(a, a, **kwargs),
+                "Session.dgemm": lambda: session.dgemm(a, a, **kwargs),
+            }[entry]
+            with pytest.raises(TypeError, match=f"'{spelling}'"):
+                call()
 
 
 class TestAsRequest:
@@ -227,27 +226,8 @@ class TestAsRequest:
         r = GemmRequest(a=np.eye(4), b=np.eye(4))
         assert as_request(r) is r
 
-    def test_coerces_tuples(self):
-        a, b, c = np.eye(4), np.eye(4), np.eye(4)
-        assert isinstance(as_request((a, b)), GemmRequest)
-        coerced = as_request((a, b, c))
-        assert coerced.c is c
-
     def test_rejects_everything_else(self):
         with pytest.raises(ConfigError, match="expected a"):
             as_request([np.eye(4), np.eye(4)])
-
-
-class TestBatchItemShim:
-    def test_construction_warns_and_is_a_gemm_request(self):
-        with pytest.warns(DeprecationWarning, match="BatchItem"):
-            item = BatchItem(a=np.eye(4), b=np.eye(4))
-        assert isinstance(item, GemmRequest)
-        assert item.validate() == (4, 4, 4)
-
-    def test_gemm_request_does_not_warn(self):
-        import warnings
-
-        with warnings.catch_warnings():
-            warnings.simplefilter("error", DeprecationWarning)
-            GemmRequest(a=np.eye(4), b=np.eye(4))
+        with pytest.raises(ConfigError, match="expected a"):
+            as_request((np.eye(4), np.eye(4)))

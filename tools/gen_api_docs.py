@@ -35,12 +35,12 @@ scalar calls, and dispatches batches across the chip's core-group
 pool through ``multi.scheduler.CGScheduler``:
 
 ```python
-from repro import Session, BatchItem
+from repro import GemmRequest, Session
 
 with Session(n_core_groups=4) as s:
-    c = s.dgemm(a, b)                  # scalar, staging kept warm
-    r = s.batch([BatchItem(a, b), ...])  # scheduled across the pool
-    print(s.stats())                   # cumulative accounting
+    c = s.dgemm(a, b)                      # scalar, staging kept warm
+    r = s.batch([GemmRequest(a, b), ...])  # scheduled across the pool
+    print(s.stats())                       # cumulative accounting
 ```
 
 The functional entry points (``dgemm``, ``dgemm_batch``,
