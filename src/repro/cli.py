@@ -17,8 +17,6 @@ Installed as ``repro-dgemm``::
     repro-dgemm top --once
     repro-dgemm ablate --items 8 --reps 3 --out ablation.json
     repro-dgemm ablate --smoke
-    repro-dgemm tune --shape 512x256x512 --out TUNED.json
-    repro-dgemm tune --smoke
 
 ``--estimate-only`` skips the functional simulation and prints the
 performance model's prediction (any paper-scale size is fine there);
@@ -50,12 +48,7 @@ SLO table, firing alerts) over an internally driven server;
 ``--once`` prints a single frame and exits.  The ``ablate`` subcommand
 runs the systematic one-component-off matrix (:mod:`repro.ablate`) and
 prints the importance ranking; ``--smoke`` is the CI gate asserting
-the baseline beats every stage-off config on modeled Gflop/s.  The
-``tune`` subcommand runs the closed autotuning loop
-(:mod:`repro.tuning.loop`) — estimator prior, measured feedback — and
-persists the learned table; ``--smoke`` additionally gates that a
-table-consulting session is bit-exact vs explicit params and no slower
-than the estimator-only fallback at measured p50.
+the baseline beats every stage-off config on modeled Gflop/s.
 """
 
 from __future__ import annotations
@@ -84,7 +77,6 @@ __all__ = [
     "build_serve_parser",
     "build_top_parser",
     "build_trace_parser",
-    "build_tune_parser",
     "main",
     "parse_fault_spec",
 ]
@@ -1070,160 +1062,6 @@ def _run_ablate(argv: list[str]) -> int:
     return 0
 
 
-def _parse_shape(text: str) -> tuple[int, int, int]:
-    parts = text.lower().split("x")
-    if len(parts) != 3:
-        raise argparse.ArgumentTypeError(
-            f"shape must be MxNxK, got {text!r}"
-        )
-    try:
-        m, n, k = (int(p) for p in parts)
-    except ValueError:
-        raise argparse.ArgumentTypeError(
-            f"shape must be MxNxK integers, got {text!r}"
-        ) from None
-    return (m, n, k)
-
-
-def build_tune_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="repro-dgemm tune",
-        description="Closed-loop autotuning: measure the estimator's top "
-                    "blocking candidates per shape bin and persist the "
-                    "learned table Session consults",
-    )
-    parser.add_argument(
-        "--shape", action="append", default=[], metavar="MxNxK",
-        type=_parse_shape,
-        help="workload shape, repeatable (default: two small bins)",
-    )
-    parser.add_argument(
-        "--variant", default="SCHED", choices=sorted(VARIANTS),
-        type=lambda s: s.upper(), help="implementation (paper Sec V)",
-    )
-    parser.add_argument(
-        "--engine", choices=["device", "stepwise", "vectorized"],
-        default="stepwise",
-        help="engine the measurements run on (default stepwise)",
-    )
-    parser.add_argument("--top", type=int, default=3,
-                        help="estimator candidates measured per bin "
-                             "(default 3; the variant default params are "
-                             "always added)")
-    parser.add_argument("--reps", type=int, default=3,
-                        help="timed calls per candidate (default 3)")
-    parser.add_argument("--seed", type=int, default=0)
-    parser.add_argument("--out", default=None, metavar="FILE",
-                        help="write the learned table here "
-                             "(default TUNED.json unless --smoke)")
-    parser.add_argument("--update", default=None, metavar="FILE",
-                        help="load this table first and tune into it "
-                             "(preserves other variants/engines/bins)")
-    parser.add_argument("--tolerance", type=float, default=1.25,
-                        help="headroom factor for the --smoke p50 gate "
-                             "(default 1.25: tuned must be within 25%% "
-                             "of the estimator fallback's p50 — small "
-                             "smoke shapes are timing-noisy)")
-    parser.add_argument("--smoke", action="store_true",
-                        help="fixed small bins for CI; gates bit-exact "
-                             "table consultation and the measured-p50 "
-                             "no-slower contract; writes no table "
-                             "unless --out is given")
-    return parser
-
-
-def _run_tune(argv: list[str]) -> int:
-    from repro.core.session import Session
-    from repro.tuning import TuningTable, measure_params, tune
-
-    args = build_tune_parser().parse_args(argv)
-    shapes = list(args.shape)
-    if not shapes:
-        shapes = [(96, 48, 80), (192, 96, 160)]
-    if args.smoke:
-        args.top, args.reps = 2, 3
-    out = args.out
-    if out is None and not args.smoke:
-        out = "TUNED.json"
-    try:
-        table = TuningTable.load(args.update) if args.update else None
-        table = tune(
-            shapes, variant=args.variant, engine=args.engine,
-            top=args.top, reps=args.reps, seed=args.seed,
-            table=table, progress=print,
-        )
-    except ReproError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-
-    # gate 1 — consultation is bit-exact: a session resolving its
-    # blocking from the table must reproduce the explicit-params result
-    # bit for bit (same params -> same arithmetic; this catches any
-    # resolution-path divergence).
-    entry = next(
-        e for e in table.entries
-        if e.variant == args.variant and e.engine == args.engine
-    )
-    a, b, _ = gemm_operands(*entry.bin, seed=args.seed)
-    with Session(
-        variant=args.variant, engine=args.engine, tuned=table,
-        n_core_groups=1,
-    ) as tuned_session:
-        via_table = tuned_session.dgemm(a, b)
-    with Session(
-        variant=args.variant, engine=args.engine, params=entry.params(),
-        n_core_groups=1,
-    ) as explicit_session:
-        via_params = explicit_session.dgemm(a, b)
-    if not np.array_equal(via_table, via_params):
-        print("error: table-consulting session does not reproduce the "
-              "explicit-params result bit-exactly", file=sys.stderr)
-        return 1
-    print("consultation gate: tuned-session result is bit-identical to "
-          "explicit params")
-
-    if args.smoke:
-        # gate 2 — never slower than the estimator-only default: for
-        # every tuned bin, the learned pick's measured p50 must be
-        # within --tolerance of what the estimator fallback (an empty
-        # table) would have chosen.  Equal picks pass by construction.
-        fallback = TuningTable()
-        for e in table.entries:
-            if e.variant != args.variant or e.engine != args.engine:
-                continue
-            est = fallback.resolve(
-                e.variant, e.engine, *e.bin
-            ).params
-            if (est.p_m, est.p_n, est.p_k) == (e.p_m, e.p_n, e.p_k):
-                print(f"p50 gate: bin {e.bin} tuned pick equals the "
-                      "estimator pick")
-                continue
-            tuned_p50 = measure_params(
-                e.bin, variant=e.variant, engine=e.engine,
-                params=e.params(), reps=args.reps, seed=args.seed,
-            )
-            est_p50 = measure_params(
-                e.bin, variant=e.variant, engine=e.engine,
-                params=est, reps=args.reps, seed=args.seed,
-            )
-            if tuned_p50 > est_p50 * args.tolerance:
-                print(f"error: bin {e.bin} tuned pick p50 "
-                      f"{tuned_p50 * 1e3:.2f} ms is slower than the "
-                      f"estimator fallback's {est_p50 * 1e3:.2f} ms "
-                      f"(tolerance {args.tolerance}x)", file=sys.stderr)
-                return 1
-            print(f"p50 gate: bin {e.bin} tuned "
-                  f"{tuned_p50 * 1e3:.2f} ms <= estimator "
-                  f"{est_p50 * 1e3:.2f} ms x {args.tolerance}")
-        print("smoke gate: tuned picks are never slower than the "
-              "estimator-only default (measured p50)")
-
-    if out:
-        table.save(out)
-        print(f"wrote learned table ({len(table)} entries) to {out}")
-    return 0
-
-
 def _params_for(args) -> BlockingParams:
     traits = VARIANTS[args.variant].traits
     if args.preset == "paper":
@@ -1248,8 +1086,6 @@ def main(argv: list[str] | None = None) -> int:
         return _run_top(argv[1:])
     if argv and argv[0] == "ablate":
         return _run_ablate(argv[1:])
-    if argv and argv[0] == "tune":
-        return _run_tune(argv[1:])
     args = build_parser().parse_args(argv)
     params = _params_for(args)
     m = args.m if args.m is not None else 2 * params.b_m

@@ -66,7 +66,8 @@ def dgemm(
     ----------
     a, b, c:
         f64 matrices (any memory order; staged column-major).  ``c``
-        may be omitted when ``beta == 0``.
+        may be omitted when ``beta == 0``; with ``beta == 0`` it is
+        never read (only its shape is checked), as in reference BLAS.
     transa, transb:
         ``"N"`` or ``"T"``.  The paper implements only the
         non-transposed case; ``"T"`` is an extension handled by staging
@@ -170,9 +171,10 @@ def dgemm(
                 hb = ctx.stage("B", b, rows=pk, cols=pn)
             with tracer.span("stage_C", cat="stage", meter=meter), \
                     fault_phase(injector, "stage_C"):
+                # BLAS: beta == 0 never reads C, so a NaN there cannot leak
                 hc = (
                     ctx.stage("C", c, rows=pm, cols=pn)
-                    if c is not None
+                    if c is not None and beta != 0
                     else ctx.stage_zeros("C", pm, pn)
                 )
             eng.run(impl, cg, ha, hb, hc, alpha=alpha, beta=beta,

@@ -19,7 +19,8 @@ def reference_dgemm(
     """Return ``alpha * a @ b + beta * c`` (column-major, f64).
 
     Shapes follow the BLAS contract: ``a`` is m x k, ``b`` is k x n,
-    ``c`` is m x n.  The input ``c`` is not modified.
+    ``c`` is m x n.  The input ``c`` is not modified, and with
+    ``beta == 0`` it is not read either (a NaN in ``c`` does not leak).
     """
     a = np.asfortranarray(a, dtype=np.float64)
     b = np.asfortranarray(b, dtype=np.float64)
@@ -32,4 +33,6 @@ def reference_dgemm(
         raise UnsupportedShapeError(
             f"inconsistent shapes: A {a.shape}, B {b.shape}, C {c.shape}"
         )
+    if beta == 0:
+        return np.asfortranarray(float(alpha) * (a @ b))
     return np.asfortranarray(float(alpha) * (a @ b) + float(beta) * c)

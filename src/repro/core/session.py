@@ -58,7 +58,6 @@ from repro.obs.tracer import ensure_tracer
 from repro.perf.calibration import Calibration, DEFAULT_CALIBRATION
 from repro.resil.faults import FaultInjector
 from repro.resil.policy import DEFAULT_RETRY_POLICY, RetryPolicy
-from repro.tuning.table import TuningTable
 from repro.utils.stats import StatsProtocol
 
 __all__ = ["Session", "SessionStats"]
@@ -134,7 +133,6 @@ class Session:
         injector: FaultInjector | None = None,
         retry_policy: RetryPolicy | None = DEFAULT_RETRY_POLICY,
         fallback_engine: str | None = "auto",
-        tuned: TuningTable | str | None = None,
         policy: str = "binned",
     ) -> None:
         self.tracer = ensure_tracer(tracer)
@@ -170,12 +168,8 @@ class Session:
             injector=injector,
             retry_policy=retry_policy,
             fallback_engine=fallback_engine,
-            tuned=tuned,
             policy=policy,
         )
-        #: the loaded learned table (``None`` unless ``tuned=`` given);
-        #: shared with the scheduler, so both consult one fallback cache.
-        self.tuned = self.scheduler.tuned
         #: the scheduler's pool-wide plan cache, shared by scalar calls
         #: too — one compiled plan serves both entry points.
         self.plan_cache = self.scheduler.plan_cache
@@ -275,17 +269,16 @@ class Session:
 
         Blocking resolves exactly as for a batch item (see
         :meth:`CGScheduler.resolve_blocking
-        <repro.multi.scheduler.CGScheduler.resolve_blocking>`): with
-        ``tuned=`` configured (and no explicit session ``params=``) it
-        comes from the learned table for this shape's bin, estimator
-        fallback on a miss.
+        <repro.multi.scheduler.CGScheduler.resolve_blocking>`): the
+        session's ``params``, the variant's paper blocking unless the
+        session was built with its own.
         """
         self._require_open()
         m, n, k = as_gemm_request(
             a, b, c, alpha=alpha, beta=beta, transa=transa, transb=transb
         ).validate()
         eff_engine = (engine or self.engine or "device").lower()
-        (params,) = self.scheduler.resolve_blocking([(m, n, k)], engine=eff_engine)
+        (params,) = self.scheduler.resolve_blocking([(m, n, k)])
         pad = self.pad if pad is None else pad
         ctx = self._scalar_context()
         before = ctx.stats()
@@ -343,7 +336,7 @@ class Session:
         ``blocking=`` passes per-item :class:`BlockingParams` overrides
         down the dispatch path: one instance for the whole batch, or a
         sequence matching the batch length (``None`` entries resolve
-        via the tuned table / session default).  Bad overrides fail up
+        to the session's ``params``).  Bad overrides fail up
         front with errors naming the item index.
         """
         self._require_open()

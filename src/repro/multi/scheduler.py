@@ -97,7 +97,6 @@ from repro.perf.calibration import Calibration, DEFAULT_CALIBRATION
 from repro.perf.estimator import Estimator
 from repro.resil.faults import FaultInjector
 from repro.resil.policy import FaultReport, RecoveryStats, RetryPolicy
-from repro.tuning.table import TuningTable
 
 __all__ = [
     "CGScheduler",
@@ -323,7 +322,7 @@ class _ItemTask:
         self.home = home
         self.engine = engine
         #: this item's blocking parameters (a per-item ``blocking=``
-        #: override, a tuned-table pick, or the scheduler default).
+        #: override, or the scheduler default).
         self.params = params
         self.retries = 0
         self.attempts = 0
@@ -412,7 +411,6 @@ class CGScheduler:
         fallback_engine: str | None = None,
         plan_cache: PlanCache | None = None,
         policy: str = "binned",
-        tuned: TuningTable | str | None = None,
     ) -> None:
         self.processor = processor or SW26010Processor(spec)
         self.tracer = ensure_tracer(tracer)
@@ -431,13 +429,6 @@ class CGScheduler:
                 f"unknown dispatch policy {policy!r} "
                 f"(expected one of {', '.join(POLICIES)})"
             )
-        # the tuned table only overrides *defaulted* blocking: a caller
-        # who passed explicit params said what they want, and gets it.
-        self._explicit_params = params is not None
-        self.tuned = (
-            TuningTable.load(tuned) if isinstance(tuned, str) else tuned
-        )
-        self._calibration = calibration
         self.params = params or get_variant(self.variant).default_params()
         self.pad = pad
         self.check = check
@@ -527,8 +518,8 @@ class CGScheduler:
         """Modeled single-CG seconds for one item (at its padded shape).
 
         ``params`` defaults to the scheduler's blocking; per-item
-        overrides and tuned-table picks pass their own so the model
-        prices the blocking that will actually run.
+        overrides pass their own so the model prices the blocking that
+        will actually run.
         """
         params = params or self.params
         key = (params.pad_shape(m, n, k), params)
@@ -546,15 +537,12 @@ class CGScheduler:
         self,
         shapes: Sequence[tuple[int, int, int]],
         blocking: BlockingParams | Sequence[BlockingParams | None] | None = None,
-        engine: str | None = None,
     ) -> list[BlockingParams]:
         """Effective per-item blocking, validated (errors name the item).
 
         Resolution order per item: an explicit ``blocking=`` override
-        wins; otherwise a configured tuned table is consulted — unless
-        the scheduler itself was built with explicit ``params=`` —
-        with the estimator picking for bins the table misses; otherwise
-        the scheduler's default parameters apply.  Every resolved
+        wins; otherwise the scheduler's ``params`` apply (the variant's
+        paper blocking unless the caller passed its own).  Every resolved
         choice is checked against the LDM budget and the variant's
         buffering regime up front, so a bad override fails before any
         item executes, naming its index in ``dgemm_batch`` style.
@@ -573,23 +561,14 @@ class CGScheduler:
                 )
         spec = self.processor.spec
         traits = get_variant(self.variant).traits
-        engine = (engine or self.engine).lower()
-        consult = self.tuned is not None and not self._explicit_params
         resolved: list[BlockingParams] = []
-        for idx, (override, (m, n, k)) in enumerate(zip(overrides, shapes)):
-            params = override
-            if params is not None and not isinstance(params, BlockingParams):
+        for idx, override in enumerate(overrides):
+            if override is not None and not isinstance(override, BlockingParams):
                 raise ConfigError(
                     f"batch item {idx}: blocking override must be "
-                    f"BlockingParams, got {type(params).__name__}"
+                    f"BlockingParams, got {type(override).__name__}"
                 )
-            if params is None and consult:
-                params = self.tuned.resolve(
-                    self.variant, engine, m, n, k,
-                    spec=spec, calibration=self._calibration,
-                ).params
-            if params is None:
-                params = self.params
+            params = override or self.params
             try:
                 params.validate(spec)
             except Exception as exc:
@@ -725,7 +704,7 @@ class CGScheduler:
 
         ``blocking=`` supplies per-item :class:`BlockingParams`: a
         single instance applies to every item; a sequence (``None``
-        entries fall back to tuned/default resolution) must match the
+        entries fall back to the scheduler's ``params``) must match the
         batch length.  Overrides are validated up front with errors
         naming the item index; an unknown ``engine=`` name raises
         :class:`~repro.errors.ConfigError` before any item runs.
@@ -758,7 +737,7 @@ class CGScheduler:
         blocking=None,
     ) -> ScheduleResult:
         shapes = validate_items(items)
-        params_list = self.resolve_blocking(shapes, blocking, engine)
+        params_list = self.resolve_blocking(shapes, blocking)
         plan = self.plan_shapes(shapes, params_list=params_list)
         outputs: list = [None] * len(items)
         errors: list[ItemError] = []

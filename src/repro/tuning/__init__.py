@@ -3,40 +3,16 @@
 The conclusion announces "automatic code generation and automatic
 performance tuning"; :mod:`repro.isa.scheduler` covers the code
 generation half, this subpackage the tuning half:
-
-- :mod:`repro.tuning.search` enumerates every blocking configuration
-  that satisfies the hardware constraints and ranks them with the
-  analytic performance model;
-- :mod:`repro.tuning.loop` closes the loop — measures the model's top
-  candidates through a real session and keeps the wall-clock winner;
-- :mod:`repro.tuning.table` persists the learned choices as a
-  versioned artifact (``TUNED.json``) that ``Session`` consults when
-  the caller gives no explicit blocking.
+:mod:`repro.tuning.search` enumerates every blocking configuration
+that satisfies the hardware constraints and ranks them with the
+analytic performance model — the Sec III-C derivation, mechanized.
 """
 
-from repro.tuning.loop import measure_params, tune, tune_bin
 from repro.tuning.search import Candidate, TuningResult, autotune, enumerate_candidates
-from repro.tuning.table import (
-    DEFAULT_TABLE_PATH,
-    TABLE_VERSION,
-    Resolved,
-    TunedEntry,
-    TuningTable,
-    shape_bin,
-)
 
 __all__ = [
     "Candidate",
-    "DEFAULT_TABLE_PATH",
-    "Resolved",
-    "TABLE_VERSION",
-    "TunedEntry",
     "TuningResult",
-    "TuningTable",
     "autotune",
     "enumerate_candidates",
-    "measure_params",
-    "shape_bin",
-    "tune",
-    "tune_bin",
 ]

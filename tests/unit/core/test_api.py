@@ -3,12 +3,15 @@
 import numpy as np
 import pytest
 
+from repro.api import GemmRequest
 from repro.arch.core_group import CoreGroup
 from repro.core.api import dgemm
 from repro.core.context import ExecutionContext
 from repro.core.params import BlockingParams
 from repro.core.reference import reference_dgemm
+from repro.core.session import Session
 from repro.errors import UnsupportedShapeError
+from repro.multi import dgemm_multi_cg
 from repro.workloads.matrices import gemm_operands
 
 
@@ -75,8 +78,9 @@ class TestShapeHandling:
     def test_c_shape_mismatch(self, small):
         a = np.ones((small.b_m, small.b_k))
         b = np.ones((small.b_k, small.b_n))
-        with pytest.raises(UnsupportedShapeError):
-            dgemm(a, b, np.ones((4, 4)), beta=1.0, params=small)
+        for beta in (1.0, 0.0):  # beta=0 skips reading C, not its shape check
+            with pytest.raises(UnsupportedShapeError):
+                dgemm(a, b, np.ones((4, 4)), beta=beta, params=small)
 
     def test_non_2d_rejected(self, small):
         with pytest.raises(UnsupportedShapeError):
@@ -168,3 +172,66 @@ class TestStagingLifecycle:
         # three operands, three allocations, no asfortranarray+copy churn
         assert cg.memory.stats.allocations == 3
         assert cg.memory.stats.in_place_stores == 0
+
+
+def _dgemm(engine, params, a, b, c, alpha):
+    return dgemm(
+        a, b, c, alpha=alpha, beta=0.0, engine=engine, params=params, pad=True
+    )
+
+
+def _session_dgemm(engine, params, a, b, c, alpha):
+    with Session(engine=engine, params=params, n_core_groups=1) as session:
+        return session.dgemm(a, b, c, alpha=alpha, beta=0.0)
+
+
+def _session_batch(engine, params, a, b, c, alpha):
+    request = GemmRequest(a, b, c, alpha=alpha, beta=0.0)
+    with Session(engine=engine, params=params, n_core_groups=1) as session:
+        result = session.batch([request], isolate_failures=False)
+    return result.outputs[0]
+
+
+def _session_submit(engine, params, a, b, c, alpha):
+    request = GemmRequest(a, b, c, alpha=alpha, beta=0.0)
+    with Session(engine=engine, params=params, n_core_groups=1) as session:
+        result = session.submit(request)
+    assert result.error is None
+    return result.value
+
+
+def _multi_cg(engine, params, a, b, c, alpha):
+    return dgemm_multi_cg(a, b, c, alpha=alpha, beta=0.0, params=params, pad=True)
+
+
+#: every entry point that funnels into ``dgemm``; ``dgemm_multi_cg``
+#: has no engine choice and always runs on ``device``.
+BETA_ZERO_CASES = [
+    pytest.param(engine, run, id=f"{engine}-{run.__name__.lstrip('_')}")
+    for engine in ("device", "stepwise", "vectorized")
+    for run in (_dgemm, _session_dgemm, _session_batch, _session_submit)
+] + [pytest.param("device", _multi_cg, id="device-multi_cg")]
+
+
+class TestBetaZeroNeverReadsC:
+    """BLAS contract: with ``beta == 0`` a NaN in C must not leak."""
+
+    ALPHA = -0.5
+
+    @pytest.fixture()
+    def operands(self):
+        a, b, c = gemm_operands(120, 60, 100, seed=7)
+        return a, b, np.full_like(c, np.nan)
+
+    @pytest.mark.parametrize("engine, run", BETA_ZERO_CASES)
+    def test_nan_c_ignored(self, engine, run, operands, small):
+        a, b, c = operands
+        out = run(engine, small, a, b, c, self.ALPHA)
+        assert np.isfinite(out).all()
+        assert np.allclose(out, self.ALPHA * (a @ b), rtol=1e-12, atol=1e-9)
+
+    def test_reference_ignores_c(self, operands):
+        a, b, c = operands
+        out = reference_dgemm(self.ALPHA, a, b, 0.0, c)
+        assert np.isfinite(out).all()
+        assert np.allclose(out, self.ALPHA * (a @ b), rtol=1e-12, atol=1e-9)

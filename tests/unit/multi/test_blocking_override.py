@@ -2,8 +2,7 @@
 
 Covers the ``blocking=`` pass-through from ``Session.batch`` to
 ``CGScheduler`` (validation errors name the offending item index, the
-``dgemm_batch`` convention), the ``round_robin`` ablation policy, and
-the tuned-table consultation path on batches.
+``dgemm_batch`` convention) and the ``round_robin`` ablation policy.
 """
 
 import numpy as np
@@ -15,7 +14,6 @@ from repro.core.session import Session
 from repro.errors import ConfigError
 from repro.multi import CGScheduler
 from repro.multi.scheduler import POLICIES
-from repro.tuning import TunedEntry, TuningTable
 from repro.workloads.matrices import gemm_operands
 
 PARAMS = BlockingParams.small(double_buffered=True)
@@ -116,28 +114,3 @@ class TestPolicies:
         for got, want in zip(rr.outputs, binned.outputs):
             assert np.array_equal(got, want)
 
-
-class TestTunedBatches:
-    def test_batch_consults_table_bitwise(self):
-        entry = TunedEntry(
-            variant="SCHED",
-            engine="stepwise",
-            bin=(64, 32, 64),
-            p_m=ALT.p_m,
-            p_n=ALT.p_n,
-            p_k=ALT.p_k,
-            double_buffered=True,
-            measured_gflops=1.0,
-            modeled_gflops=1.0,
-            estimator_rank=0,
-        )
-        table = TuningTable.from_entries([entry])
-        items = items_of([(64, 32, 64), (60, 30, 60)])
-        with Session(
-            n_core_groups=2, engine="stepwise", tuned=table
-        ) as session:
-            via_table = session.batch(items)
-        with Session(n_core_groups=2, engine="stepwise") as session:
-            via_explicit = session.batch(items, blocking=[ALT, ALT])
-        for got, want in zip(via_table.outputs, via_explicit.outputs):
-            assert np.array_equal(got, want)

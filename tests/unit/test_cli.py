@@ -13,7 +13,6 @@ from repro.cli import (
     build_serve_parser,
     build_top_parser,
     build_trace_parser,
-    build_tune_parser,
     main,
     parse_fault_spec,
 )
@@ -300,33 +299,3 @@ class TestAblate:
         components = {r["component"] for r in payload["runs"]}
         assert "stage" in components and "blocking" in components
 
-
-class TestTune:
-    def test_parser_defaults(self):
-        args = build_tune_parser().parse_args([])
-        assert args.shape == []
-        assert args.variant == "SCHED"
-        assert args.engine == "stepwise"
-        assert args.top == 3
-        assert not args.smoke
-
-    def test_shape_parsed_and_repeatable(self):
-        args = build_tune_parser().parse_args(
-            ["--shape", "96x48x80", "--shape", "192X96X160"]
-        )
-        assert args.shape == [(96, 48, 80), (192, 96, 160)]
-
-    def test_bad_shape_rejected(self):
-        with pytest.raises(SystemExit):
-            build_tune_parser().parse_args(["--shape", "96x48"])
-
-    def test_tune_writes_valid_table(self, capsys, tmp_path):
-        out = tmp_path / "TUNED.json"
-        assert main(["tune", "--shape", "64x32x64", "--top", "1",
-                     "--reps", "1", "--out", str(out)]) == 0
-        stdout = capsys.readouterr().out
-        assert "bit-identical" in stdout
-        payload = json.loads(out.read_text())
-        assert payload["version"] == 1
-        assert len(payload["entries"]) == 1
-        assert payload["entries"][0]["bin"] == [64, 32, 64]
