@@ -8,13 +8,14 @@ the library comparison tolerance (``rtol=1e-12 / atol=1e-9``, the same
 bar ``dgemm(check=True)`` applies) and the DMA / register-communication
 statistics must match exactly, otherwise the run fails.
 
-The stepwise plan path is covered too: warm plan-compiled stepwise runs
-are measured against the legacy per-call index derivation (bitwise
-equality plus exact-stats verification), gated at
-``STEPWISE_PLAN_SPEEDUP_FLOOR`` at the 768^3 paper size in full mode,
-and the smoke run additionally asserts the plan-cache counters (one
-build per signature, hits across repeated parallel ``Session`` batches,
-drain on close).
+The stepwise engine is covered too: warm plan-compiled stepwise runs
+are measured against the device engine (bitwise equality at the smoke's
+16-deep tiles, the engine contract of :mod:`repro.core.engine` at the
+768^3 paper size, exact stats and one plan build either way), gated at
+``STEPWISE_PLAN_SPEEDUP_FLOOR`` at 768^3 in full mode, and the smoke
+run additionally asserts the plan-cache counters (one build per
+signature, hits across repeated parallel ``Session`` batches, drain on
+close).
 
 Timings cover ``engine.run`` on pre-staged operands — the execution
 engine itself, excluding the engine-independent host staging copies.
@@ -53,6 +54,7 @@ from repro.arch.core_group import CoreGroup
 from repro.core.context import ExecutionContext
 from repro.core.engine import PlanCache, StepwiseEngine, get_engine
 from repro.core.params import BlockingParams
+from repro.core.reference import contract_bound, reference_dgemm
 from repro.core.session import Session
 from repro.core.variants import get_variant
 
@@ -70,8 +72,8 @@ SMOKE_PARAMS = BlockingParams.small(double_buffered=True)
 #: the acceptance bar: vectorized must beat device by this factor on
 #: the paper-sized SCHED variant.
 SCHED_SPEEDUP_FLOOR = 10.0
-#: the acceptance bar: warm-plan stepwise must beat the legacy
-#: (per-call index derivation) stepwise path by this factor at 768^3.
+#: the acceptance bar: warm-plan stepwise must beat the device engine
+#: by this factor at 768^3.
 STEPWISE_PLAN_SPEEDUP_FLOOR = 2.0
 
 
@@ -105,6 +107,14 @@ def _timing_summary(samples: list[float]) -> dict:
     }
 
 
+def _operands(shape: tuple[int, int, int]):
+    """The seeded A, B, C every timed engine run multiplies."""
+    m, n, k = shape
+    rng = np.random.default_rng(7)
+    return (rng.standard_normal((m, k)), rng.standard_normal((k, n)),
+            rng.standard_normal((m, n)))
+
+
 def _run_engine(
     variant: str,
     engine_name,
@@ -126,10 +136,7 @@ def _run_engine(
     impl = get_variant(variant)
     params = params or impl.default_params()
     m, n, k = shape
-    rng = np.random.default_rng(7)
-    a = rng.standard_normal((m, k))
-    b = rng.standard_normal((k, n))
-    c = rng.standard_normal((m, n))
+    a, b, c = _operands(shape)
     eng = get_engine(engine_name)
     cg = CoreGroup()
     with ExecutionContext.scoped(None, cg, cg.spec) as ctx, ctx.executing():
@@ -208,18 +215,19 @@ def bench_stepwise_plan(
     variant: str = "SCHED",
     reps: int = 5,
 ) -> tuple[dict, list[str]]:
-    """Legacy stepwise vs plan-compiled stepwise; return (record, failures).
+    """Device vs plan-compiled stepwise; return (record, failures).
 
-    The legacy path (``use_plans=False``) re-derives its owner tables
-    and copy recipes on every call; the planned path compiles them once
+    The planned path compiles its owner tables and copy recipes once
     into the shared :class:`PlanCache`.  Repetition 0 of the planned run
     is the cold (plan-building) sample; the warm timing summary covers
-    repetitions 1..reps.  The two paths must agree *bitwise* and produce
-    identical traffic statistics, and the cache counters must show
-    exactly one build with a hit on every warm repetition.
+    repetitions 1..reps.  Both engines must meet the engine contract
+    against ``reference_dgemm`` (and agree *bitwise* at the 16-deep
+    tiles of ``SMOKE_PARAMS``) with identical traffic statistics, and
+    the cache counters must show exactly one build with a hit on every
+    warm repetition.
     """
-    legacy_out, legacy_stats, legacy_samples = _run_engine(
-        variant, StepwiseEngine(use_plans=False), shape, params, reps)
+    dev_out, dev_stats, dev_samples = _run_engine(
+        variant, "device", shape, params, reps)
     cache = PlanCache()
     plan_out, plan_stats, plan_samples = _run_engine(
         variant, StepwiseEngine(), shape, params, reps + 1, plan_cache=cache)
@@ -227,14 +235,29 @@ def bench_stepwise_plan(
     warm_samples = plan_samples[1:]
 
     failures: list[str] = []
-    if not np.array_equal(plan_out, legacy_out):
-        worst = float(np.max(np.abs(plan_out - legacy_out)))
+    a, b, c = _operands(shape)
+    expected = reference_dgemm(1.0, a, b, 1.0, c)
+    bound = contract_bound(1.0, a, b, 1.0, c)
+    within = {
+        name: bool((np.abs(out - expected) <= bound).all())
+        for name, out in (("device", dev_out), ("stepwise", plan_out))
+    }
+    for name, ok in within.items():
+        if not ok:
+            failures.append(
+                f"{variant}: {name} result is outside the engine contract"
+            )
+    bitwise_equal = bool(np.array_equal(plan_out, dev_out))
+    # the engine contract promises bit-identity at 16-deep tiles only
+    tiles_16_deep = params is not None and params.p_k == SMOKE_PARAMS.p_k
+    if tiles_16_deep and not bitwise_equal:
+        worst = float(np.max(np.abs(plan_out - dev_out)))
         failures.append(
             f"{variant}: planned stepwise result is not bit-identical to "
-            f"the legacy stepwise path (max abs err {worst:.3e})"
+            f"the device engine (max abs err {worst:.3e})"
         )
-    if plan_stats != legacy_stats:
-        diff = {k for k in legacy_stats if legacy_stats[k] != plan_stats[k]}
+    if plan_stats != dev_stats:
+        diff = {k for k in dev_stats if dev_stats[k] != plan_stats[k]}
         failures.append(
             f"{variant}: planned stepwise traffic statistics differ on "
             f"{sorted(diff)}"
@@ -247,20 +270,20 @@ def bench_stepwise_plan(
         )
 
     m, n, k = shape
-    legacy_s = min(legacy_samples)
+    dev_s = min(dev_samples)
     warm_s = min(warm_samples)
     record = {
         "shape": {"m": m, "n": n, "k": k},
         "variant": variant,
         "flops": 2 * m * n * k,
-        "legacy_seconds": legacy_s,
+        "device_seconds": dev_s,
         "cold_seconds": cold_s,
         "warm_seconds": warm_s,
-        "legacy_timing": _timing_summary(legacy_samples),
+        "device_timing": _timing_summary(dev_samples),
         "warm_timing": _timing_summary(warm_samples),
-        "speedup": legacy_s / warm_s,
+        "speedup": dev_s / warm_s,
         "speedup_p50": (
-            _timing_summary(legacy_samples)["p50"]
+            _timing_summary(dev_samples)["p50"]
             / _timing_summary(warm_samples)["p50"]
         ),
         "warm_gflops": 2 * m * n * k / warm_s / 1e9,
@@ -269,8 +292,9 @@ def bench_stepwise_plan(
             "hits": counters.hits,
             "bytes": counters.bytes,
         },
-        "results_bitwise_equal": bool(np.array_equal(plan_out, legacy_out)),
-        "stats_match": plan_stats == legacy_stats,
+        "results_bitwise_equal": bitwise_equal,
+        "within_contract": all(within.values()),
+        "stats_match": plan_stats == dev_stats,
     }
     return record, failures
 
@@ -304,8 +328,8 @@ def full(json_path: str) -> int:
     plan_record, plan_errs = bench_stepwise_plan(PLAN_SHAPE, reps=5)
     failures.extend(plan_errs)
     print(
-        f"stepwise_plan {PLAN_SHAPE}: legacy "
-        f"{plan_record['legacy_seconds']:.3f}s, cold "
+        f"stepwise_plan {PLAN_SHAPE}: device "
+        f"{plan_record['device_seconds']:.3f}s, cold "
         f"{plan_record['cold_seconds']:.3f}s, warm "
         f"{plan_record['warm_seconds']:.3f}s "
         f"-> p50 {plan_record['speedup_p50']:.1f}x"
@@ -411,26 +435,25 @@ def measure_smoke() -> tuple[dict[str, dict], list[str]]:
     plan_record, plan_errs = bench_stepwise_plan(
         plan_shape, SMOKE_PARAMS, reps=5)
     failures.extend(plan_errs)
-    records["STEPWISE_PLAN"] = plan_record
+    records["STEPWISE"] = plan_record
     if plan_record["speedup"] <= 1.0:
         failures.append(
-            f"STEPWISE_PLAN: warm planned stepwise is slower than the "
-            f"legacy stepwise path ({plan_record['warm_seconds']:.4f}s vs "
-            f"{plan_record['legacy_seconds']:.4f}s)"
+            f"STEPWISE: warm planned stepwise is slower than the device "
+            f"engine ({plan_record['warm_seconds']:.4f}s vs "
+            f"{plan_record['device_seconds']:.4f}s)"
         )
     failures.extend(_smoke_plan_counters())
     return records, failures
 
 
 def _p50_speedup(record: dict) -> float:
-    """The p50-over-p50 speedup of a smoke record, either shape.
+    """The p50-over-p50 speedup of a smoke record over the device engine.
 
-    Engine records compare device vs vectorized; stepwise-plan records
-    (marked by ``legacy_timing``) compare legacy vs warm planned.
+    Engine records time the vectorized engine; stepwise records (marked
+    by ``warm_timing``) time the warm planned stepwise engine.
     """
-    if "legacy_timing" in record:
-        return record["legacy_timing"]["p50"] / record["warm_timing"]["p50"]
-    return record["device_timing"]["p50"] / record["vectorized_timing"]["p50"]
+    fast = record.get("warm_timing") or record["vectorized_timing"]
+    return record["device_timing"]["p50"] / fast["p50"]
 
 
 def smoke_section(records: dict[str, dict]) -> dict:

@@ -32,7 +32,8 @@ table = Table(
 for name in ("RAW", "PE", "ROW", "DB", "SCHED"):
     params = None if name == "RAW" else (single if name in ("PE", "ROW") else double)
     cg = CoreGroup()
-    out = dgemm(a, b, c, beta=1.0, variant=name, params=params, core_group=cg)
+    out = dgemm(a, b, c, beta=1.0, variant=name, engine="device",
+                params=params, core_group=cg)
     err = float(np.max(np.abs(out - expected)))
     assert err < 1e-9, f"{name} diverged from the reference"
     estimate = estimator.estimate(name, 15360, 15360, 15360)

@@ -20,7 +20,7 @@ Installed as ``repro-dgemm``::
 
 ``--estimate-only`` skips the functional simulation and prints the
 performance model's prediction (any paper-scale size is fine there);
-functional runs execute on the device model and verify against numpy.
+functional runs execute on the default engine and verify against numpy.
 The ``schedule`` subcommand dispatches a mixed-shape batch across the
 chip's core-group pool and reports the per-CG split, the modeled
 makespan vs. the serial single-CG time, and the load-balance
@@ -60,6 +60,7 @@ import numpy as np
 
 from repro.arch.core_group import CoreGroup
 from repro.core.api import dgemm
+from repro.core.engine import DEFAULT_ENGINE
 from repro.core.params import BlockingParams
 from repro.core.reference import reference_dgemm
 from repro.core.variants import VARIANTS
@@ -513,7 +514,7 @@ def build_serve_parser() -> argparse.ArgumentParser:
     parser.add_argument("--engine", choices=["device", "vectorized",
                                              "stepwise"], default=None,
                         help="execution engine for the serving session "
-                             "(default: the session's per-path choice)")
+                             f"(default: {DEFAULT_ENGINE})")
     parser.add_argument("--sampler-period", type=float, default=0.01,
                         help="metrics sampler period in seconds "
                              "(default 0.01; 0 disables sampling)")

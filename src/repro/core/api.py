@@ -23,7 +23,7 @@ from repro.api import apply_trans, as_gemm_request
 from repro.arch.config import SW26010Spec, DEFAULT_SPEC
 from repro.arch.core_group import CoreGroup
 from repro.core.context import ExecutionContext
-from repro.core.engine import get_engine
+from repro.core.engine import DEFAULT_ENGINE, get_engine
 from repro.core.engine.plans import default_plan_cache
 from repro.core.params import BlockingParams
 from repro.core.reference import reference_dgemm
@@ -50,7 +50,7 @@ def dgemm(
     transa: str = "N",
     transb: str = "N",
     variant: str = "SCHED",
-    engine: str = "device",
+    engine: str = DEFAULT_ENGINE,
     params: BlockingParams | None = None,
     spec: SW26010Spec = DEFAULT_SPEC,
     core_group: CoreGroup | None = None,
@@ -67,7 +67,8 @@ def dgemm(
     a, b, c:
         f64 matrices (any memory order; staged column-major).  ``c``
         may be omitted when ``beta == 0``; with ``beta == 0`` it is
-        never read (only its shape is checked), as in reference BLAS.
+        never read (only its shape is checked), and with ``alpha == 0``
+        neither are ``a`` and ``b``, as in reference BLAS.
     transa, transb:
         ``"N"`` or ``"T"``.  The paper implements only the
         non-transposed case; ``"T"`` is an extension handled by staging
@@ -79,16 +80,13 @@ def dgemm(
         one of ``RAW``, ``PE``, ``ROW``, ``DB``, ``SCHED`` (default:
         the paper's best version).
     engine:
-        ``"device"`` (default) executes every per-CPE transfer and
-        broadcast through the checked device model; ``"vectorized"``
-        runs the same program mesh-wide over stacked tiles (batched
-        ``np.matmul`` per sharing step) — same results to at least
-        rtol=1e-12, identical traffic statistics, an order of
-        magnitude faster; ``"stepwise"`` is the plan-compiled
-        stacked-tile formulation with identical traffic statistics,
-        bit-identical to the device engine at 16-deep tiles
-        (:meth:`BlockingParams.small`) and within rtol=1e-12 of it at
-        the paper's blocking.  See :mod:`repro.core.engine`.
+        ``"vectorized"`` (the default, fused BLAS panel products),
+        ``"device"`` (every per-CPE transfer and broadcast executed
+        through the checked device model) or ``"stepwise"`` (the
+        plan-compiled stacked-tile program).  All three book identical
+        traffic statistics and meet one tolerance contract against
+        :func:`~repro.core.reference.reference_dgemm`; see
+        :mod:`repro.core.engine`.
     params:
         blocking parameters; defaults to the variant's paper values.
         Pass :meth:`BlockingParams.small` for fast experimentation.
@@ -163,12 +161,20 @@ def dgemm(
         ):
             meter = cg_meter(cg)
             injector = cg.injector
+            # BLAS: alpha == 0 never reads A or B, so an Inf there
+            # cannot leak; zeros keep the slots, shapes and stats.
             with tracer.span("stage_A", cat="stage", meter=meter), \
                     fault_phase(injector, "stage_A"):
-                ha = ctx.stage("A", a, rows=pm, cols=pk)
+                ha = (
+                    ctx.stage("A", a, rows=pm, cols=pk)
+                    if alpha != 0 else ctx.stage_zeros("A", pm, pk)
+                )
             with tracer.span("stage_B", cat="stage", meter=meter), \
                     fault_phase(injector, "stage_B"):
-                hb = ctx.stage("B", b, rows=pk, cols=pn)
+                hb = (
+                    ctx.stage("B", b, rows=pk, cols=pn)
+                    if alpha != 0 else ctx.stage_zeros("B", pk, pn)
+                )
             with tracer.span("stage_C", cat="stage", meter=meter), \
                     fault_phase(injector, "stage_C"):
                 # BLAS: beta == 0 never reads C, so a NaN there cannot leak

@@ -37,6 +37,7 @@ from repro.arch.config import SW26010Spec, DEFAULT_SPEC
 from repro.arch.core_group import CoreGroup
 from repro.core.api import dgemm
 from repro.core.context import ExecutionContext
+from repro.core.engine import DEFAULT_ENGINE
 from repro.core.params import BlockingParams
 from repro.core.variants import get_variant
 
@@ -99,7 +100,7 @@ class BatchResult:
 def dgemm_batch(
     items: Sequence[GemmRequest] | Iterable[GemmRequest],
     variant: str = "SCHED",
-    engine: str = "device",
+    engine: str = DEFAULT_ENGINE,
     params: BlockingParams | None = None,
     spec: SW26010Spec = DEFAULT_SPEC,
     core_group: CoreGroup | None = None,
@@ -117,10 +118,8 @@ def dgemm_batch(
     warm across several batches; otherwise a batch-scoped context is
     created and torn down here.  ``check=`` verifies each item against
     the numpy reference, as in the scalar entry point.  ``engine=``
-    selects the execution engine per :func:`repro.core.api.dgemm` —
-    ``"vectorized"`` is the throughput choice for long batches
-    (identical accounting, same results to rtol=1e-12).  Any item
-    failure propagates.
+    selects the execution engine per :func:`repro.core.api.dgemm`.
+    Any item failure propagates.
 
     ``tracer=`` records per-item ``dgemm`` phase spans into a
     :class:`repro.obs.SpanTracer`; ``None`` disables tracing.

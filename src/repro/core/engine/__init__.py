@@ -5,37 +5,44 @@ cluster does — which mapping distributes blocks, which sharing scheme
 exchanges strips, in what order tiles multiply.  An **engine** decides
 *how* that program is executed by the simulation:
 
+``vectorized`` (:class:`VectorizedEngine`, :data:`DEFAULT_ENGINE`)
+    the throughput path: the eight sharing steps of a strip
+    multiplication collapse into one BLAS panel product on strided
+    views of the operands in main memory, with the DMA/register-
+    communication statistics booked analytically.
+
 ``device`` (:class:`DeviceEngine`)
     the fidelity path: every per-CPE DMA transfer, register-network
     broadcast and LDM tile is individually executed through the
     :mod:`repro.arch` device model, so buffer discipline, alignment
     and producer/consumer protocols are *checked*, not assumed.
 
-``vectorized`` (:class:`VectorizedEngine`)
-    the throughput path: the eight sharing steps of a strip
-    multiplication collapse into one BLAS panel product on strided
-    views of the operands in main memory.  The DMA/register-
-    communication statistics the device path would have measured are
-    booked analytically, so accounting is identical; results agree to
-    the library comparison tolerance (``rtol=1e-12``).
-
 ``stepwise`` (:class:`StepwiseEngine`)
     the literal mesh-wide program: all 64 CPEs' tiles live in one
     ``(64, rows, cols)`` stack and each sharing step's 64 tile
     multiplies run as one batched ``np.matmul``, through cached
-    :class:`~repro.core.engine.plans.IndexPlan`\\ s.  Stats match the
-    device engine exactly; results match it bit for bit at 16-deep
-    tiles (:meth:`~repro.core.params.BlockingParams.small`) and to the
-    comparison tolerance at the paper's 96-deep tiles, where BLAS
-    rounds differently for the device's Fortran-ordered LDM tiles.
+    :class:`~repro.core.engine.plans.IndexPlan`\\ s.
 
 The engines mutate C in core-group main memory and are
 interchangeable behind the ``engine=`` keyword of
 :func:`repro.core.api.dgemm`, :func:`repro.core.batch.dgemm_batch`,
 :class:`repro.multi.scheduler.CGScheduler` and
-:class:`repro.core.session.Session`.  ``device`` is the default for
-fidelity experiments; :meth:`Session.batch` defaults to ``vectorized``
-because a served batch stream wants throughput, not protocol checking.
+:class:`repro.core.session.Session`, all of which default to
+:data:`DEFAULT_ENGINE`.  Pass ``engine="device"`` where the device
+protocol itself is under test.
+
+The engine contract, for the same variant, blocking and operands:
+
+- every engine books bit-identical analytic DMA and
+  register-communication statistics;
+- every engine's output ``C'`` lies componentwise within
+  ``k*eps*(|alpha|*|A||B| + |beta|*|C|)`` of
+  :func:`~repro.core.reference.reference_dgemm` (see
+  :func:`~repro.core.reference.contract_bound`);
+- bitwise equality is promised only where a test holds it: a rerun on
+  the same engine, parallel vs serial dispatch, warm vs cold plans,
+  and planned ``stepwise`` vs ``device`` at the 16-deep tiles of
+  :meth:`~repro.core.params.BlockingParams.small`.
 """
 
 from __future__ import annotations
@@ -62,10 +69,14 @@ __all__ = [
     "PlanCacheStats",
     "PlanSignature",
     "default_plan_cache",
+    "DEFAULT_ENGINE",
     "ENGINES",
     "check_engine",
     "get_engine",
 ]
+
+#: the engine every entry point runs when no ``engine=`` is given.
+DEFAULT_ENGINE = "vectorized"
 
 #: registry, keyed by the ``engine=`` keyword values.
 ENGINES: dict[str, type[Engine]] = {

@@ -1,24 +1,19 @@
-"""Precompiled execution plans for the stepwise vectorized engine.
+"""Precompiled execution plans for the stepwise engine.
 
-The stepwise path is the library's bit-exactness anchor: it performs
-the device model's arithmetic in the device model's order, so every
-equivalence and property test rests on it.  Before this module it also
-re-derived the same index algebra on every call — owner gather tables
-from :func:`~repro.core.sharing.step_owner_indices`, the
-``stack_load_* / stack_store_c`` reshape/transpose recipes, the block
-origin arithmetic — and executed each sharing step as two full-stack
-gathers that copied 64 tiles when only 8 were distinct.
-
-An :class:`IndexPlan` hoists all of that out of the hot loop, compiled
-once per ``(shape, variant, params, pool)`` signature:
+The stepwise engine performs the device model's tile multiplies in the
+device model's order, mesh-wide.  Everything that program indexes by —
+the per-step owner tables, the mapping's reshape/transpose copy
+recipes, the block origins — depends only on the problem *signature*,
+never on operand values, so an :class:`IndexPlan` compiles it once per
+``(shape, variant, params, pool)`` signature:
 
 - the **owner tables**: the full ``(GRID, GRID*GRID)`` int32 gather
   tables, plus their :class:`~repro.core.sharing.OwnerSlots`
   compression (validated against the full tables at build time), which
-  turns each sharing step's two gather *copies* into two broadcast
-  *views* over a 4-D reshape of the tile stacks — the step's 64 tile
-  multiplies stay one batched ``np.matmul``, now reading owner tiles
-  in place exactly as the register networks deliver them;
+  serves each sharing step's two operands as broadcast *views* over a
+  4-D reshape of the tile stacks — the step's 64 tile multiplies stay
+  one batched ``np.matmul``, reading owner tiles in place exactly as
+  the register networks deliver them;
 - the **copy recipes**: each mapping's
   :class:`~repro.core.mapping.StackCopySpec` (frozen reshape shapes,
   transpose axes and their inverses), applied to block origins held in
@@ -36,11 +31,11 @@ under the cache lock — concurrent workers requesting the same
 signature get exactly one build, which the ``plan.cache.builds``
 counter asserts in the regression tests.
 
-Everything here changes wall-clock only: outputs and the analytic
-DMA / register-communication statistics of a planned run are
-bit-identical to the unplanned stepwise path at every blocking, and to
-the device engine at the 16-deep tiles of ``BlockingParams.small``
-(enforced by ``tests/property/test_prop_engine.py``; see
+Everything here changes wall-clock only: a warm-plan run's outputs and
+analytic DMA / register-communication statistics are bit-identical to
+a cold-plan run, and to the device engine at the 16-deep tiles of
+``BlockingParams.small`` (enforced by
+``tests/property/test_prop_engine.py``; see
 :mod:`repro.core.engine.vectorized` for the paper blocking).
 """
 

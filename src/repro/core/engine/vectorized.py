@@ -7,57 +7,43 @@ broadcast.  That faithfulness is the point of the device model — and
 pure overhead once the protocols are trusted.  Two engines here run
 the same program mesh-wide, at two fusion levels.
 
+:class:`VectorizedEngine` (``"vectorized"``, fused, the default
+engine): every stack gather/scatter is an axis permutation and the
+owner tables make each strip multiplication a plain block matrix
+product, so the permutations compose away — the eight sharing steps
+collapse into one blocked ``C_panel += alpha * A_panel @ B_panel`` on
+strided views of the operands in main memory, one BLAS call per
+(j, l) panel, with zero intermediate copies.  Only the floating-point
+summation *order* inside a k-panel differs from the device engine.
+
 :class:`StepwiseEngine` (``"stepwise"``) is the literal mesh-wide
-formulation:
+formulation, executed through a compiled
+:class:`~repro.core.engine.plans.IndexPlan`:
 
 - each operand's 64 thread-level tiles live in one contiguous
   ``(64, rows, cols)`` stack (the cluster's LDM, as an array) — one
   strided slice copy replaces 64 per-CPE DMA calls (or 8 collective
   ROW_MODE transfers);
-- a sharing step reads the owner lines' tiles where the register
-  networks would have delivered them, and all 64 tile multiplies of
-  the step execute as one batched ``matmul``;
+- a sharing step reads the owner lines' tiles through broadcast views
+  over a 4-D reshape of the stacks, where the register networks would
+  have delivered them, and all 64 tile multiplies of the step execute
+  as one batched ``matmul``;
 - the beta scaling is one ``stack *= beta`` over the whole C stack.
 
-By default it executes through a compiled
-:class:`~repro.core.engine.plans.IndexPlan`: the owner tables, stack
-copy recipes, and block origins are built once per ``(shape, variant,
-params)`` signature, cached in an LDM-budgeted
-:class:`~repro.core.engine.plans.PlanCache`, and each sharing step's
-two gather *copies* become two broadcast *views* over a 4-D reshape of
-the stacks.  ``StepwiseEngine(use_plans=False)`` keeps the legacy
-per-call gather path through the
-:func:`~repro.core.sharing.step_owner_indices` tables; the two paths
-are bitwise equal at every blocking.
-
 It performs the device path's tile multiplies in the device path's
-order, so it exists as the bridge that *proves* the index algebra.
-Results are bit-for-bit equal to the device engine at 16-deep tiles
-(:meth:`~repro.core.params.BlockingParams.small`).  At the paper's
-blocking (96-deep tiles) they differ in the last bits (max abs error
-below 1e-13 on unit-scale one- and two-block shapes), inside the
-library's ``rtol=1e-12 / atol=1e-9`` comparison tolerance: the
-device's LDM tiles are Fortran-ordered and its received broadcast
-copies C-ordered, while the stacks are C-ordered throughout, and BLAS
-may round a product differently depending on its operands' memory
-order.
+order, so at the 16-deep tiles of
+:meth:`~repro.core.params.BlockingParams.small` its results are bit
+for bit those of the device engine.  At the paper's 96-deep tiles they
+differ in the last bits: the device's LDM tiles are Fortran-ordered
+and its received broadcast copies C-ordered, while the stacks are
+C-ordered throughout, and BLAS may round a product differently
+depending on its operands' memory order.
 
-:class:`VectorizedEngine` (``"vectorized"``, fused) goes one step
-further: because every stack gather/scatter is an axis permutation and
-the owner tables make each strip multiplication a plain block matrix
-product, the permutations compose away — the eight sharing steps
-collapse into one blocked ``C_panel += alpha * A_panel @ B_panel`` on
-strided views of the operands in main memory, one BLAS call per
-(j, l) panel, with zero intermediate copies.  Results then agree with
-the device engine to the same tolerance (the difference is
-floating-point summation *order* inside a k-panel), which the property
-tests in ``tests/property/test_prop_engine.py`` enforce across all
-variants.
-
-Either way the DMA / register-communication statistics are booked
-analytically — per block transfer via the mapping's ``tally_*``
-closed forms, per strip multiplication via
-:meth:`~repro.arch.regcomm.RegCommStats.tally_broadcasts` — and match
+Both engines meet the tolerance contract of :mod:`repro.core.engine`
+and book the DMA / register-communication statistics analytically —
+per block transfer via the mapping's ``tally_*`` closed forms, per
+strip multiplication via
+:meth:`~repro.arch.regcomm.RegCommStats.tally_broadcasts` — matching
 the device engine's measured counters exactly.
 """
 
@@ -71,9 +57,8 @@ from repro.arch.dma import DMADirection, DMAMode
 from repro.arch.memory import MatrixHandle
 from repro.core.engine.base import Engine
 from repro.core.engine.plans import IndexPlan, default_plan_cache
-from repro.core.kernel_functional import tile_multiply_batched
 from repro.core.params import GRID, BlockingParams
-from repro.core.sharing import Scheme, step_owner_indices
+from repro.core.sharing import Scheme
 from repro.core.variants.base import check_gemm_shapes
 from repro.obs.registry import cg_meter
 from repro.obs.tracer import ensure_tracer
@@ -100,20 +85,17 @@ class TileStacks:
 
     ``a[t]``, ``b[t]``, ``c[t]`` are the tiles of flat thread ``t``
     (row-major coordinate order, matching
-    :meth:`~repro.arch.mesh.CPEMesh.linear_index`).  Scratch stacks for
-    the batched product (and, with ``scratch=True``, the legacy path's
-    per-step gathers) are preallocated here so the hot loop performs no
-    allocations at all; the planned path reads owner tiles through
-    broadcast views and needs no gather scratch.
+    :meth:`~repro.arch.mesh.CPEMesh.linear_index`).  The product
+    scratch is preallocated here so the hot loop performs no
+    allocations at all; owner tiles are read through broadcast views
+    and need no gather scratch.
     """
 
-    def __init__(self, params: BlockingParams, scratch: bool = True) -> None:
+    def __init__(self, params: BlockingParams) -> None:
         n = GRID * GRID
         self.a = np.empty((n, params.p_m, params.p_k))
         self.b = np.empty((n, params.p_k, params.p_n))
         self.c = np.empty((n, params.p_m, params.p_n))
-        self.a_step = np.empty_like(self.a) if scratch else None
-        self.b_step = np.empty_like(self.b) if scratch else None
         self.prod = np.empty_like(self.c)
 
 
@@ -128,8 +110,8 @@ class VectorizedEngine(Engine):
     the shapes were validated by :class:`BlockingParams` up front.
 
     Each strip multiplication collapses into one BLAS panel product
-    (>=10x over the device path, same results to the library comparison
-    tolerance).  :class:`StepwiseEngine` overrides :meth:`_run_shared`
+    (>=10x over the device path, same results within the engine
+    contract).  :class:`StepwiseEngine` overrides :meth:`_run_shared`
     to execute the per-step stacked-tile formulation instead.
     """
 
@@ -308,82 +290,26 @@ class VectorizedEngine(Engine):
 class StepwiseEngine(VectorizedEngine):
     """The per-step stacked-tile formulation as a named engine.
 
-    Registered as ``"stepwise"``: results match the device engine to
-    the library comparison tolerance (bit for bit at 16-deep tiles, see
-    the module docstring), analytic stats match it exactly, and
+    Registered as ``"stepwise"``: results match the device engine bit
+    for bit at 16-deep tiles and within the engine contract otherwise
+    (see the module docstring), analytic stats match it exactly, and
     wall-clock sits between the device and fused paths.
-    ``use_plans=False`` pins it to the legacy per-call gather path,
-    which the planned path equals bit for bit.
     """
 
     name = "stepwise"
 
-    def __init__(self, use_plans: bool = True) -> None:
-        self.use_plans = use_plans
-
     def _run_shared(self, impl, cg, a, b, c, alpha, beta, params, mapping,
                     grid, shape, tracer, plan_cache) -> None:
-        if not self.use_plans:
-            self._shared_stepwise(impl, cg, a, b, c, alpha, beta,
-                                  params, mapping, grid, tracer)
-            return
-        cache = default_plan_cache() if plan_cache is None else plan_cache
-        plan = cache.get_or_build(impl, params, *shape, tracer=tracer)
-        self._shared_stepwise_planned(cg, a, b, c, alpha, beta,
-                                      params, mapping, plan, tracer)
-
-    def _shared_stepwise(self, impl, cg, a, b, c, alpha, beta,
-                         params, mapping, grid, tracer) -> None:
-        """The literal mesh-wide program: stacks, gathers, batched steps."""
-        grid_m, grid_n, grid_k = grid
-        stacks = TileStacks(params)
-        idx_a, idx_b = step_owner_indices(impl.scheme)
-        meter = cg_meter(cg)
-        for j in range(grid_n):
-            for l in range(grid_k):
-                with tracer.span("strip_mult", cat="kernel", meter=meter,
-                                 j=j, l=l), fault_phase(cg.injector, "kernel"):
-                    _fire(cg, "compute")
-                    _fire(cg, "dma.get")
-                    mapping.stack_load_b(cg, b, l, j, stacks.b)
-                    beta_now = beta if l == 0 else 1.0
-                    for i in range(grid_m):
-                        _fire(cg, "dma.get")
-                        mapping.stack_load_a(cg, a, i, l, stacks.a)
-                        mapping.stack_load_c(cg, c, i, j, stacks.c)
-                        if beta_now != 1.0:
-                            stacks.c *= beta_now
-                        self._strip_multiply(cg, impl.scheme, stacks,
-                                             idx_a, idx_b, alpha, params)
-                        _fire(cg, "dma.put")
-                        mapping.stack_store_c(cg, c, i, j, stacks.c)
-
-    def _strip_multiply(self, cg, scheme, stacks, idx_a, idx_b,
-                        alpha, params) -> None:
-        """Eight sharing steps as gathers + batched multiplies."""
-        for step in range(GRID):
-            np.take(stacks.a, idx_a[step], axis=0, out=stacks.a_step)
-            np.take(stacks.b, idx_b[step], axis=0, out=stacks.b_step)
-            tile_multiply_batched(stacks.c, stacks.a_step, stacks.b_step,
-                                  alpha, out=stacks.prod)
-        self._tally_sharing(cg, scheme, params)
-
-    # -- the plan-compiled stepwise path --------------------------------
-
-    def _shared_stepwise_planned(self, cg, a, b, c, alpha, beta,
-                                 params, mapping, plan: IndexPlan,
-                                 tracer) -> None:
         """The stepwise program driven entirely by a compiled plan.
 
-        Same transfers, same tallies, same fire points, same BLAS calls
-        on the same operands as :meth:`_shared_stepwise` — the plan
-        only removes per-call index derivation and the per-step gather
-        copies (owner tiles are read through broadcast views over the
-        4-D stacks).  Outputs and analytic stats are bit-identical;
-        ``tests/property/test_prop_engine.py`` holds that line.
+        The plan holds the owner tables, stack copy recipes and block
+        origins, built once per signature; each sharing step's owner
+        tiles are read through broadcast views over the 4-D stacks.
         """
+        cache = default_plan_cache() if plan_cache is None else plan_cache
+        plan = cache.get_or_build(impl, params, *shape, tracer=tracer)
         grid_m, grid_n, grid_k = plan.grid
-        stacks = TileStacks(params, scratch=False)
+        stacks = TileStacks(params)
         a_v = cg.memory.array(a)
         b_v = cg.memory.array(b)
         c_v = cg.memory.array(c)
@@ -409,25 +335,21 @@ class StepwiseEngine(VectorizedEngine):
                         mapping.tally_load_c(cg)
                         if beta_now != 1.0:
                             stacks.c *= beta_now
-                        self._strip_multiply_planned(
+                        self._strip_multiply(
                             cg, plan, a4, b4, c4, prod4, alpha, params)
                         _fire(cg, "dma.put")
                         plan.store_c(c_v, i, j, stacks.c)
                         mapping.tally_store_c(cg)
 
-    def _strip_multiply_planned(self, cg, plan, a4, b4, c4, prod4,
-                                alpha, params) -> None:
+    def _strip_multiply(self, cg, plan: IndexPlan, a4, b4, c4, prod4,
+                        alpha, params) -> None:
         """Eight sharing steps as broadcast views + batched multiplies.
 
         ``plan.step_views`` selects each step's owner line and
         broadcasts it against the free mesh axis, reproducing the
         owner-index gather tables exactly (validated at plan build) —
-        so the batched ``matmul`` multiplies the identical tile pairs
-        :func:`~repro.core.kernel_functional.tile_multiply_batched`
-        would see, with the gather copies gone.  The accumulation is
-        spelled exactly as there (``+= prod`` / scaled product) to keep
-        the floating-point sequence, and therefore the result, bitwise
-        identical.
+        so the batched ``matmul`` multiplies the tile pairs the
+        register networks would deliver, with no gather copies.
         """
         for step in range(GRID):
             a_view, b_view = plan.step_views(a4, b4, step)

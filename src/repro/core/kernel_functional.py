@@ -1,12 +1,9 @@
 """Functional thread-level multiply kernels.
 
-Three implementations of the same register-level blocking:
+Two implementations of the same register-level blocking:
 
 - :func:`tile_multiply` — the vectorised form the GEMM variants call
   (numpy does the 16 x pN x pK arithmetic in one shot);
-- :func:`tile_multiply_batched` — the mesh-wide form the stepwise
-  engine's legacy gather path calls: all 64 CPEs' tile multiplies of
-  one sharing step as a single batched ``np.matmul``;
 - :func:`register_tile_multiply` — a lane-accurate execution of the
   paper's 4x4 register blocking through
   :class:`~repro.arch.regfile.VectorRegisterFile`, issuing one ``fma``
@@ -14,8 +11,7 @@ Three implementations of the same register-level blocking:
   arithmetically exact (tests cross-check it against numpy) and to
   count the vmad/load traffic the ISA model assumes.
 
-The numpy forms produce bit-identical results for the same operand
-order; the register version accumulates in a fixed k-major order numpy
+The register version accumulates in a fixed k-major order numpy
 ``A @ B`` would not necessarily use — hence tests compare it with a
 small tolerance, not equality.
 """
@@ -31,7 +27,6 @@ from repro.arch.regfile import VectorRegisterFile
 
 __all__ = [
     "tile_multiply",
-    "tile_multiply_batched",
     "register_tile_multiply",
     "RegisterKernelCounts",
 ]
@@ -55,32 +50,6 @@ def tile_multiply(
             f"inner dimensions differ: A {a_tile.shape}, B {b_tile.shape}"
         )
     c_tile += alpha * (a_tile @ b_tile)
-
-
-def tile_multiply_batched(
-    c_stack: np.ndarray,
-    a_stack: np.ndarray,
-    b_stack: np.ndarray,
-    alpha: float = 1.0,
-    out: np.ndarray | None = None,
-) -> None:
-    """``c_stack[t] += alpha * a_stack[t] @ b_stack[t]`` for every thread.
-
-    The stacks are ``(64, rows, cols)`` arrays holding one tile per
-    CPE; the 64 multiplies execute as one batched ``np.matmul``.  Pass
-    a preallocated ``out`` (same shape as ``c_stack``) to keep the hot
-    loop allocation-free.
-    """
-    if a_stack.shape[0] != c_stack.shape[0] or b_stack.shape[0] != c_stack.shape[0]:
-        raise ConfigError(
-            f"stack depths differ: C {c_stack.shape[0]}, "
-            f"A {a_stack.shape[0]}, B {b_stack.shape[0]}"
-        )
-    prod = np.matmul(a_stack, b_stack, out=out)
-    if alpha == 1.0:
-        c_stack += prod
-    else:
-        c_stack += alpha * prod
 
 
 @dataclass

@@ -60,14 +60,14 @@ BUF_C = "C"
 class StackCopySpec:
     """One block transfer, precompiled to a strided view recipe.
 
-    Every ``stack_load_* / stack_store_c`` transfer is the same pure
-    index permutation: slice a ``height x width`` region out of the
-    resident matrix, split its axes (``src_shape`` — views only, the
-    staged matrices are contiguous), transpose (``axes``) and assign
-    into the flat-thread-ordered stack.  The spec freezes those shape
-    and axis tuples once per mapping/params pair, so the hot loop
-    derives no indices at all; the scatter direction reuses the same
-    recipe through the inverse permutation (``inv_axes``).
+    Every mesh-wide block transfer is the same pure index permutation:
+    slice a ``height x width`` region out of the resident matrix, split
+    its axes (``src_shape`` — views only, the staged matrices are
+    contiguous), transpose (``axes``) and assign into the
+    flat-thread-ordered stack.  The spec freezes those shape and axis
+    tuples once per mapping/params pair, so the hot loop derives no
+    indices at all; the scatter direction reuses the same recipe
+    through the inverse permutation (``inv_axes``).
 
     Flat fancy-index tables were measured for this role and rejected:
     a ``np.take`` through a precomputed int64 index array copies
@@ -192,39 +192,6 @@ class DataThreadMapping(ABC):
                 buf: str = BUF_C) -> None:
         """Store every CPE's ``buf`` back as CG block (blk_i, blk_j) of C."""
 
-    # -- mesh-wide (stacked) transfers ----------------------------------
-    #
-    # The vectorized execution engine keeps all 64 CPEs' tiles of one
-    # operand as a single ``(64, rows, cols)`` stack and moves a whole
-    # CG block with one strided slice copy instead of 64 per-CPE DMA
-    # calls.  Each ``stack_*`` method performs exactly the data
-    # movement of its per-CPE counterpart above (same tiles land on the
-    # same flat thread index) and books the identical DMA statistics
-    # analytically through :meth:`~repro.arch.dma.DMAStats.tally`.
-    # Alignment is guaranteed by construction on this path: the block
-    # origins and tile shapes are the ones ``BlockingParams`` already
-    # validated, the same regions the device path transfers.
-
-    @abstractmethod
-    def stack_load_a(self, cg: CoreGroup, handle: MatrixHandle, blk_i: int,
-                     blk_l: int, stack: np.ndarray) -> None:
-        """Load CG block (blk_i, blk_l) of A into the ``(64, pM, pK)`` stack."""
-
-    @abstractmethod
-    def stack_load_b(self, cg: CoreGroup, handle: MatrixHandle, blk_l: int,
-                     blk_j: int, stack: np.ndarray) -> None:
-        """Load CG block (blk_l, blk_j) of B into the ``(64, pK, pN)`` stack."""
-
-    @abstractmethod
-    def stack_load_c(self, cg: CoreGroup, handle: MatrixHandle, blk_i: int,
-                     blk_j: int, stack: np.ndarray) -> None:
-        """Load CG block (blk_i, blk_j) of C into the ``(64, pM, pN)`` stack."""
-
-    @abstractmethod
-    def stack_store_c(self, cg: CoreGroup, handle: MatrixHandle, blk_i: int,
-                      blk_j: int, stack: np.ndarray) -> None:
-        """Store the ``(64, pM, pN)`` stack back as CG block (blk_i, blk_j) of C."""
-
     # -- precompiled copy recipes ---------------------------------------
 
     @abstractmethod
@@ -232,8 +199,7 @@ class DataThreadMapping(ABC):
         """Compile this mapping's block transfers to :class:`StackCopySpec`\\ s.
 
         Keyed by buffer (:data:`BUF_A`/:data:`BUF_B`/:data:`BUF_C`);
-        the C spec serves both the load and the store direction.  The
-        ``stack_*`` methods above execute through these specs, and
+        the C spec serves both the load and the store direction.
         :class:`repro.core.engine.plans.IndexPlan` freezes them into a
         cached plan so repeated shapes skip even the one-time build.
         """
@@ -253,9 +219,9 @@ class DataThreadMapping(ABC):
     # the same number of descriptors, whatever engine executes it — so
     # the statistics are closed-form.  The ``tally_*`` methods book
     # exactly what the per-CPE ``load_*``/``store_c`` path would have
-    # accumulated; ``stack_*`` uses them after its strided copy, and
-    # the fused vectorized path uses them standalone (the data movement
-    # there is implicit in views over main memory).
+    # accumulated; the stepwise engine books them after each strided
+    # plan copy, and the fused engine books them standalone (its data
+    # movement is implicit in views over main memory).
 
     @abstractmethod
     def tally_load_a(self, cg: CoreGroup) -> None:
@@ -373,30 +339,6 @@ class PEMapping(DataThreadMapping):
             BUF_C: pe(p.p_m, p.p_n),
         }
 
-    def stack_load_a(self, cg, handle, blk_i, blk_l, stack):
-        p = self.params
-        self.copy_specs[BUF_A].gather(
-            cg.memory.array(handle), blk_i * p.b_m, blk_l * p.b_k, stack)
-        self.tally_load_a(cg)
-
-    def stack_load_b(self, cg, handle, blk_l, blk_j, stack):
-        p = self.params
-        self.copy_specs[BUF_B].gather(
-            cg.memory.array(handle), blk_l * p.b_k, blk_j * p.b_n, stack)
-        self.tally_load_b(cg)
-
-    def stack_load_c(self, cg, handle, blk_i, blk_j, stack):
-        p = self.params
-        self.copy_specs[BUF_C].gather(
-            cg.memory.array(handle), blk_i * p.b_m, blk_j * p.b_n, stack)
-        self.tally_load_c(cg)
-
-    def stack_store_c(self, cg, handle, blk_i, blk_j, stack):
-        p = self.params
-        self.copy_specs[BUF_C].scatter(
-            cg.memory.array(handle), blk_i * p.b_m, blk_j * p.b_n, stack)
-        self.tally_store_c(cg)
-
     # every PE_MODE block transfer is 64 per-CPE tile descriptors
     def tally_load_a(self, cg):
         self._tally_pe(cg, DMADirection.GET, self.params.p_m, self.params.p_k)
@@ -500,30 +442,6 @@ class RowMapping(DataThreadMapping):
             ),
             BUF_C: rowed(p.p_n),
         }
-
-    def stack_load_a(self, cg, handle, blk_i, blk_l, stack):
-        p = self.params
-        self.copy_specs[BUF_A].gather(
-            cg.memory.array(handle), blk_i * p.b_m, blk_l * p.b_k, stack)
-        self.tally_load_a(cg)
-
-    def stack_load_b(self, cg, handle, blk_l, blk_j, stack):
-        p = self.params
-        self.copy_specs[BUF_B].gather(
-            cg.memory.array(handle), blk_l * p.b_k, blk_j * p.b_n, stack)
-        self.tally_load_b(cg)
-
-    def stack_load_c(self, cg, handle, blk_i, blk_j, stack):
-        p = self.params
-        self.copy_specs[BUF_C].gather(
-            cg.memory.array(handle), blk_i * p.b_m, blk_j * p.b_n, stack)
-        self.tally_load_c(cg)
-
-    def stack_store_c(self, cg, handle, blk_i, blk_j, stack):
-        p = self.params
-        self.copy_specs[BUF_C].scatter(
-            cg.memory.array(handle), blk_i * p.b_m, blk_j * p.b_n, stack)
-        self.tally_store_c(cg)
 
     # A and C ride the 8 collective ROW_MODE strips; B stays PE_MODE
     def tally_load_a(self, cg):

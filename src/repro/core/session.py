@@ -49,7 +49,7 @@ from repro.api import (
 from repro.arch.config import SW26010Spec, DEFAULT_SPEC
 from repro.core.api import dgemm as _dgemm
 from repro.core.context import ContextStats, ExecutionContext
-from repro.core.engine import check_engine
+from repro.core.engine import DEFAULT_ENGINE, check_engine
 from repro.core.params import BlockingParams
 from repro.core.variants import get_variant
 from repro.multi.processor import SW26010Processor
@@ -137,29 +137,21 @@ class Session:
     ) -> None:
         self.tracer = ensure_tracer(tracer)
         self.variant = str(variant).upper()
-        # None means "per-path default": scalar dgemm keeps the checked
-        # device model (fidelity), while batch dispatch — the throughput
-        # path a session exists to serve — runs the vectorized engine.
-        # Pass an explicit engine to force one choice everywhere.
-        self.engine = None if engine is None else str(engine).lower()
+        #: the engine scalar calls and batch dispatch both run.
+        self.engine = check_engine(engine or DEFAULT_ENGINE)
         self.params = params or get_variant(self.variant).default_params()
         self.pad = pad
         self.check = check
         self.processor = processor or SW26010Processor(spec)
         self.injector = injector
-        batch_engine = self.engine or "vectorized"
         if fallback_engine == "auto":
-            # degrade the fast batch engines to the checked device model;
-            # a forced single engine has nowhere sensible to fall to.
-            fallback_engine = (
-                "device" if batch_engine in ("vectorized", "stepwise")
-                else None
-            )
+            # degrade to the checked device model, unless already on it.
+            fallback_engine = "device" if self.engine != "device" else None
         self.scheduler = CGScheduler(
             self.processor,
             n_core_groups=n_core_groups,
             variant=self.variant,
-            engine=batch_engine,
+            engine=self.engine,
             params=params,
             calibration=calibration,
             pad=pad,
@@ -263,9 +255,7 @@ class Session:
     ) -> np.ndarray:
         """One multiply on CG 0, staging kept warm across calls.
 
-        ``engine=`` overrides the session's engine for this call;
-        scalar calls default to ``"device"`` (full protocol checking)
-        unless the session was built with an explicit ``engine=``.
+        ``engine=`` overrides the session's engine for this call.
 
         Blocking resolves exactly as for a batch item (see
         :meth:`CGScheduler.resolve_blocking
@@ -277,7 +267,6 @@ class Session:
         m, n, k = as_gemm_request(
             a, b, c, alpha=alpha, beta=beta, transa=transa, transb=transb
         ).validate()
-        eff_engine = (engine or self.engine or "device").lower()
         (params,) = self.scheduler.resolve_blocking([(m, n, k)])
         pad = self.pad if pad is None else pad
         ctx = self._scalar_context()
@@ -286,7 +275,7 @@ class Session:
             a, b, c,
             alpha=alpha, beta=beta, transa=transa, transb=transb,
             variant=self.variant,
-            engine=eff_engine,
+            engine=engine or self.engine,
             params=params, context=ctx,
             pad=pad,
             check=self.check if check is None else check,

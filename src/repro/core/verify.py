@@ -79,6 +79,7 @@ def verify_variants(
                 seed += 3
                 got = dgemm(
                     a, b, c, alpha=alpha, beta=beta, variant=variant,
+                    engine="device",
                     params=None if variant.upper() == "RAW" else params,
                     spec=spec,
                 )

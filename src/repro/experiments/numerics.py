@@ -55,7 +55,8 @@ class NumericsCase:
 def _measure(label: str, a: np.ndarray, b: np.ndarray) -> NumericsCase:
     m, k = a.shape
     n = b.shape[1]
-    blocked = dgemm(a, b, variant="SCHED", params=PARAMS, pad=True)
+    blocked = dgemm(a, b, variant="SCHED", engine="device", params=PARAMS,
+                    pad=True)
     via_numpy = a @ b
     exact = (a.astype(np.longdouble) @ b.astype(np.longdouble))
     # componentwise scale: |A||B| bounds each element's magnitude sum

@@ -9,10 +9,11 @@ Decomposition (the standard HPL-style panel split):
 - each CG then runs the paper's single-CG algorithm on its
   ``m x (n/4) x k`` panel — no inter-CG communication during compute.
 
-Functional execution runs the four CGs' panels through the device model
-(sequentially in Python; they are independent), writes each panel back,
-and must match the reference exactly.  The timing model is
-``NoC broadcast + max over CGs of the single-CG estimate``.
+Functional execution runs the four CGs' panels through
+:func:`repro.core.api.dgemm` on the default engine (sequentially in
+Python; they are independent) and writes each panel back, so the result
+meets the engine contract of :mod:`repro.core.engine`.  The timing
+model is ``NoC broadcast + max over CGs of the single-CG estimate``.
 
 The keyword surface matches the scalar :func:`repro.core.api.dgemm`:
 ``alpha``/``beta``/``transa``/``transb``/``pad``/``check`` behave the
@@ -36,6 +37,7 @@ from repro.core.api import dgemm
 from repro.core.context import ExecutionContext
 from repro.core.params import BlockingParams
 from repro.core.reference import reference_dgemm
+from repro.core.variants import get_variant
 from repro.multi.noc import NoC
 from repro.multi.processor import SW26010Processor
 from repro.perf.calibration import Calibration, DEFAULT_CALIBRATION
@@ -70,15 +72,17 @@ def dgemm_multi_cg(
     zero-padded up (``n`` to a whole number of block-multiple panels)
     and the result is truncated back, as in the single-CG entry point.
 
-    ``n_core_groups=`` restricts the decomposition to the first N CGs
-    (default: all of them).  The call is normalized and validated
-    through :func:`repro.api.as_gemm_request`, like ``dgemm``.
+    ``params=`` defaults to the variant's paper blocking, as in
+    ``dgemm``.  ``n_core_groups=`` restricts the decomposition to the
+    first N CGs (default: all of them).  The call is normalized and
+    validated through :func:`repro.api.as_gemm_request`, like
+    ``dgemm``.
     """
     m, n, k = as_gemm_request(
         a, b, c, alpha=alpha, beta=beta, transa=transa, transb=transb
     ).validate()
     proc = processor or SW26010Processor(spec)
-    params = params or BlockingParams.small(double_buffered=True)
+    params = params or get_variant(variant).default_params()
     a = np.asfortranarray(apply_trans(
         "transa", transa, np.asarray(a, dtype=np.float64)
     ))

@@ -86,7 +86,7 @@ from repro.arch.config import SW26010Spec, DEFAULT_SPEC
 from repro.core.api import dgemm
 from repro.core.batch import validate_items
 from repro.core.context import ContextStats, ExecutionContext
-from repro.core.engine import check_engine
+from repro.core.engine import DEFAULT_ENGINE, check_engine
 from repro.core.engine.plans import PlanCache
 from repro.core.params import BlockingParams
 from repro.core.variants import get_variant
@@ -399,7 +399,7 @@ class CGScheduler:
         *,
         n_core_groups: int | None = None,
         variant: str = "SCHED",
-        engine: str = "device",
+        engine: str = DEFAULT_ENGINE,
         params: BlockingParams | None = None,
         spec: SW26010Spec = DEFAULT_SPEC,
         calibration: Calibration = DEFAULT_CALIBRATION,

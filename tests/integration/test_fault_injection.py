@@ -25,7 +25,8 @@ DOUBLE = BlockingParams.small(double_buffered=True)
 def run_pe(monkeypatch_ctx=None):
     m, n, k = SINGLE.b_m, SINGLE.b_n, SINGLE.b_k
     a, b, c = gemm_operands(m, n, k, seed=44)
-    got = dgemm(a, b, c, beta=1.0, variant="PE", params=SINGLE)
+    got = dgemm(a, b, c, beta=1.0, variant="PE", engine="device",
+                params=SINGLE)
     return got, reference_dgemm(1.0, a, b, 1.0, c)
 
 
@@ -109,7 +110,8 @@ class TestBufferFaults:
         monkeypatch.setattr(db_module.DoubleBufferedVariant, "run", crooked_run)
         m, n, k = 2 * DOUBLE.b_m, DOUBLE.b_n, DOUBLE.b_k
         a, b, c = gemm_operands(m, n, k, seed=5)
-        got = dgemm(a, b, c, beta=1.0, variant="DB", params=DOUBLE)
+        got = dgemm(a, b, c, beta=1.0, variant="DB", engine="device",
+                    params=DOUBLE)
         expected = reference_dgemm(1.0, a, b, 1.0, c)
         assert not np.allclose(got, expected, rtol=1e-6, atol=1e-6)
         monkeypatch.setattr(db_module.DoubleBufferedVariant, "run", original_run)
@@ -129,6 +131,7 @@ class TestMappingFaults:
         monkeypatch.setattr(mapping_module.RowMapping, "load_c", contiguous_load_c)
         m, n, k = params.b_m, params.b_n, params.b_k
         a, b, c = gemm_operands(m, n, k, seed=6)
-        got = dgemm(a, b, c, beta=1.0, variant="ROW", params=params)
+        got = dgemm(a, b, c, beta=1.0, variant="ROW", engine="device",
+                    params=params)
         expected = reference_dgemm(1.0, a, b, 1.0, c)
         assert not np.allclose(got, expected, rtol=1e-6, atol=1e-6)

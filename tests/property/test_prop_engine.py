@@ -152,10 +152,10 @@ def test_stepwise_mode_is_bitwise_identical(variant, alpha, beta, seed):
     alpha=scalars, beta=scalars, seed=st.integers(0, 2**16),
 )
 def test_warm_plan_stepwise_is_bitwise_identical(variant, alpha, beta, seed):
-    """A warm-cache stepwise run equals the cold-cache run, the legacy
-    unplanned path, and the device engine — results bit for bit, DMA
-    and regcomm counters field by field.  (RAW has no shared plan; the
-    stepwise engine still serves it, building nothing.)"""
+    """A warm-cache stepwise run equals the cold-cache run and the
+    device engine — results bit for bit, DMA and regcomm counters field
+    by field.  (RAW has no shared plan; the stepwise engine still
+    serves it, building nothing.)"""
     if variant == "RAW":
         p, (m, n, k) = None, (128, 64, 96)
     else:
@@ -167,10 +167,8 @@ def test_warm_plan_stepwise_is_bitwise_identical(variant, alpha, beta, seed):
                 plan_cache=cache)
     warm = _run(StepwiseEngine(), variant, p, a, b, c, alpha, beta,
                 plan_cache=cache)
-    legacy = _run(StepwiseEngine(use_plans=False), variant, p, a, b, c,
-                  alpha, beta)
     dev = _run("device", variant, p, a, b, c, alpha, beta)
-    for other in (cold, legacy, dev):
+    for other in (cold, dev):
         assert np.array_equal(warm[0], other[0])
         assert warm[1] == other[1]          # ContextStats delta
         assert warm[2] == other[2]          # DMA + regcomm counters
@@ -187,19 +185,15 @@ def test_warm_plan_stepwise_is_bitwise_identical(variant, alpha, beta, seed):
 @pytest.mark.parametrize("variant", ["SCHED", "PE"])
 def test_stepwise_contract_at_paper_blocking(variant):
     """At the paper's blocking (96-deep tiles) the planned stepwise path
-    still equals the legacy gather path bit for bit, but matches the
-    device engine only to the comparison tolerance: the device's LDM
-    tiles are Fortran-ordered, and BLAS rounds a 96-deep product
-    differently by operand memory order.  Traffic stays identical."""
+    matches the device engine only to the comparison tolerance: the
+    device's LDM tiles are Fortran-ordered, and BLAS rounds a 96-deep
+    product differently by operand memory order.  Traffic stays
+    identical."""
     p = get_variant(variant).default_params()
     # one CG block: SCHED 128x256x768, PE 128x384x768
     a, b, c = gemm_operands(p.b_m, p.b_n, p.b_k, seed=11)
     planned = _run(StepwiseEngine(), variant, p, a, b, c, 1.5, -0.5)
-    legacy = _run(StepwiseEngine(use_plans=False), variant, p, a, b, c,
-                  1.5, -0.5)
     dev = _run("device", variant, p, a, b, c, 1.5, -0.5)
-    assert np.array_equal(planned[0], legacy[0])
     np.testing.assert_allclose(planned[0], dev[0], rtol=1e-12, atol=1e-9)
-    for other in (legacy, dev):
-        assert planned[1] == other[1]          # ContextStats delta
-        assert planned[2] == other[2]          # DMA + regcomm counters
+    assert planned[1] == dev[1]          # ContextStats delta
+    assert planned[2] == dev[2]          # DMA + regcomm counters

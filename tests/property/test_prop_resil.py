@@ -58,8 +58,8 @@ def test_random_fault_schedules_never_corrupt(specs, fault_seed,
     reference = reference_outputs(n_items, batch_seed, pool, "device")
     injector = FaultInjector(specs, seed=fault_seed)
     result = CGScheduler(
-        n_core_groups=pool, params=PARAMS, injector=injector,
-        retry_policy=RetryPolicy(),
+        n_core_groups=pool, params=PARAMS, engine="device",
+        injector=injector, retry_policy=RetryPolicy(),
     ).run(items)
 
     failed = {e.index for e in result.errors}
@@ -105,7 +105,7 @@ def test_quarantining_any_proper_subset_preserves_results(subset, batch_seed):
         [FaultSpec("cg", probability=1.0, cg=g, max_fires=1) for g in subset]
     )
     result = CGScheduler(
-        n_core_groups=4, params=PARAMS, injector=injector,
+        n_core_groups=4, params=PARAMS, engine="device", injector=injector,
         retry_policy=RetryPolicy(),
     ).run(items)
 

@@ -7,6 +7,7 @@ from repro.api import GemmRequest
 from repro.arch.core_group import CoreGroup
 from repro.core.api import dgemm
 from repro.core.context import ExecutionContext
+from repro.core.engine import DEFAULT_ENGINE
 from repro.core.params import BlockingParams
 from repro.core.reference import reference_dgemm
 from repro.core.session import Session
@@ -142,7 +143,8 @@ class TestStagingLifecycle:
         a, b, _ = gemm_operands(small.b_m, small.b_n, small.b_k)
         baseline = cg.memory.used_bytes
         with pytest.raises(RuntimeError):
-            dgemm(a, b, params=small, core_group=cg)
+            # the fake variant has only ``run``: the device engine path
+            dgemm(a, b, engine="device", params=small, core_group=cg)
         assert cg.memory.used_bytes == baseline
         assert cg.memory.handles() == []
 
@@ -174,43 +176,45 @@ class TestStagingLifecycle:
         assert cg.memory.stats.in_place_stores == 0
 
 
-def _dgemm(engine, params, a, b, c, alpha):
+def _dgemm(engine, params, a, b, c, alpha, beta):
     return dgemm(
-        a, b, c, alpha=alpha, beta=0.0, engine=engine, params=params, pad=True
+        a, b, c, alpha=alpha, beta=beta, engine=engine, params=params, pad=True
     )
 
 
-def _session_dgemm(engine, params, a, b, c, alpha):
+def _session_dgemm(engine, params, a, b, c, alpha, beta):
     with Session(engine=engine, params=params, n_core_groups=1) as session:
-        return session.dgemm(a, b, c, alpha=alpha, beta=0.0)
+        return session.dgemm(a, b, c, alpha=alpha, beta=beta)
 
 
-def _session_batch(engine, params, a, b, c, alpha):
-    request = GemmRequest(a, b, c, alpha=alpha, beta=0.0)
+def _session_batch(engine, params, a, b, c, alpha, beta):
+    request = GemmRequest(a, b, c, alpha=alpha, beta=beta)
     with Session(engine=engine, params=params, n_core_groups=1) as session:
         result = session.batch([request], isolate_failures=False)
     return result.outputs[0]
 
 
-def _session_submit(engine, params, a, b, c, alpha):
-    request = GemmRequest(a, b, c, alpha=alpha, beta=0.0)
+def _session_submit(engine, params, a, b, c, alpha, beta):
+    request = GemmRequest(a, b, c, alpha=alpha, beta=beta)
     with Session(engine=engine, params=params, n_core_groups=1) as session:
         result = session.submit(request)
     assert result.error is None
     return result.value
 
 
-def _multi_cg(engine, params, a, b, c, alpha):
-    return dgemm_multi_cg(a, b, c, alpha=alpha, beta=0.0, params=params, pad=True)
+def _multi_cg(engine, params, a, b, c, alpha, beta):
+    return dgemm_multi_cg(a, b, c, alpha=alpha, beta=beta, params=params,
+                          pad=True)
 
 
 #: every entry point that funnels into ``dgemm``; ``dgemm_multi_cg``
-#: has no engine choice and always runs on ``device``.
-BETA_ZERO_CASES = [
+#: has no engine choice and runs the default engine.
+ENTRY_POINT_CASES = [
     pytest.param(engine, run, id=f"{engine}-{run.__name__.lstrip('_')}")
     for engine in ("device", "stepwise", "vectorized")
     for run in (_dgemm, _session_dgemm, _session_batch, _session_submit)
-] + [pytest.param("device", _multi_cg, id="device-multi_cg")]
+] + [pytest.param(DEFAULT_ENGINE, _multi_cg,
+                  id=f"{DEFAULT_ENGINE}-multi_cg")]
 
 
 class TestBetaZeroNeverReadsC:
@@ -223,10 +227,10 @@ class TestBetaZeroNeverReadsC:
         a, b, c = gemm_operands(120, 60, 100, seed=7)
         return a, b, np.full_like(c, np.nan)
 
-    @pytest.mark.parametrize("engine, run", BETA_ZERO_CASES)
+    @pytest.mark.parametrize("engine, run", ENTRY_POINT_CASES)
     def test_nan_c_ignored(self, engine, run, operands, small):
         a, b, c = operands
-        out = run(engine, small, a, b, c, self.ALPHA)
+        out = run(engine, small, a, b, c, self.ALPHA, 0.0)
         assert np.isfinite(out).all()
         assert np.allclose(out, self.ALPHA * (a @ b), rtol=1e-12, atol=1e-9)
 
@@ -235,3 +239,49 @@ class TestBetaZeroNeverReadsC:
         out = reference_dgemm(self.ALPHA, a, b, 0.0, c)
         assert np.isfinite(out).all()
         assert np.allclose(out, self.ALPHA * (a @ b), rtol=1e-12, atol=1e-9)
+
+
+class TestAlphaZeroNeverReadsAB:
+    """BLAS contract: with ``alpha == 0`` an Inf in A or B must not leak."""
+
+    BETA = 0.75
+
+    @pytest.fixture()
+    def operands(self):
+        a, b, c = gemm_operands(120, 60, 100, seed=8)
+        a[3, 4] = np.inf
+        b[5, 6] = np.nan
+        return a, b, c
+
+    @pytest.mark.parametrize("engine, run", ENTRY_POINT_CASES)
+    def test_returns_beta_c_exactly(self, engine, run, operands, small):
+        a, b, c = operands
+        out = run(engine, small, a, b, c, 0.0, self.BETA)
+        assert np.array_equal(out, self.BETA * c)
+
+    @pytest.mark.parametrize("engine", ["device", "stepwise", "vectorized"])
+    def test_stats_match_a_nonzero_alpha(self, engine, small):
+        """Zeros are staged under the same slots and shapes, so the
+        staging counters and the analytic traffic do not change."""
+        a, b, c = gemm_operands(120, 60, 100, seed=9)
+        stats = []
+        for alpha in (0.0, 1.0):
+            cg = CoreGroup()
+            with ExecutionContext(cg) as ctx:
+                dgemm(a, b, c, alpha=alpha, beta=self.BETA, engine=engine,
+                      params=small, context=ctx, pad=True)
+                stats.append(ctx.stats())
+        assert stats[0] == stats[1]
+
+    def test_alpha_and_beta_zero_give_zeros(self, operands, small):
+        a, b, c = operands
+        out = dgemm(a, b, np.full_like(c, np.nan), alpha=0.0, beta=0.0,
+                    params=small, pad=True)
+        assert np.array_equal(out, np.zeros_like(c))
+
+    def test_reference_skips_the_product(self, operands):
+        a, b, c = operands
+        assert np.array_equal(reference_dgemm(0.0, a, b, self.BETA, c),
+                              self.BETA * c)
+        assert np.array_equal(reference_dgemm(0.0, a, b, 0.0, c),
+                              np.zeros_like(c))

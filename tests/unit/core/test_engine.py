@@ -1,5 +1,7 @@
 """Unit tests for the execution-engine registry and its contracts."""
 
+import inspect
+
 import numpy as np
 import pytest
 
@@ -7,6 +9,7 @@ from repro.api import GemmRequest
 from repro.core.batch import dgemm_batch
 from repro.core.api import dgemm
 from repro.core.engine import (
+    DEFAULT_ENGINE,
     ENGINES,
     DeviceEngine,
     StepwiseEngine,
@@ -14,10 +17,11 @@ from repro.core.engine import (
     get_engine,
 )
 from repro.core.engine.base import Engine
-from repro.core.kernel_functional import tile_multiply_batched
 from repro.core.params import BlockingParams
 from repro.core.session import Session
 from repro.errors import ConfigError
+from repro.multi.scheduler import CGScheduler
+from repro.obs import SpanTracer
 from repro.workloads.matrices import gemm_operands
 
 SINGLE = BlockingParams.small(double_buffered=False)
@@ -33,8 +37,10 @@ class TestRegistry:
         assert set(ENGINES) == {"device", "vectorized", "stepwise"}
 
     def test_one_class_per_engine(self):
-        with pytest.raises(TypeError):
-            VectorizedEngine(use_plans=False)
+        # engines take no constructor options: one name, one behaviour
+        for cls in (VectorizedEngine, StepwiseEngine):
+            with pytest.raises(TypeError):
+                cls(False)
         assert not isinstance(get_engine("vectorized"), StepwiseEngine)
 
     def test_instances_pass_through(self):
@@ -75,16 +81,9 @@ class TestVectorizedContracts:
         with pytest.raises(ConfigError, match="no vectorized execution"):
             VectorizedEngine().run(CannonVariant(), None, None, None, None)
 
-    def test_tile_multiply_batched_rejects_ragged_stacks(self):
-        c = np.zeros((64, 4, 4))
-        a = np.zeros((32, 4, 4))
-        b = np.zeros((64, 4, 4))
-        with pytest.raises(ConfigError, match="stack depths differ"):
-            tile_multiply_batched(c, a, b)
-
 
 class TestEngineSelection:
-    """engine= threads through every entry point, with per-path defaults."""
+    """engine= threads through every entry point, one default for all."""
 
     def test_dgemm_vectorized_matches_reference(self):
         a, b, c = gemm_operands(DOUBLE.b_m, DOUBLE.b_n, DOUBLE.b_k, seed=3)
@@ -112,8 +111,23 @@ class TestEngineSelection:
 
     def test_session_batch_defaults_to_vectorized(self):
         with Session(params=DOUBLE) as s:
-            assert s.engine is None
+            assert s.engine == "vectorized"
             assert s.scheduler.engine == "vectorized"
+
+    def test_every_entry_point_defaults_to_the_fused_engine(self):
+        for entry in (dgemm, dgemm_batch, CGScheduler):
+            default = inspect.signature(entry).parameters["engine"].default
+            assert default == DEFAULT_ENGINE == "vectorized"
+        with Session() as s:
+            assert s.engine == s.scheduler.engine == "vectorized"
+
+    def test_session_scalar_call_runs_the_session_engine(self):
+        a, b, _ = gemm_operands(DOUBLE.b_m, DOUBLE.b_n, DOUBLE.b_k, seed=8)
+        tracer = SpanTracer()
+        with Session(params=DOUBLE, tracer=tracer) as s:
+            s.dgemm(a, b)
+        (span,) = tracer.by_name("dgemm")
+        assert span.attrs["engine"] == "vectorized"
 
     def test_session_explicit_engine_overrides_both_paths(self):
         with Session(params=DOUBLE, engine="device") as s:

@@ -124,6 +124,15 @@ class TestMultiCGDgemm:
         out = dgemm_multi_cg(a, b, transa="T", transb="T", params=PARAMS)
         assert np.allclose(out, a.T @ b.T, rtol=1e-11, atol=1e-8)
 
+    @pytest.mark.parametrize("variant", ["RAW", "PE", "ROW", "DB", "SCHED"])
+    def test_default_params_follow_the_variant(self, variant):
+        """Without params= each variant runs its own paper blocking, as
+        in ``dgemm`` — single-buffered PE/ROW included."""
+        a, b, c = gemm_operands(100, 90, 70, seed=12)
+        out = dgemm_multi_cg(a, b, c, beta=0.5, variant=variant, pad=True,
+                             check=True)
+        assert out.shape == (100, 90)
+
     def test_check_kwarg(self):
         m, n, k = PARAMS.b_m, 4 * PARAMS.b_n, PARAMS.b_k
         a, b, _ = gemm_operands(m, n, k, seed=10)

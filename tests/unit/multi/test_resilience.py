@@ -90,7 +90,8 @@ class TestFallback:
     def test_vectorized_item_falls_back_to_device(self, items, reference):
         # faults only the vectorized engine's kernel phase: retries see
         # it again, the device fallback does not.
-        vec_reference = scheduler(engine="vectorized").run(items).outputs
+        dev_reference = dgemm_batch(items, engine="device", params=PARAMS,
+                                    pad=True).outputs
         injector = FaultInjector(
             [FaultSpec("compute", probability=1.0, phase="kernel", max_fires=2)]
         )
@@ -105,7 +106,7 @@ class TestFallback:
         for idx, out in enumerate(result.outputs):
             # the fallback item is bit-identical to the *device* run,
             # the undisturbed ones to the vectorized run
-            ref = (reference if idx == report.index else vec_reference)[idx]
+            ref = (dev_reference if idx == report.index else reference)[idx]
             assert np.array_equal(out, ref)
         assert sched.resil_stats()["fallbacks"] == 1
 

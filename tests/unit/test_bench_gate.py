@@ -25,10 +25,10 @@ def fake_record(device_p50: float, vec_p50: float) -> dict:
     }
 
 
-def fake_plan_record(legacy_p50: float, warm_p50: float) -> dict:
+def fake_stepwise_record(device_p50: float, warm_p50: float) -> dict:
     return {
         "shape": {"m": 256, "n": 128, "k": 256},
-        "legacy_timing": {"p50": legacy_p50},
+        "device_timing": {"p50": device_p50},
         "warm_timing": {"p50": warm_p50},
     }
 
@@ -50,14 +50,14 @@ class TestSmokeSection:
         assert section["shapes"]["PE"]["m"] == 256
 
     def test_handles_both_record_shapes(self):
-        """Engine records compare device/vectorized; stepwise-plan
-        records compare legacy/warm — one section covers both."""
+        """Engine records compare device/vectorized; stepwise records
+        compare device/warm — one section covers both."""
         section = bench_engine.smoke_section({
             "SCHED": fake_record(1.0, 0.01),
-            "STEPWISE_PLAN": fake_plan_record(1.0, 0.25),
+            "STEPWISE": fake_stepwise_record(1.0, 0.025),
         })
         assert section["speedup_p50"] == {"SCHED": 100.0,
-                                          "STEPWISE_PLAN": 4.0}
+                                          "STEPWISE": 40.0}
 
 
 class TestCheckRegression:
@@ -130,8 +130,8 @@ class TestArgParsing:
 class TestPlanRegression:
     def test_plan_record_gated_like_engine_records(self, tmp_path, capsys):
         baseline = tmp_path / "b.json"
-        write_baseline(baseline, {"STEPWISE_PLAN": 4.0})
-        records = {"STEPWISE_PLAN": fake_plan_record(1.0, 0.5)}  # 2x < 3x floor
+        write_baseline(baseline, {"STEPWISE": 40.0})
+        records = {"STEPWISE": fake_stepwise_record(1.0, 0.05)}  # 20x < 30x
         failures = bench_engine.check_regression(records, str(baseline), 0.25)
         assert len(failures) == 1 and "regressed" in failures[0]
         assert "REGRESSION" in capsys.readouterr().out
@@ -143,9 +143,9 @@ def test_committed_baseline_has_smoke_section():
     committed = BENCH_DIR.parent / "BENCH_engine.json"
     payload = json.loads(committed.read_text())
     speedups = payload["smoke"]["speedup_p50"]
-    assert set(speedups) == {"PE", "SCHED", "STEPWISE_PLAN"}
+    assert set(speedups) == {"PE", "SCHED", "STEPWISE"}
     assert all(v > 1.0 for v in speedups.values())
     plan = payload["stepwise_plan"]
     assert plan["speedup_p50"] >= bench_engine.STEPWISE_PLAN_SPEEDUP_FLOOR
-    assert plan["results_bitwise_equal"] and plan["stats_match"]
+    assert plan["stats_match"]
     assert plan["plan_cache"]["builds"] == 1
