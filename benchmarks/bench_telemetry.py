@@ -1,9 +1,9 @@
 """Overhead of the continuous telemetry pipeline on the serving path.
 
 Not a paper artifact — this measures the *observability tax*: the same
-request wave is served with the 10 ms :class:`~repro.obs.MetricsSampler`
-(plus alert evaluation) on and off, and the per-wave wall-clock p50s are
-compared.  The sampler runs on its own thread and only reads counters,
+request wave is served with a 10 ms :class:`~repro.obs.MetricsSampler`
+attached to the server's registry and without one, and the per-wave
+wall-clock p50s are compared.  The sampler runs on its own thread and only reads counters,
 so the serving path should not notice it; the acceptance target is
 <= 2% p50 overhead.
 
@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import argparse
 import asyncio
+import contextlib
 import sys
 import time
 
@@ -31,6 +32,7 @@ import numpy as np
 import pytest
 
 from repro.core.params import BlockingParams
+from repro.obs import MetricsSampler
 from repro.serve import LoadGenerator, ReproServer, ServeConfig
 
 PARAMS = BlockingParams.small(double_buffered=True)
@@ -49,12 +51,12 @@ OVERHEAD_TARGET = 0.02
 OVERHEAD_FAIL = 0.25
 
 
-def _config(sampling: bool) -> ServeConfig:
-    return ServeConfig(
-        window_seconds=0.005,
-        max_batch_size=8,
-        sampler_period_seconds=SAMPLER_PERIOD if sampling else None,
-        alerts=sampling,
+CONFIG = ServeConfig(window_seconds=0.005, max_batch_size=8)
+
+
+def _sampler(server: ReproServer) -> MetricsSampler:
+    return MetricsSampler(
+        server.metrics_registry(), period_seconds=SAMPLER_PERIOD
     )
 
 
@@ -63,21 +65,23 @@ async def _one_wave(sampling: bool, seed: int) -> tuple[float, int]:
     generator = LoadGenerator(seed=seed, params=PARAMS)
     requests = generator.generate(REQUESTS)
     async with ReproServer(
-        config=_config(sampling), params=PARAMS, n_core_groups=2
+        config=CONFIG, params=PARAMS, n_core_groups=2
     ) as server:
-        start = time.perf_counter()
-        results = await generator.run(
-            server, requests, concurrency=CONCURRENCY
-        )
-        elapsed = time.perf_counter() - start
+        # the sampler's start/stop samples stay outside the timed wave.
+        sampler = _sampler(server) if sampling else None
+        with sampler or contextlib.nullcontext():
+            start = time.perf_counter()
+            results = await generator.run(
+                server, requests, concurrency=CONCURRENCY
+            )
+            elapsed = time.perf_counter() - start
         if not all(r.ok for r in results):
             raise AssertionError("telemetry bench wave dropped requests")
-        sampler = server.sampler
-    if sampling:
-        if sampler is None or sampler.errors:
-            raise AssertionError("sampler must run cleanly when enabled")
-        return elapsed, sampler.samples
-    return elapsed, 0
+    if sampler is None:
+        return elapsed, 0
+    if sampler.errors:
+        raise AssertionError("sampler must run cleanly when attached")
+    return elapsed, sampler.samples
 
 
 def measure(reps: int = REPS) -> dict:
@@ -102,7 +106,7 @@ def measure(reps: int = REPS) -> dict:
     return {
         "requests": REQUESTS,
         "reps": reps,
-        "sampler_period_seconds": SAMPLER_PERIOD,
+        "period_seconds": SAMPLER_PERIOD,
         "sampler_samples": samples,
         "p50_on_seconds": p50_on,
         "p50_off_seconds": p50_off,
@@ -128,12 +132,12 @@ def test_sampler_sees_serving_counters(show):
     async def scenario():
         generator = LoadGenerator(seed=0, params=PARAMS)
         async with ReproServer(
-            config=_config(True), params=PARAMS, n_core_groups=2
+            config=CONFIG, params=PARAMS, n_core_groups=2
         ) as server:
-            await generator.run(
-                server, generator.generate(8), concurrency=4
-            )
-            sampler = server.sampler
+            with _sampler(server) as sampler:
+                await generator.run(
+                    server, generator.generate(8), concurrency=4
+                )
         points = sampler.series("serve.completed").points()
         assert points[0][1] == 0.0 and points[-1][1] == 8.0
         return sampler.samples

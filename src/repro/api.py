@@ -315,7 +315,8 @@ class SubmitOptions:
     #: execution engine (a name in ``repro.core.engine.ENGINES``), or
     #: the session default; submit rejects unknown names.
     engine: str | None = None
-    #: verify results against the numpy reference.
+    #: verify results against the engine contract
+    #: (:func:`repro.core.reference.contract_violation`).
     check: bool | None = None
     #: retry budget for transiently faulted items (``0`` disables
     #: retrying; ``None`` uses the session's retry policy).

@@ -13,14 +13,13 @@ Installed as ``repro-dgemm``::
     repro-dgemm serve --smoke --metrics-out scrape.prom
     repro-dgemm metrics --items 8 --out scrape1.prom --out2 scrape2.prom
     repro-dgemm metrics --url http://127.0.0.1:9464/metrics
-    repro-dgemm top --requests 24 --interval 0.5
-    repro-dgemm top --once
     repro-dgemm ablate --items 8 --reps 3 --out ablation.json
     repro-dgemm ablate --smoke
 
 ``--estimate-only`` skips the functional simulation and prints the
 performance model's prediction (any paper-scale size is fine there);
-functional runs execute on the default engine and verify against numpy.
+functional runs execute on the default engine and are verified against
+the engine contract (``--check`` turns a violation into exit status 1).
 The ``schedule`` subcommand dispatches a mixed-shape batch across the
 chip's core-group pool and reports the per-CG split, the modeled
 makespan vs. the serial single-CG time, and the load-balance
@@ -42,10 +41,7 @@ OpenMetrics endpoint mid-run and at shutdown (``--metrics-out`` /
 ``--metrics-out2``) for ``tools/check_metrics.py``.  The ``metrics``
 subcommand takes one-shot OpenMetrics scrapes: either of a live
 endpoint (``--url``) or of an internal sampled session run, dumping
-one scrape per output file.  The ``top`` subcommand renders the live
-terminal dashboard (throughput, per-CG DMA bars, cache hit rates,
-SLO table, firing alerts) over an internally driven server;
-``--once`` prints a single frame and exits.  The ``ablate`` subcommand
+one scrape per output file.  The ``ablate`` subcommand
 runs the systematic one-component-off matrix (:mod:`repro.ablate`) and
 prints the importance ranking; ``--smoke`` is the CI gate asserting
 the baseline beats every stage-off config on modeled Gflop/s.
@@ -62,7 +58,7 @@ from repro.arch.core_group import CoreGroup
 from repro.core.api import dgemm
 from repro.core.engine import DEFAULT_ENGINE
 from repro.core.params import BlockingParams
-from repro.core.reference import reference_dgemm
+from repro.core.reference import contract_violation, reference_dgemm
 from repro.core.variants import VARIANTS
 from repro.errors import ReproError
 from repro.perf.estimator import Estimator
@@ -76,7 +72,6 @@ __all__ = [
     "build_parser",
     "build_schedule_parser",
     "build_serve_parser",
-    "build_top_parser",
     "build_trace_parser",
     "main",
     "parse_fault_spec",
@@ -106,7 +101,8 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--pad", action="store_true",
                         help="zero-pad non-multiple shapes")
     parser.add_argument("--check", action="store_true",
-                        help="verify against numpy (on by default for runs)")
+                        help="exit 1 unless the result meets the engine "
+                             "contract (always checked and reported)")
     parser.add_argument("--estimate-only", action="store_true",
                         help="skip the functional run; print the model's view")
     parser.add_argument("--gantt", action="store_true",
@@ -515,9 +511,6 @@ def build_serve_parser() -> argparse.ArgumentParser:
                                              "stepwise"], default=None,
                         help="execution engine for the serving session "
                              f"(default: {DEFAULT_ENGINE})")
-    parser.add_argument("--sampler-period", type=float, default=0.01,
-                        help="metrics sampler period in seconds "
-                             "(default 0.01; 0 disables sampling)")
     parser.add_argument("--metrics-out", default=None, metavar="FILE",
                         help="scrape the server's OpenMetrics endpoint "
                              "after the main wave and write it here")
@@ -589,7 +582,6 @@ async def _serve_session(args) -> int:
         window_seconds=args.window,
         max_batch_size=args.batch,
         max_pending=args.pending,
-        sampler_period_seconds=args.sampler_period or None,
         metrics_port=0 if scraping else None,
     )
     async with ReproServer(
@@ -701,17 +693,6 @@ async def _serve_session(args) -> int:
         print(f"per-request span traffic reconciles with Session.stats() "
               f"({len(totals)} fields)")
 
-        if server.sampler is not None:
-            sampled = server.sampler.stats()
-            print(f"sampler: {sampled['samples']:.0f} samples over "
-                  f"{sampled['series']:.0f} series at "
-                  f"{sampled['period_seconds'] * 1e3:.0f} ms "
-                  f"({sampled['errors']:.0f} errors)")
-            if sampled["errors"]:
-                print("error: the metrics sampler recorded source errors",
-                      file=sys.stderr)
-                return 1
-
         if scraping:
             from repro.obs.promexp import metric_name
 
@@ -744,11 +725,6 @@ async def _serve_session(args) -> int:
                     with open(path, "w", encoding="utf-8") as handle:
                         handle.write(text)
                     print(f"wrote OpenMetrics scrape to {path}")
-
-        if server.alerts is not None and server.alerts.active():
-            for alert in server.alerts.active():
-                print(f"ALERT [{alert.severity}] {alert.rule}: "
-                      f"{alert.message}")
 
         print()
         print(server.slo.render())
@@ -870,117 +846,6 @@ def _run_metrics(argv: list[str]) -> int:
     return 0
 
 
-def build_top_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="repro-dgemm top",
-        description="Live terminal dashboard over a self-driven serving "
-                    "tier: throughput, per-CG DMA bars, cache hit "
-                    "rates, SLOs, firing alerts",
-    )
-    parser.add_argument("--requests", type=int, default=16,
-                        help="requests per generated wave (default 16)")
-    parser.add_argument("--concurrency", type=int, default=16,
-                        help="concurrent client submissions (default 16)")
-    parser.add_argument("--cgs", type=int, default=4,
-                        help="pool size, 1..4 core groups (default 4)")
-    parser.add_argument(
-        "--variant", default="SCHED", choices=sorted(VARIANTS),
-        type=lambda s: s.upper(), help="implementation (paper Sec V)",
-    )
-    parser.add_argument(
-        "--preset", choices=["small", "paper"], default="small",
-        help="blocking parameters: scaled-down (default) or the paper's",
-    )
-    parser.add_argument("--seed", type=int, default=0)
-    parser.add_argument("--window", type=float, default=0.02,
-                        help="coalescing window in seconds (default 0.02)")
-    parser.add_argument("--engine", choices=["device", "vectorized",
-                                             "stepwise"], default=None,
-                        help="execution engine for the serving session")
-    parser.add_argument("--period", type=float, default=0.01,
-                        help="sampler period in seconds (default 0.01)")
-    parser.add_argument("--interval", type=float, default=0.5,
-                        help="seconds between dashboard frames "
-                             "(default 0.5)")
-    parser.add_argument("--frames", type=int, default=10,
-                        help="frames to render before exiting "
-                             "(default 10)")
-    parser.add_argument("--once", action="store_true",
-                        help="drive one wave, print a single frame, exit "
-                             "(what the tests run)")
-    return parser
-
-
-async def _top_session(args) -> int:
-    import asyncio
-
-    from repro.obs.dashboard import render_dashboard
-    from repro.serve import LoadGenerator, ReproServer, ServeConfig
-
-    params = _params_for(args)
-    config = ServeConfig(
-        window_seconds=args.window,
-        sampler_period_seconds=args.period,
-    )
-    async with ReproServer(
-        config=config, variant=args.variant, params=params,
-        n_core_groups=args.cgs, engine=args.engine,
-    ) as server:
-        assert server.sampler is not None
-        generator = LoadGenerator(seed=args.seed, params=params)
-        requests = generator.generate(args.requests)
-
-        def frame() -> str:
-            return render_dashboard(
-                server.sampler,
-                slo_table=server.slo.render(),
-                alerts=server.alerts,
-                events=server.events,
-            )
-
-        if args.once:
-            await generator.run(
-                server, requests, concurrency=args.concurrency
-            )
-            server.sampler.sample_once()
-            print(frame())
-            return 0
-
-        stopping = asyncio.Event()
-
-        async def drive() -> None:
-            while not stopping.is_set():
-                await generator.run(
-                    server, requests, concurrency=args.concurrency
-                )
-
-        driver = asyncio.create_task(drive(), name="repro-top-load")
-        try:
-            for _ in range(max(1, args.frames)):
-                await asyncio.sleep(args.interval)
-                if sys.stdout.isatty():  # pragma: no cover - terminal only
-                    print("\x1b[2J\x1b[H", end="")
-                print(frame())
-                print()
-        finally:
-            stopping.set()
-            await driver
-    return 0
-
-
-def _run_top(argv: list[str]) -> int:
-    import asyncio
-
-    args = build_top_parser().parse_args(argv)
-    try:
-        return asyncio.run(_top_session(args))
-    except KeyboardInterrupt:  # pragma: no cover - interactive only
-        return 0
-    except ReproError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-
-
 def build_ablate_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="repro-dgemm ablate",
@@ -1083,8 +948,6 @@ def main(argv: list[str] | None = None) -> int:
         return _run_serve(argv[1:])
     if argv and argv[0] == "metrics":
         return _run_metrics(argv[1:])
-    if argv and argv[0] == "top":
-        return _run_top(argv[1:])
     if argv and argv[0] == "ablate":
         return _run_ablate(argv[1:])
     args = build_parser().parse_args(argv)
@@ -1108,9 +971,12 @@ def main(argv: list[str] | None = None) -> int:
                         core_group=cg, pad=args.pad)
             expected = reference_dgemm(args.alpha, a, b, args.beta, c)
             err = float(np.max(np.abs(out - expected)))
-            status = "OK" if err < 1e-9 else "MISMATCH"
+            violation = contract_violation(out, args.alpha, a, b, args.beta, c)
+            status = "OK" if violation is None else "MISMATCH"
             print(f"{args.variant} {m}x{n}x{k}: max |sim - numpy| = {err:.2e} "
                   f"[{status}]")
+            if violation is not None:
+                print(f"contract violated: {violation}", file=sys.stderr)
             print(f"DMA: {cg.dma.stats.bytes_total / 1e6:.2f} MB "
                   f"({cg.dma.stats.transactions} transactions); "
                   f"regcomm: {cg.regcomm.stats.bytes_moved / 1e6:.2f} MB")

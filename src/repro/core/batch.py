@@ -117,7 +117,7 @@ def dgemm_batch(
     in block-factor multiples.  Pass ``context=`` to keep staging plans
     warm across several batches; otherwise a batch-scoped context is
     created and torn down here.  ``check=`` verifies each item against
-    the numpy reference, as in the scalar entry point.  ``engine=``
+    the engine contract, as in the scalar entry point.  ``engine=``
     selects the execution engine per :func:`repro.core.api.dgemm`.
     Any item failure propagates.
 

@@ -36,7 +36,7 @@ from repro.arch.config import SW26010Spec, DEFAULT_SPEC
 from repro.core.api import dgemm
 from repro.core.context import ExecutionContext
 from repro.core.params import BlockingParams
-from repro.core.reference import reference_dgemm
+from repro.core.reference import contract_violation
 from repro.core.variants import get_variant
 from repro.multi.noc import NoC
 from repro.multi.processor import SW26010Processor
@@ -154,12 +154,13 @@ def dgemm_multi_cg(
                 pass
     result = np.array(out[:m, :n], order="F", copy=True)
     if check:
-        expected = reference_dgemm(alpha, a[:m, :k], b_eff[:k, :n], beta, c)
-        if not np.allclose(result, expected, rtol=1e-12, atol=1e-9):
-            worst = float(np.max(np.abs(result - expected)))
+        violation = contract_violation(
+            result, alpha, a[:m, :k], b_eff[:k, :n], beta, c
+        )
+        if violation is not None:
             raise AssertionError(
-                f"multi-CG {variant} result deviates from reference "
-                f"(max abs err {worst:.3e})"
+                f"multi-CG {variant} result deviates from reference: "
+                f"{violation}"
             )
     return result
 

@@ -1,10 +1,10 @@
-"""Observability: tracing, metrics, continuous telemetry, and alerts.
+"""Observability: tracing, metrics, sampling and exposition.
 
 The runtime's counters (seven ``*Stats`` dataclasses sharing the
 :class:`~repro.utils.stats.StatsProtocol`) report end states; this
 subsystem adds *attribution* — which phase of which call moved those
-bytes, and when — plus the always-on pipeline an operating serving
-tier needs:
+bytes, and when — so a request's time and traffic can be traced to
+the layer that spent it:
 
 - :mod:`repro.obs.tracer` — nestable wall-clock spans with attached
   counter deltas (:class:`SpanTracer`; :data:`NULL_TRACER` is the
@@ -15,18 +15,12 @@ tier needs:
 - :mod:`repro.obs.export` — Chrome trace-event JSON (Perfetto), JSONL,
   and per-phase text reports including model-vs-measured diffs;
 - :mod:`repro.obs.series` — :class:`MetricsSampler`, a background
-  thread turning registry snapshots into ring-buffer
-  :class:`TimeSeries` with window deltas and rates;
+  thread a caller attaches to a registry, turning its snapshots into
+  ring-buffer :class:`TimeSeries` whose window deltas telescope;
 - :mod:`repro.obs.histogram` — :class:`LatencyHistogram`, bounded
   log-bucketed distributions (latency, Gflop/s, DMA bytes);
 - :mod:`repro.obs.promexp` — Prometheus/OpenMetrics text exposition
-  of snapshots and histogram families;
-- :mod:`repro.obs.events` — :class:`EventLog`, a leveled structured
-  event ring with JSONL export;
-- :mod:`repro.obs.alerts` — :class:`AlertEngine` rules (SLO burn
-  rate, eviction storms, quarantines) over sampled series;
-- :mod:`repro.obs.dashboard` — the ``repro-dgemm top`` terminal
-  dashboard renderer.
+  of snapshots and histogram families.
 
 Spans are emitted by ``Session``/``dgemm``/``dgemm_batch``, both
 execution engines and ``CGScheduler`` whenever a real tracer is passed;
@@ -34,16 +28,6 @@ execution engines and ``CGScheduler`` whenever a real tracer is passed;
 ``tools/check_metrics.py`` validates OpenMetrics scrapes in CI.
 """
 
-from repro.obs.alerts import (
-    Alert,
-    AlertEngine,
-    AlertRule,
-    BurnRateRule,
-    RateThresholdRule,
-    default_serve_rules,
-)
-from repro.obs.dashboard import render_dashboard, sparkline
-from repro.obs.events import Event, EventLog
 from repro.obs.export import (
     chrome_trace,
     jsonl_lines,
@@ -81,25 +65,17 @@ from repro.obs.tracer import (
 
 __all__ = [
     "NULL_TRACER",
-    "Alert",
-    "AlertEngine",
-    "AlertRule",
-    "BurnRateRule",
-    "Event",
-    "EventLog",
     "HistogramFamily",
     "LatencyHistogram",
     "MetricsRegistry",
     "MetricsSampler",
     "NullTracer",
-    "RateThresholdRule",
     "SpanTracer",
     "TimeSeries",
     "TraceSpan",
     "cg_meter",
     "chrome_trace",
     "context_meter",
-    "default_serve_rules",
     "ensure_tracer",
     "flatten",
     "format_value",
@@ -109,12 +85,10 @@ __all__ = [
     "model_gap_report",
     "phase_report",
     "processor_meter",
-    "render_dashboard",
     "render_openmetrics",
     "resil_meter",
     "session_meter",
     "snapshot_core_group",
-    "sparkline",
     "write_chrome_trace",
     "write_jsonl",
 ]

@@ -64,14 +64,11 @@ COUNTER_LEAVES = frozenset(
         "count",
         "dma_bytes",
         "dma_transactions",
-        "emitted",
         "errors",
-        "evaluations",
         "evictions",
         "failed",
         "failures",
         "fallbacks",
-        "fired",
         "flops",
         "frees",
         "gets",
@@ -91,7 +88,6 @@ COUNTER_LEAVES = frozenset(
         "recovered",
         "regcomm_bytes",
         "rejected",
-        "resolved",
         "respilled",
         "retries",
         "row_broadcasts",
@@ -100,7 +96,6 @@ COUNTER_LEAVES = frozenset(
         "seconds",
         "staged",
         "stores",
-        "suppressed",
         "transactions",
         "writebacks",
     }

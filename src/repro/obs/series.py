@@ -1,29 +1,28 @@
 """Continuous sampling: registry snapshots into ring-buffer time series.
 
-PR 4's :class:`~repro.obs.registry.MetricsRegistry` gives one flat
-counter address space, but it is pull-only — a caller takes snapshots
-and diffs them after the fact.  An always-on serving tier needs the
-*history*: rates over the last second, burn over the last minute, a
-sparkline on a dashboard.  This module adds it:
+A :class:`~repro.obs.registry.MetricsRegistry` gives one flat counter
+address space, but it is pull-only: a caller takes snapshots and diffs
+them after the fact.  This module records the history between two
+such snapshots, so a run's counters can be attributed to the windows
+in which they moved:
 
 - :class:`TimeSeries` — one counter's recent ``(t, value)`` points in a
-  fixed-size ring (memory is O(capacity) forever), with window deltas
-  and per-second rate derivation for the monotonic counters that
-  dominate the registry;
+  fixed-size ring (memory is O(capacity) forever);
 - :class:`MetricsSampler` — a daemon thread that snapshots a registry
   every ``period_seconds`` into one :class:`TimeSeries` per counter.
-  Attach one to a :meth:`Session.metrics_registry
+  Nothing starts one implicitly: a caller attaches it to a
+  :meth:`Session.metrics_registry
   <repro.core.session.Session.metrics_registry>`, a
   :meth:`CGScheduler.metrics_registry
   <repro.multi.scheduler.CGScheduler.metrics_registry>` or a
   :meth:`ReproServer.metrics_registry
-  <repro.serve.server.ReproServer.metrics_registry>` and every counter
-  those expose becomes a live series.
+  <repro.serve.server.ReproServer.metrics_registry>` for as long as it
+  wants every counter those expose as a live series.
 
 Because registry snapshots telescope — consecutive window deltas sum
 to last-minus-first — summing a sampler's deltas over a whole run
 reconciles bit-exactly with ``Session.stats().traffic``, the same
-contract PR 4's span deltas honour (property-tested).
+contract the tracer's span deltas honour (property-tested).
 
 Sampling stays off the hot path: sources are read by the sampler
 thread under the GIL (plain int/float counter reads, never locks held
@@ -43,9 +42,6 @@ from repro.errors import ConfigError
 from repro.obs.registry import MetricsRegistry
 
 __all__ = ["MetricsSampler", "TimeSeries"]
-
-#: a sampler listener: called after each sample with (sampler, snapshot).
-Listener = Callable[["MetricsSampler", dict], None]
 
 
 class TimeSeries:
@@ -84,72 +80,6 @@ class TimeSeries:
             for i in idx
         ]
 
-    def latest(self) -> tuple[float, float] | None:
-        """The most recent point, or ``None`` when empty."""
-        if not self._size:
-            return None
-        i = (self._next - 1) % self.capacity
-        return self._times[i], self._values[i]
-
-    def window(
-        self, seconds: float, now: float | None = None
-    ) -> list[tuple[float, float]]:
-        """Points no older than ``seconds`` before ``now`` (oldest first)."""
-        pts = self.points()
-        if not pts:
-            return []
-        horizon = (pts[-1][0] if now is None else now) - seconds
-        return [p for p in pts if p[0] >= horizon]
-
-    def _bounds(
-        self, seconds: float, now: float | None
-    ) -> tuple[float, float, float, float, int] | None:
-        """``(t_first, v_first, t_last, v_last, n)`` of the window.
-
-        Walks the ring backwards from the newest point, so the alert
-        engine's per-sample rate lookups never materialize point
-        lists (this runs on the sampler thread, inside its budget).
-        """
-        if not self._size:
-            return None
-        i = (self._next - 1) % self.capacity
-        t_last = self._times[i]
-        v_last = self._values[i]
-        horizon = (t_last if now is None else now) - seconds
-        if t_last < horizon:
-            return None
-        t_first, v_first, n = t_last, v_last, 1
-        for _ in range(self._size - 1):
-            i = (i - 1) % self.capacity
-            t = self._times[i]
-            if t < horizon:
-                break
-            t_first, v_first = t, self._values[i]
-            n += 1
-        return t_first, v_first, t_last, v_last, n
-
-    def delta(self, seconds: float, now: float | None = None) -> float:
-        """Value change over the window (0 with fewer than two points)."""
-        bounds = self._bounds(seconds, now)
-        if bounds is None or bounds[4] < 2:
-            return 0.0
-        return bounds[3] - bounds[1]
-
-    def rate(self, seconds: float, now: float | None = None) -> float:
-        """Per-second rate over the window (0 when underdetermined).
-
-        Meaningful for monotonic counters; a reset (value decreasing)
-        clamps to 0 rather than reporting a negative rate.
-        """
-        bounds = self._bounds(seconds, now)
-        if bounds is None or bounds[4] < 2:
-            return 0.0
-        t_first, v_first, t_last, v_last, _ = bounds
-        elapsed = t_last - t_first
-        if elapsed <= 0:
-            return 0.0
-        return max(0.0, (v_last - v_first) / elapsed)
-
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"TimeSeries({self._size}/{self.capacity} points)"
 
@@ -168,12 +98,9 @@ class MetricsSampler:
     :meth:`sample_once` takes an immediate sample on the calling thread
     (the sampler need not be running), which is how tests pin exact
     window boundaries and how :meth:`stop` guarantees a final sample at
-    shutdown — so the last window always covers the full run.
-
-    ``listeners`` (see :meth:`add_listener`) run on the sampler thread
-    after each sample; the alert engine registers itself this way.  A
-    listener raising is counted in ``errors`` and never kills the
-    thread.
+    shutdown — so the last window always covers the full run.  A
+    registry source raising is counted in ``errors`` and never kills
+    the thread.
     """
 
     def __init__(
@@ -195,11 +122,9 @@ class MetricsSampler:
         self.samples = 0
         self.errors = 0
         self._series: dict[str, TimeSeries] = {}
-        self._listeners: list[Listener] = []
         self._lock = threading.Lock()
         self._stop = threading.Event()
         self._thread: threading.Thread | None = None
-        self.started_at: float | None = None
 
     # -- lifecycle ----------------------------------------------------
 
@@ -212,8 +137,6 @@ class MetricsSampler:
         if self.running:
             return self
         self._stop.clear()
-        if self.started_at is None:
-            self.started_at = self.clock()
         self.sample_once()  # t=0 baseline so the first window is complete
         self._thread = threading.Thread(
             target=self._run, name="repro-metrics-sampler", daemon=True
@@ -259,39 +182,14 @@ class MetricsSampler:
                     series = self._series[name] = TimeSeries(self.capacity)
                 series.push(t, float(value))
             self.samples += 1
-        for listener in list(self._listeners):
-            try:
-                listener(self, snapshot)
-            except Exception:
-                with self._lock:
-                    self.errors += 1
         return snapshot
 
-    def add_listener(self, listener: Listener) -> None:
-        """Run ``listener(sampler, snapshot)`` after every sample."""
-        self._listeners.append(listener)
-
     # -- reading ------------------------------------------------------
-
-    def names(self) -> tuple[str, ...]:
-        """Every counter name seen so far, sorted."""
-        with self._lock:
-            return tuple(sorted(self._series))
 
     def series(self, name: str) -> TimeSeries | None:
         """The ring buffer for one counter (``None`` if never seen)."""
         with self._lock:
             return self._series.get(name)
-
-    def latest(self) -> dict[str, float]:
-        """The most recent value of every counter."""
-        with self._lock:
-            out: dict[str, float] = {}
-            for name, series in self._series.items():
-                point = series.latest()
-                if point is not None:
-                    out[name] = point[1]
-            return out
 
     def deltas(self, name: str) -> list[tuple[float, float]]:
         """Per-window ``(t, value_delta)`` pairs between samples.
@@ -307,16 +205,6 @@ class MetricsSampler:
         return [
             (t1, v1 - v0) for (_, v0), (t1, v1) in zip(pts, pts[1:])
         ]
-
-    def rate(self, name: str, window_seconds: float) -> float:
-        """Per-second rate of one counter over a trailing window."""
-        series = self.series(name)
-        return series.rate(window_seconds) if series is not None else 0.0
-
-    def delta(self, name: str, window_seconds: float) -> float:
-        """Value change of one counter over a trailing window."""
-        series = self.series(name)
-        return series.delta(window_seconds) if series is not None else 0.0
 
     def stats(self) -> dict[str, float]:
         """Self-telemetry (a registry source: ``sampler.*``)."""

@@ -284,9 +284,9 @@ class SpanTracer:
         self._next_index = 0
         # counter_totals() memo: phase name -> (spans consumed, totals).
         # The span list is append-only, so totals accumulate
-        # incrementally instead of rescanning history — a continuous
-        # sampler polls totals every few milliseconds for the lifetime
-        # of a server, and a full rescan would grow without bound.
+        # incrementally instead of rescanning history — a sampler
+        # attached to a server's registry polls totals every few
+        # milliseconds, and a full rescan would grow without bound.
         self._totals_cache: dict[str | None, tuple[int, dict]] = {}
 
     def _thread_stack(self) -> list[_OpenSpan]:

@@ -87,9 +87,8 @@ class OperandCache:
         Surfaced in the ``serve.cache.*`` namespace of
         :meth:`ReproServer.metrics_registry
         <repro.serve.server.ReproServer.metrics_registry>`, so cache
-        effectiveness shows up in sampler snapshots, the OpenMetrics
-        exposition, and the ``top`` dashboard — not just server-
-        internal state.
+        effectiveness shows up in registry snapshots and the
+        OpenMetrics exposition — not just server-internal state.
         """
         with self._lock:
             return {

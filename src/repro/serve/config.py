@@ -44,21 +44,11 @@ class ServeConfig:
     #: server-wide default execution options; a request's own
     #: ``options=`` wins.
     options: SubmitOptions = field(default=DEFAULT_SUBMIT_OPTIONS)
-    #: period of the attached :class:`~repro.obs.series.MetricsSampler`
-    #: in seconds; ``None`` runs without continuous sampling (the
-    #: exposition endpoint and one-shot snapshots still work).
-    sampler_period_seconds: float | None = 0.01
-    #: ring-buffer capacity per sampled counter series.
-    sampler_capacity: int = 512
     #: TCP port for the OpenMetrics exposition endpoint (``0`` binds an
     #: ephemeral port); ``None`` disables the endpoint.
     metrics_port: int | None = None
     #: bind host for the exposition endpoint.
     metrics_host: str = "127.0.0.1"
-    #: arm the default SLO burn-rate/quarantine/eviction alert rules.
-    alerts: bool = True
-    #: retention level of the structured event log.
-    event_level: str = "info"
     #: per-bin sample ring for exact SLO percentiles (0 = histogram
     #: estimates only).
     slo_exact_reservoir: int = 1024
@@ -79,18 +69,6 @@ class ServeConfig:
         if self.cache_entries < 0:
             raise ConfigError(
                 f"cache_entries must be >= 0, got {self.cache_entries}"
-            )
-        if (
-            self.sampler_period_seconds is not None
-            and self.sampler_period_seconds <= 0
-        ):
-            raise ConfigError(
-                "sampler_period_seconds must be > 0 or None, got "
-                f"{self.sampler_period_seconds}"
-            )
-        if self.sampler_capacity < 2:
-            raise ConfigError(
-                f"sampler_capacity must be >= 2, got {self.sampler_capacity}"
             )
         if self.metrics_port is not None and not (
             0 <= self.metrics_port <= 65535

@@ -3,7 +3,9 @@
 :class:`ReproServer` fronts one :class:`~repro.core.session.Session`
 with an async request surface.  The pipeline per request:
 
-1. **admit** — a closed server or a full in-flight window turns the
+1. **admit** — a malformed request, or one whose operands cannot fit
+   in one CG's main memory, is answered as invalid before it is
+   hashed; a closed server or a full in-flight window turns the
    request away with a *structured* rejection (``RequestError`` with
    ``retryable=True`` for backpressure), never an exception;
 2. **cache** — the operand cache is probed by content hash; a hit
@@ -31,18 +33,14 @@ are exactly that request's attributed traffic — so
 
 Threading discipline: bins, timers, the cache, the SLO ledger and all
 counters are touched only on the event-loop thread; the executor
-thread touches only the session and the tracer; the metrics sampler
-thread only *reads* counters (plain int/float loads under the GIL).
+thread touches only the session and the tracer.  A caller may attach
+its own :class:`~repro.obs.series.MetricsSampler` to
+:meth:`metrics_registry`; its thread only *reads* counters (plain
+int/float loads under the GIL).
 
-The continuous telemetry pipeline rides on top: :meth:`start` arms a
-:class:`~repro.obs.series.MetricsSampler` over
-:meth:`metrics_registry` (every counter becomes a live time series),
-attaches the default :class:`~repro.obs.alerts.AlertEngine` rules to
-it, and — when ``config.metrics_port`` is set — serves the
+When ``config.metrics_port`` is set, :meth:`start` serves the
 :meth:`openmetrics` exposition over a minimal asyncio HTTP endpoint
-(``GET /metrics``, plus ``/healthz``).  Lifecycle transitions and
-alert edges land in :attr:`events`, a structured
-:class:`~repro.obs.events.EventLog`.
+(``GET /metrics``, plus ``/healthz``).
 """
 
 from __future__ import annotations
@@ -68,11 +66,8 @@ from repro.core.context import ContextStats
 from repro.core.engine import check_engine
 from repro.core.session import Session
 from repro.errors import ConfigError, UnsupportedShapeError
-from repro.obs.alerts import AlertEngine, default_serve_rules
-from repro.obs.events import EventLog
 from repro.obs.promexp import render_openmetrics
 from repro.obs.registry import MetricsRegistry, flatten
-from repro.obs.series import MetricsSampler
 from repro.obs.tracer import SpanTracer
 from repro.serve.cache import OperandCache
 from repro.serve.config import ServeConfig
@@ -147,6 +142,24 @@ def _request_flops(request: Request, shape: tuple[int, int, int]) -> float:
     return 2.0 * float(m) * float(n) * float(k)
 
 
+def _check_fits(shape: tuple[int, int, int], budget: int) -> None:
+    """Refuse operands that can never fit in one CG's main memory.
+
+    A, B and C of an ``(m, n, k)`` request take ``8*(m*k + k*n + m*n)``
+    bytes once staged as float64.  Checking before :meth:`content_hash
+    <repro.api.GemmRequest.content_hash>` keeps the event loop from
+    materializing an operand (a broadcast view, say) that staging
+    would refuse anyway.
+    """
+    m, n, k = shape
+    need = 8 * (m * k + k * n + m * n)
+    if need > budget:
+        raise UnsupportedShapeError(
+            f"operands need {need} bytes as float64, over one core "
+            f"group's {budget}-byte main memory"
+        )
+
+
 class ReproServer:
     """Async front end over one session; see the module docstring.
 
@@ -178,9 +191,6 @@ class ReproServer:
         self.session = session
         self.cache = OperandCache(self.config.cache_entries)
         self.slo = SLOTracker(exact_reservoir=self.config.slo_exact_reservoir)
-        self.events = EventLog(level=self.config.event_level)
-        self.sampler: MetricsSampler | None = None
-        self.alerts: AlertEngine | None = None
         self.metrics_address: tuple[str, int] | None = None
         self._metrics_server: asyncio.AbstractServer | None = None
         self._registry: MetricsRegistry | None = None
@@ -219,18 +229,6 @@ class ReproServer:
             self._dispatch_loop(), name="repro-serve-dispatch"
         )
         self._started = True
-        registry = self.metrics_registry()
-        if self.config.sampler_period_seconds is not None:
-            self.sampler = MetricsSampler(
-                registry,
-                period_seconds=self.config.sampler_period_seconds,
-                capacity=self.config.sampler_capacity,
-            )
-            if self.config.alerts:
-                self.alerts = AlertEngine(
-                    default_serve_rules(), events=self.events
-                ).attach(self.sampler)
-            self.sampler.start()
         if self.config.metrics_port is not None:
             self._metrics_server = await asyncio.start_server(
                 self._serve_metrics,
@@ -240,12 +238,6 @@ class ReproServer:
             sock = self._metrics_server.sockets[0]
             host, port = sock.getsockname()[:2]
             self.metrics_address = (str(host), int(port))
-        self.events.info(
-            "server.started",
-            sampler_period_seconds=self.config.sampler_period_seconds,
-            metrics_address=self.metrics_address,
-            alerts=self.alerts is not None,
-        )
         return self
 
     async def stop(self) -> None:
@@ -275,16 +267,6 @@ class ReproServer:
             self._metrics_server.close()
             await self._metrics_server.wait_closed()
             self._metrics_server = None
-        if self.sampler is not None:
-            # stop() takes one final sample, so the last window covers
-            # every request answered above.
-            self.sampler.stop()
-        self.events.info(
-            "server.stopped",
-            admitted=self._admitted,
-            completed=self._completed,
-            failed=self._failed,
-        )
         if self._owns_session:
             self.session.close()
 
@@ -305,8 +287,9 @@ class ReproServer:
     ) -> RequestResult:
         """Admit one request and await its structured response.
 
-        Never raises for request-level failure — malformed shapes, an
-        unknown engine, backpressure, retry exhaustion and shutdown all
+        Never raises for request-level failure — malformed shapes,
+        operands too large for one CG's main memory, an unknown
+        engine, backpressure, retry exhaustion and shutdown all
         come back as a :class:`~repro.api.RequestResult` carrying a
         typed :class:`~repro.api.RequestError`.  (Submitting on a
         server that was never started still raises: that is caller
@@ -326,6 +309,7 @@ class ReproServer:
         try:
             request = as_request(request)
             shape = request.validate()
+            _check_fits(shape, self.session.processor.spec.main_memory_bytes)
             bin_label = format_bin(request.shape_bin(self.session.params))
             flops = _request_flops(request, shape)
             if opts.engine is not None:
@@ -597,10 +581,8 @@ class ReproServer:
 
         Namespaces: ``serve.*`` (admission/dispatch counters, cache
         counters under ``serve.cache.*``), ``slo.<bin>.*`` (per-bin
-        counts and percentile seconds), ``events.*`` (the structured
-        log's level counters), ``sampler.*`` / ``alerts.*`` (pipeline
-        self-telemetry; empty until :meth:`start` arms them), and —
-        when the session's tracer keeps span totals —
+        counts and percentile seconds), and — when the session's
+        tracer keeps span totals —
         ``serve.request.ctx.*``, the summed per-request span deltas
         that reconcile bit-exactly with ``session.traffic.*``.
 
@@ -611,15 +593,6 @@ class ReproServer:
         """
         registry.register("serve", self.stats)
         registry.register("slo", self.slo.snapshot)
-        registry.register("events", self.events.stats)
-        registry.register(
-            "sampler",
-            lambda: self.sampler.stats() if self.sampler is not None else {},
-        )
-        registry.register(
-            "alerts",
-            lambda: self.alerts.stats() if self.alerts is not None else {},
-        )
         tracer = self.session.tracer
         if hasattr(tracer, "counter_totals"):
             registry.register(
@@ -634,7 +607,7 @@ class ReproServer:
         Composes the session's registry (device, NoC, plan-cache,
         resilience and session accounting) with the serve-local
         sources of :meth:`register_metrics`.  This is the registry the
-        attached sampler and the ``/metrics`` endpoint read.
+        ``/metrics`` endpoint reads and a caller's sampler attaches to.
         """
         if self._registry is None:
             self._registry = self.register_metrics(

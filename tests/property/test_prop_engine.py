@@ -4,9 +4,10 @@ Randomized shapes (exact block multiples and padded), alpha/beta,
 trans flags and variants; each example runs the same call on both
 engines with fresh core groups and asserts
 
-- results agree to the library comparison tolerance
-  (``rtol=1e-12 / atol=1e-9``, the bar ``dgemm(check=True)`` applies) —
-  and bit-for-bit for the stepwise formulation at the 16-deep tiles of
+- results agree to ``rtol=1e-12 / atol=1e-9`` on the O(1) operands
+  drawn here (``dgemm(check=True)`` applies the componentwise engine
+  contract of ``repro.core.reference.contract_violation``) — and
+  bit-for-bit for the stepwise formulation at the 16-deep tiles of
   ``BlockingParams.small`` (one deterministic test pins what holds at
   the paper's 96-deep blocking);
 - the context staging accounting and the device's DMA and

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.api import GemmRequest
+from repro.api import GemmRequest, SubmitOptions
 from repro.arch.core_group import CoreGroup
 from repro.core.api import dgemm
 from repro.core.context import ExecutionContext
@@ -285,3 +285,51 @@ class TestAlphaZeroNeverReadsAB:
                               self.BETA * c)
         assert np.array_equal(reference_dgemm(0.0, a, b, 0.0, c),
                               np.zeros_like(c))
+
+
+class TestCheckFollowsTheContract:
+    """``check=True`` accepts what the engine contract accepts: NaN and
+    Inf where the reference has them, and finite error within
+    ``contract_bound`` rather than a fixed absolute tolerance."""
+
+    @pytest.fixture()
+    def nan_operands(self):
+        a, b, c = gemm_operands(120, 60, 100, seed=7)
+        a[3, 4] = np.nan
+        return a, b, c
+
+    @pytest.mark.parametrize("engine", ["device", "stepwise", "vectorized"])
+    def test_dgemm_accepts_propagated_nan(self, engine, nan_operands, small):
+        a, b, c = nan_operands
+        out = dgemm(a, b, c, beta=1.0, engine=engine, params=small,
+                    pad=True, check=True)
+        expected = reference_dgemm(1.0, a, b, 1.0, c)
+        assert np.array_equal(np.isnan(out), np.isnan(expected))
+        assert np.isnan(out[3]).all()
+
+    def test_multi_cg_accepts_propagated_nan(self, nan_operands, small):
+        a, b, c = nan_operands
+        out = dgemm_multi_cg(a, b, c, beta=1.0, params=small, pad=True,
+                             check=True)
+        assert np.isnan(out[3]).all()
+
+    @pytest.mark.parametrize("where", ["session", "options"])
+    def test_session_submit_accepts_propagated_nan(self, where,
+                                                   nan_operands, small):
+        a, b, c = nan_operands
+        request = GemmRequest(a, b, c, beta=1.0)
+        with Session(params=small, n_core_groups=1,
+                     check=where == "session") as session:
+            options = SubmitOptions(check=True) if where == "options" else None
+            result = session.submit(request, options=options)
+        assert result.error is None
+        assert np.isnan(result.value[3]).all()
+
+    @pytest.mark.parametrize("engine", ["device", "stepwise", "vectorized"])
+    def test_cancellation_within_the_bound_passes(self, engine, small):
+        """C = -A@B at operand scale 1e3 leaves only rounding, far above
+        a fixed 1e-9 but inside the componentwise contract bound."""
+        a, b, _ = gemm_operands(small.b_m, small.b_n, small.b_k, seed=3)
+        a, b = 1e3 * a, 1e3 * b
+        dgemm(a, b, -(a @ b), beta=1.0, engine=engine, params=small,
+              check=True)

@@ -6,6 +6,7 @@ import pytest
 from repro.arch.core_group import CoreGroup
 from repro.api import GemmRequest
 from repro.core.batch import BatchResult, dgemm_batch, validate_items
+from repro.core.engine.vectorized import VectorizedEngine
 from repro.core.params import BlockingParams
 from repro.errors import ConfigError, UnsupportedShapeError
 from repro.workloads.matrices import gemm_operands
@@ -138,13 +139,24 @@ class TestHarmonizedKwargs:
         assert result.flops == 2 * 96 * 48 * 64
 
     def test_check_kwarg_verifies_each_item(self, rng):
-        good = GemmRequest(rng.standard_normal((32, 16)),
-                           rng.standard_normal((16, 8)))
-        nan = GemmRequest(np.full((32, 16), np.nan),
-                          rng.standard_normal((16, 8)))
-        dgemm_batch([good], params=PARAMS, check=True)
-        with pytest.raises(AssertionError):
-            dgemm_batch([good, nan], params=PARAMS, check=True)
+        class WrongOnSecondRun(VectorizedEngine):
+            runs = 0
+
+            def run(self, impl, cg, a, b, c, **kwargs):
+                super().run(impl, cg, a, b, c, **kwargs)
+                self.runs += 1
+                if self.runs == 2:
+                    cg.memory.array(c)[0, 0] += 1.0
+
+        items = [
+            GemmRequest(rng.standard_normal((32, 16)),
+                        rng.standard_normal((16, 8)))
+            for _ in range(2)
+        ]
+        dgemm_batch(items, params=PARAMS, check=True)
+        with pytest.raises(AssertionError, match="contract bound"):
+            dgemm_batch(items, params=PARAMS, check=True,
+                        engine=WrongOnSecondRun())
 
 
 class TestMemoryInvariant:

@@ -8,7 +8,11 @@ from repro.core.kernel_functional import (
     register_tile_multiply,
     tile_multiply,
 )
-from repro.core.reference import reference_dgemm
+from repro.core.reference import (
+    contract_bound,
+    contract_violation,
+    reference_dgemm,
+)
 from repro.errors import ConfigError, UnsupportedShapeError
 
 
@@ -109,3 +113,58 @@ class TestReference:
             0.0, np.zeros((3, 3)),
         )
         assert out.flags.f_contiguous
+
+
+class TestContractViolation:
+    """``contract_violation`` passes the reference's own answer, special
+    values included, and flags every kind of departure from it."""
+
+    @pytest.fixture()
+    def case(self, rng):
+        a = rng.standard_normal((8, 6))
+        b = rng.standard_normal((6, 5))
+        c = rng.standard_normal((8, 5))
+        a[1, 2] = np.nan
+        a[4, 0] = np.inf
+        b[0, :] = np.abs(b[0, :]) + 1.0  # row 4 of A @ B is +Inf throughout
+        c[6, 3] = -np.inf
+        return a, b, c, reference_dgemm(-1.5, a, b, 0.5, c)
+
+    def test_reference_result_passes(self, case):
+        a, b, c, out = case
+        assert np.isnan(out[1]).all() and (out[4] == -np.inf).all()
+        assert contract_violation(out, -1.5, a, b, 0.5, c) is None
+
+    def test_rounding_inside_the_bound_passes(self, case):
+        a, b, c, out = case
+        finite = np.isfinite(out)
+        bound = contract_bound(-1.5, a, b, 0.5, c)
+        nudged = out.copy()
+        nudged[finite] += 0.5 * bound[finite]
+        assert contract_violation(nudged, -1.5, a, b, 0.5, c) is None
+
+    def test_perturbed_finite_entry_is_flagged(self, case):
+        a, b, c, out = case
+        bound = contract_bound(-1.5, a, b, 0.5, c)
+        out = out.copy()
+        out[0, 0] += 4.0 * bound[0, 0]
+        found = contract_violation(out, -1.5, a, b, 0.5, c)
+        assert found is not None and "(0, 0)" in found
+
+    @pytest.mark.parametrize("where, value", [
+        ((1, 0), 0.0),        # a NaN that went missing
+        ((0, 0), np.nan),     # a NaN that appeared
+        ((4, 1), np.inf),     # an Inf with the wrong sign
+        ((6, 3), np.nan),     # an Inf that became NaN
+        ((7, 4), -np.inf),    # an Inf that appeared
+    ])
+    def test_non_finite_pattern_is_exact(self, case, where, value):
+        a, b, c, out = case
+        out = out.copy()
+        out[where] = value
+        found = contract_violation(out, -1.5, a, b, 0.5, c)
+        assert found is not None and str(where) in found
+
+    def test_shape_mismatch_is_flagged(self, case):
+        a, b, c, out = case
+        assert contract_violation(out[:-1], -1.5, a, b, 0.5, c) is not None

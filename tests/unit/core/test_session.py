@@ -66,29 +66,36 @@ class TestDgemm:
             assert second.plan_hits - first.plan_hits == 3
             assert second.allocations == first.allocations
 
-    def test_per_call_check_override(self):
+    def test_per_call_check_override(self, monkeypatch):
+        # a checker that rejects every result shows when the check runs
+        monkeypatch.setattr("repro.core.api.contract_violation",
+                            lambda *args: "rejected")
         with Session(params=PARAMS, check=False) as s:
-            a = np.full((PARAMS.b_m, PARAMS.b_k), np.nan)
+            a = np.ones((PARAMS.b_m, PARAMS.b_k))
             b = np.ones((PARAMS.b_k, PARAMS.b_n))
-            s.dgemm(a, b)            # NaNs compute fine unchecked
-            with pytest.raises(AssertionError):
+            s.dgemm(a, b)            # unchecked: the checker never runs
+            with pytest.raises(AssertionError, match="rejected"):
                 s.dgemm(a, b, check=True)
 
 
 class TestBatch:
-    def test_batch_dispatches_and_isolates_by_default(self):
-        with Session(params=PARAMS, check=True) as s:
+    def test_batch_dispatches_and_isolates_by_default(
+        self, small_memory_spec, unstageable
+    ):
+        with Session(params=PARAMS, spec=small_memory_spec) as s:
             items = mixed_batch(6, params=PARAMS, seed=4)
-            items[1] = GemmRequest(np.full_like(items[1].a, np.nan), items[1].b)
+            items[1] = unstageable
             result = s.batch(items)
             assert len(result.errors) == 1
             assert result.errors[0].index == 1
+            assert result.errors[0].kind == "MemoryError"
 
-    def test_batch_can_propagate_failures(self):
-        with Session(params=PARAMS, check=True) as s:
+    def test_batch_can_propagate_failures(self, small_memory_spec,
+                                          unstageable):
+        with Session(params=PARAMS, spec=small_memory_spec) as s:
             items = mixed_batch(3, params=PARAMS, seed=5)
-            items[0] = GemmRequest(np.full_like(items[0].a, np.nan), items[0].b)
-            with pytest.raises(AssertionError):
+            items[0] = unstageable
+            with pytest.raises(MemoryError):
                 s.batch(items, isolate_failures=False)
 
 

@@ -166,17 +166,17 @@ class TestExecution:
         assert hits + allocs == 3 * 8
         assert allocs <= 3 * 4
 
-    def test_failure_isolated_to_item(self):
-        proc = SW26010Processor()
+    def test_failure_isolated_to_item(self, small_memory_spec, unstageable):
+        proc = SW26010Processor(small_memory_spec)
         baselines = [proc.cg(g).memory.used_bytes for g in range(4)]
         items = same_shape_items(6)
-        items[2] = GemmRequest(np.full_like(items[2].a, np.nan), items[2].b)
-        scheduler = CGScheduler(proc, params=PARAMS, check=True)
+        items[2] = unstageable
+        scheduler = CGScheduler(proc, params=PARAMS)
         result = scheduler.run(items)
         assert len(result.errors) == 1
         error = result.errors[0]
         assert error.index == 2
-        assert error.kind == "AssertionError"
+        assert error.kind == "MemoryError"
         assert result.outputs[2] is None
         assert all(
             result.outputs[i] is not None for i in range(6) if i != 2
@@ -186,17 +186,20 @@ class TestExecution:
         assert CGScheduler(proc, params=PARAMS).run(same_shape_items(2)).ok
         assert [proc.cg(g).memory.used_bytes for g in range(4)] == baselines
 
-    def test_isolate_failures_false_raises(self):
+    def test_isolate_failures_false_raises(self, small_memory_spec,
+                                           unstageable):
         items = same_shape_items(3)
-        items[1] = GemmRequest(np.full_like(items[1].a, np.nan), items[1].b)
-        scheduler = CGScheduler(n_core_groups=4, params=PARAMS, check=True)
-        with pytest.raises(AssertionError):
+        items[1] = unstageable
+        scheduler = CGScheduler(n_core_groups=4, params=PARAMS,
+                                spec=small_memory_spec)
+        with pytest.raises(MemoryError):
             scheduler.run(items, isolate_failures=False)
 
-    def test_flops_count_successes_only(self):
+    def test_flops_count_successes_only(self, small_memory_spec, unstageable):
         items = same_shape_items(4)
-        items[0] = GemmRequest(np.full_like(items[0].a, np.nan), items[0].b)
-        result = CGScheduler(n_core_groups=4, params=PARAMS, check=True).run(items)
+        items[0] = unstageable
+        result = CGScheduler(n_core_groups=4, params=PARAMS,
+                             spec=small_memory_spec).run(items)
         m, n, k = PARAMS.b_m, PARAMS.b_n, PARAMS.b_k
         assert result.flops == 3 * 2 * m * n * k
 

@@ -1,8 +1,11 @@
 """Unit tests for the 4-CG extension (NoC, processor, parallel DGEMM)."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
+from repro.arch.config import DEFAULT_SPEC
 from repro.core.params import BlockingParams
 from repro.core.reference import reference_dgemm
 from repro.errors import ConfigError, MeshError, UnsupportedShapeError
@@ -133,13 +136,16 @@ class TestMultiCGDgemm:
                              check=True)
         assert out.shape == (100, 90)
 
-    def test_check_kwarg(self):
+    def test_check_kwarg(self, monkeypatch):
         m, n, k = PARAMS.b_m, 4 * PARAMS.b_n, PARAMS.b_k
         a, b, _ = gemm_operands(m, n, k, seed=10)
         dgemm_multi_cg(a, b, params=PARAMS, check=True)
-        with pytest.raises(AssertionError):
-            dgemm_multi_cg(np.full((m, k), np.nan), b, params=PARAMS,
-                           check=True)
+        # a checker that rejects every result shows when the check runs
+        monkeypatch.setattr("repro.multi.dgemm4.contract_violation",
+                            lambda *args: "rejected")
+        dgemm_multi_cg(a, b, params=PARAMS)
+        with pytest.raises(AssertionError, match="rejected"):
+            dgemm_multi_cg(a, b, params=PARAMS, check=True)
 
     def test_broadcast_operands_freed(self):
         """The 'mc.A' staging copies must not outlive the call."""
@@ -152,13 +158,15 @@ class TestMultiCGDgemm:
         assert [cg.memory.used_bytes for cg in proc.core_groups] == baselines
 
     def test_broadcast_operands_freed_on_raise(self):
-        proc = SW26010Processor()
-        baselines = [cg.memory.used_bytes for cg in proc.core_groups]
         m, n, k = PARAMS.b_m, 4 * PARAMS.b_n, PARAMS.b_k
+        # room for the broadcast copy of A (m*k doubles) on every CG,
+        # but not for CG 0's panel staging on top of it.
+        spec = replace(DEFAULT_SPEC, main_memory_bytes=12 * m * k)
+        proc = SW26010Processor(spec)
+        baselines = [cg.memory.used_bytes for cg in proc.core_groups]
         a, b, _ = gemm_operands(m, n, k, seed=12)
-        with pytest.raises(AssertionError):
-            dgemm_multi_cg(np.full((m, k), np.nan), b, params=PARAMS,
-                           processor=proc, check=True)
+        with pytest.raises(MemoryError):
+            dgemm_multi_cg(a, b, params=PARAMS, processor=proc)
         assert [cg.memory.used_bytes for cg in proc.core_groups] == baselines
 
     def test_contexts_kwarg_validated(self):

@@ -3,7 +3,6 @@
 import numpy as np
 import pytest
 
-from repro.api import GemmRequest
 from repro.core.batch import dgemm_batch
 from repro.core.params import BlockingParams
 from repro.core.session import Session
@@ -66,10 +65,11 @@ class TestRetry:
         (report,) = result.fault_reports
         assert not report.recovered and report.retries == 0
 
-    def test_deterministic_errors_not_retried(self, items):
+    def test_deterministic_errors_not_retried(self, items, small_memory_spec,
+                                              unstageable):
         bad = list(items)
-        bad[2] = GemmRequest(np.full_like(bad[2].a, np.nan), bad[2].b)
-        sched = scheduler(check=True)
+        bad[2] = unstageable
+        sched = scheduler(spec=small_memory_spec)
         result = sched.run(bad)
         assert len(result.errors) == 1 and result.errors[0].index == 2
         # no fault, no retry, no fallback -> no report

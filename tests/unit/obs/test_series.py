@@ -25,34 +25,6 @@ class TestTimeSeries:
             series.push(float(t), float(10 * t))
         assert len(series) == 3
         assert series.points() == [(2.0, 20.0), (3.0, 30.0), (4.0, 40.0)]
-        assert series.latest() == (4.0, 40.0)
-
-    def test_window_selects_trailing_points(self):
-        series = TimeSeries(8)
-        for t in range(6):
-            series.push(float(t), float(t))
-        assert series.window(2.0) == [(3.0, 3.0), (4.0, 4.0), (5.0, 5.0)]
-        assert series.window(2.0, now=10.0) == []
-
-    def test_delta_and_rate(self):
-        series = TimeSeries(8)
-        series.push(0.0, 100.0)
-        series.push(2.0, 150.0)
-        assert series.delta(10.0) == 50.0
-        assert series.rate(10.0) == 25.0
-
-    def test_rate_clamps_counter_resets(self):
-        series = TimeSeries(4)
-        series.push(0.0, 100.0)
-        series.push(1.0, 5.0)
-        assert series.rate(10.0) == 0.0
-
-    def test_underdetermined_is_zero(self):
-        series = TimeSeries(4)
-        assert series.delta(1.0) == 0.0
-        series.push(0.0, 1.0)
-        assert series.rate(1.0) == 0.0
-        assert series.latest() == (0.0, 1.0)
 
 
 class TestMetricsSampler:
@@ -73,8 +45,9 @@ class TestMetricsSampler:
         sampler.sample_once()
         source["a"] = 5
         sampler.sample_once()
-        assert sampler.names() == ("src.a", "src.b")
-        assert sampler.latest() == {"src.a": 5.0, "src.b": 2.0}
+        assert sampler.series("src.a").points() == [(0.0, 1.0), (0.0, 5.0)]
+        assert sampler.series("src.b").points() == [(0.0, 2.0), (0.0, 2.0)]
+        assert sampler.series("src.c") is None
         assert sampler.samples == 2
 
     def test_deltas_telescope_to_last_minus_first(self):
@@ -89,19 +62,6 @@ class TestMetricsSampler:
         assert [d for _, d in deltas] == [3.0, 4.0, 0.0, 13.0]
         assert sum(d for _, d in deltas) == 20.0
 
-    def test_window_delta_and_rate_lookup(self):
-        source = {"n": 0}
-        sampler = self._sampler(source)
-        clock = sampler.clock
-        for value in (0, 10, 30):
-            source["n"] = value
-            sampler.sample_once()
-            clock.now += 1.0
-        assert sampler.delta("src.n", 10.0) == 30.0
-        assert sampler.rate("src.n", 10.0) == 15.0
-        assert sampler.delta("missing", 10.0) == 0.0
-        assert sampler.rate("missing", 10.0) == 0.0
-
     def test_source_errors_counted_not_raised(self):
         registry = MetricsRegistry().register(
             "bad", lambda: (_ for _ in ()).throw(RuntimeError("boom"))
@@ -110,16 +70,6 @@ class TestMetricsSampler:
         assert sampler.sample_once() == {}
         assert sampler.errors == 1
         assert sampler.samples == 0
-
-    def test_listener_runs_and_errors_are_contained(self):
-        source = {"a": 1}
-        sampler = self._sampler(source)
-        seen = []
-        sampler.add_listener(lambda s, snap: seen.append(dict(snap)))
-        sampler.add_listener(lambda s, snap: 1 / 0)
-        sampler.sample_once()
-        assert seen == [{"src.a": 1}]
-        assert sampler.errors == 1
 
     def test_thread_lifecycle_brackets_run_with_samples(self):
         source = {"n": 0}

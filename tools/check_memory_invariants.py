@@ -34,9 +34,11 @@ it alongside the unit suite as a fast end-to-end guard.
 from __future__ import annotations
 
 import sys
+from dataclasses import replace
 
 import numpy as np
 
+from repro.arch.config import DEFAULT_SPEC
 from repro.arch.core_group import CoreGroup
 from repro.api import GemmRequest
 from repro.core.batch import dgemm_batch
@@ -119,13 +121,21 @@ def main() -> int:
           "all four CG byte budgets back to baseline")
 
     print("pool run with a failing item still restores baselines:")
+    # 16 MiB per CG holds the mixed batch but not item 3's 32 MiB B, so
+    # staging refuses that item after its A is staged (a broadcast view
+    # keeps the host copy out of it).
+    small = SW26010Processor(replace(DEFAULT_SPEC, main_memory_bytes=16 * 2**20))
+    small.cg(2).memory.store("user.resident", np.ones((16, 16)))
+    small_baselines = [small.cg(g).memory.used_bytes for g in range(4)]
     bad_items = mixed_batch(6, params=PARAMS, seed=1)
-    bad_items[3] = GemmRequest(np.full_like(bad_items[3].a, np.nan),
-                             bad_items[3].b)
-    result = CGScheduler(proc, params=PARAMS, check=True).run(bad_items)
-    check(len(result.errors) == 1 and result.errors[0].index == 3,
+    bad_items[3] = GemmRequest(np.ones((PARAMS.b_m, PARAMS.b_k)),
+                               np.broadcast_to(1.0, (PARAMS.b_k, 32768)))
+    result = CGScheduler(small, params=PARAMS).run(bad_items)
+    check(len(result.errors) == 1 and result.errors[0].index == 3
+          and result.errors[0].kind == "MemoryError",
           "failure isolated to the offending item")
-    check([proc.cg(g).memory.used_bytes for g in range(4)] == baselines,
+    check([small.cg(g).memory.used_bytes for g in range(4)]
+          == small_baselines,
           "all four CG byte budgets back to baseline after item failure")
 
     print("dgemm_multi_cg broadcast operands are freed:")
