@@ -1,11 +1,10 @@
-"""A1-A4 — regenerate the paper's ablation tables.
+"""A1-A4 — regenerate the design-choice ablation tables.
 
-These four sweeps reproduce specific tables from the paper (reside
-matrix, register tiles, b_k/b_n split, double-buffer LDM budget).
-Component-level ablation of this codebase — one-component-off runs
-over stage/engine/scheduler/retry/parallel/blocking with importance
-ranking — moved to the systematic ``repro.ablate`` harness
-(``repro-dgemm ablate``; see docs/ablation.md).
+These four sweeps study the design choices DESIGN.md calls out (reside
+matrix, register tiles, b_k/b_n split, double-buffer LDM budget).  The
+paper's own ablation, the RAW -> PE -> ROW -> DB -> SCHED ladder of
+Fig 6, is ``repro.experiments.fig6_variants``;
+``tests/integration/test_paper_claims.py`` holds its ordering.
 """
 
 from repro.experiments import ablations

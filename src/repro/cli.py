@@ -13,8 +13,6 @@ Installed as ``repro-dgemm``::
     repro-dgemm serve --smoke --metrics-out scrape.prom
     repro-dgemm metrics --items 8 --out scrape1.prom --out2 scrape2.prom
     repro-dgemm metrics --url http://127.0.0.1:9464/metrics
-    repro-dgemm ablate --items 8 --reps 3 --out ablation.json
-    repro-dgemm ablate --smoke
 
 ``--estimate-only`` skips the functional simulation and prints the
 performance model's prediction (any paper-scale size is fine there);
@@ -41,10 +39,7 @@ OpenMetrics endpoint mid-run and at shutdown (``--metrics-out`` /
 ``--metrics-out2``) for ``tools/check_metrics.py``.  The ``metrics``
 subcommand takes one-shot OpenMetrics scrapes: either of a live
 endpoint (``--url``) or of an internal sampled session run, dumping
-one scrape per output file.  The ``ablate`` subcommand
-runs the systematic one-component-off matrix (:mod:`repro.ablate`) and
-prints the importance ranking; ``--smoke`` is the CI gate asserting
-the baseline beats every stage-off config on modeled Gflop/s.
+one scrape per output file.
 """
 
 from __future__ import annotations
@@ -66,7 +61,6 @@ from repro.resil import FAULT_SITES
 from repro.workloads.matrices import gemm_operands
 
 __all__ = [
-    "build_ablate_parser",
     "build_chaos_parser",
     "build_metrics_parser",
     "build_parser",
@@ -846,88 +840,6 @@ def _run_metrics(argv: list[str]) -> int:
     return 0
 
 
-def build_ablate_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="repro-dgemm ablate",
-        description="Run the systematic ablation matrix (baseline + "
-                    "one-component-off configs) and rank component "
-                    "importance from metric deltas",
-    )
-    parser.add_argument("--items", type=int, default=8,
-                        help="batch items in the shared workload "
-                             "(default 8)")
-    parser.add_argument("--reps", type=int, default=3,
-                        help="timed batch repetitions per run (default 3)")
-    parser.add_argument("--cgs", type=int, default=4,
-                        help="pool size, 1..4 core groups (default 4)")
-    parser.add_argument(
-        "--variant", default="SCHED", choices=sorted(VARIANTS),
-        type=lambda s: s.upper(),
-        help="baseline optimization stage (default SCHED)",
-    )
-    parser.add_argument(
-        "--engine", choices=["device", "stepwise", "vectorized"],
-        default="stepwise", help="baseline engine (default stepwise)",
-    )
-    parser.add_argument("--seed", type=int, default=0)
-    parser.add_argument("--out", default=None, metavar="FILE",
-                        help="also write the JSON report here")
-    parser.add_argument("--progress", action="store_true",
-                        help="print one line per executed run")
-    parser.add_argument("--smoke", action="store_true",
-                        help="tiny matrix (6 items, 2 reps, 2 CGs) for "
-                             "CI; asserts the baseline beats every "
-                             "stage-off config on modeled Gflop/s")
-    return parser
-
-
-def _run_ablate(argv: list[str]) -> int:
-    from repro.ablate import AblationConfig, render_report, run_ablation
-
-    args = build_ablate_parser().parse_args(argv)
-    if args.smoke:
-        args.items, args.reps, args.cgs = 6, 2, 2
-    try:
-        baseline = AblationConfig(
-            variant=args.variant, engine=args.engine,
-            n_core_groups=args.cgs,
-        )
-        report = run_ablation(
-            baseline, n_items=args.items, reps=args.reps, seed=args.seed,
-            progress=print if args.progress else None,
-        )
-    except ReproError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    print(render_report(report))
-    if args.out:
-        report.save(args.out)
-        print(f"wrote JSON report to {args.out}")
-    broken = [m for m in report.metrics if m.failures]
-    if broken:
-        for m in broken:
-            print(f"error: run {m.run_id} ({m.component}={m.value}) had "
-                  f"{m.failures} failed item(s)", file=sys.stderr)
-        return 1
-    if args.smoke:
-        base = report.baseline
-        losers = [
-            m for m in report.metrics
-            if m.component == "stage"
-            and m.modeled_gflops >= base.modeled_gflops
-        ]
-        if losers:
-            for m in losers:
-                print(f"error: stage-off {m.value} reaches "
-                      f"{m.modeled_gflops:.1f} modeled Gflop/s, not below "
-                      f"the baseline's {base.modeled_gflops:.1f}",
-                      file=sys.stderr)
-            return 1
-        print("smoke gate: baseline beats every stage-off config on "
-              "modeled Gflop/s")
-    return 0
-
-
 def _params_for(args) -> BlockingParams:
     traits = VARIANTS[args.variant].traits
     if args.preset == "paper":
@@ -948,8 +860,6 @@ def main(argv: list[str] | None = None) -> int:
         return _run_serve(argv[1:])
     if argv and argv[0] == "metrics":
         return _run_metrics(argv[1:])
-    if argv and argv[0] == "ablate":
-        return _run_ablate(argv[1:])
     args = build_parser().parse_args(argv)
     params = _params_for(args)
     m = args.m if args.m is not None else 2 * params.b_m

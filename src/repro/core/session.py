@@ -108,13 +108,14 @@ class Session:
     Resilience is on by default for batches: ``retry_policy`` (two
     bit-exact retries of transiently faulted items) and
     ``fallback_engine="auto"`` (a failed vectorized item re-runs once
-    on the checked ``device`` engine) cost nothing on clean runs.  Pass
-    ``injector=`` (a :class:`repro.resil.FaultInjector`) to chaos-test:
-    it is wired through every CG's devices, batch items recover per the
-    ladder in :mod:`repro.resil`, and :meth:`resil_stats` /
-    ``result.fault_reports`` expose what happened.  Scalar
-    :meth:`dgemm` calls are *not* retried — a fault there propagates to
-    the caller.
+    on the checked ``device`` engine, unless it failed with a
+    ``MemoryError``, which no engine avoids) cost nothing on clean
+    runs.  Pass ``injector=`` (a :class:`repro.resil.FaultInjector`)
+    to chaos-test: it is wired through every CG's devices, batch items
+    recover per the ladder in :mod:`repro.resil`, and
+    :meth:`resil_stats` / ``result.fault_reports`` expose what
+    happened.  Scalar :meth:`dgemm` calls are *not* retried — a fault
+    there propagates to the caller.
     """
 
     def __init__(
@@ -133,7 +134,6 @@ class Session:
         injector: FaultInjector | None = None,
         retry_policy: RetryPolicy | None = DEFAULT_RETRY_POLICY,
         fallback_engine: str | None = "auto",
-        policy: str = "binned",
     ) -> None:
         self.tracer = ensure_tracer(tracer)
         self.variant = str(variant).upper()
@@ -160,7 +160,6 @@ class Session:
             injector=injector,
             retry_policy=retry_policy,
             fallback_engine=fallback_engine,
-            policy=policy,
         )
         #: the scheduler's pool-wide plan cache, shared by scalar calls
         #: too — one compiled plan serves both entry points.

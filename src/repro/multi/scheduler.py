@@ -102,17 +102,9 @@ __all__ = [
     "CGScheduler",
     "CGTraffic",
     "ItemError",
-    "POLICIES",
     "SchedulePlan",
     "ScheduleResult",
 ]
-
-#: dispatch policies accepted by ``CGScheduler(policy=...)``:
-#: ``"binned"`` is the shape-affine least-loaded dispatch described in
-#: the module docstring; ``"round_robin"`` ignores shape affinity and
-#: modeled load entirely (items go to ``idx % pool``) — it exists as
-#: the ablation baseline that quantifies what binning buys.
-POLICIES = ("binned", "round_robin")
 
 
 @dataclass(frozen=True)
@@ -410,7 +402,6 @@ class CGScheduler:
         retry_policy: RetryPolicy | None = None,
         fallback_engine: str | None = None,
         plan_cache: PlanCache | None = None,
-        policy: str = "binned",
     ) -> None:
         self.processor = processor or SW26010Processor(spec)
         self.tracer = ensure_tracer(tracer)
@@ -423,12 +414,6 @@ class CGScheduler:
         self.n_core_groups = pool
         self.variant = str(variant).upper()
         self.engine = check_engine(engine)
-        self.policy = str(policy).lower()
-        if self.policy not in POLICIES:
-            raise ConfigError(
-                f"unknown dispatch policy {policy!r} "
-                f"(expected one of {', '.join(POLICIES)})"
-            )
         self.params = params or get_variant(self.variant).default_params()
         self.pad = pad
         self.check = check
@@ -608,32 +593,22 @@ class CGScheduler:
         self,
         shapes: Sequence[tuple[int, int, int]],
         params_list: Sequence[BlockingParams] | None = None,
-        policy: str | None = None,
     ) -> SchedulePlan:
         """Plan a batch given only its (m, n, k) shapes.
 
-        Dispatch rule under the default ``"binned"`` policy, per item in
-        stream order: a shape already binned goes to its bin's CG —
-        unless that CG is ahead of the least-loaded one by more than
-        this item's own modeled cost, in which case the bin spills (and
-        re-homes) to the least-loaded CG.  A new shape always starts on
-        the least-loaded CG.  Affinity keeps the staging-plan cache
-        hot; the spill bound keeps a single dominant shape from
-        serializing the whole pool.  The ``"round_robin"`` policy
-        ignores affinity and load (item ``i`` goes to CG ``i % pool``)
-        — the ablation baseline for what binning buys.
+        Dispatch rule, per item in stream order: a shape already binned
+        goes to its bin's CG — unless that CG is ahead of the
+        least-loaded one by more than this item's own modeled cost, in
+        which case the bin spills (and re-homes) to the least-loaded
+        CG.  A new shape always starts on the least-loaded CG.
+        Affinity keeps the staging-plan cache hot; the spill bound
+        keeps a single dominant shape from serializing the whole pool.
 
         ``params_list`` supplies per-item blocking (defaults to the
         scheduler's own); bins are keyed on (padded shape, params), so
         two items padding identically under *different* blocking do not
         share staging-plan affinity they cannot actually exploit.
         """
-        policy = self.policy if policy is None else str(policy).lower()
-        if policy not in POLICIES:
-            raise ConfigError(
-                f"unknown dispatch policy {policy!r} "
-                f"(expected one of {', '.join(POLICIES)})"
-            )
         loads = [0.0] * self.n_core_groups
         bins: dict[tuple, int] = {}
         assignments: list[int] = []
@@ -642,17 +617,11 @@ class CGScheduler:
             params = params_list[idx] if params_list is not None else self.params
             key = (params.pad_shape(m, n, k), params)
             seconds = self.modeled_item_seconds(m, n, k, params=params)
-            if policy == "round_robin":
-                home = idx % self.n_core_groups
+            lightest = min(range(self.n_core_groups), key=loads.__getitem__)
+            home = bins.get(key)
+            if home is None or loads[home] - loads[lightest] > seconds:
+                home = lightest
                 bins[key] = home
-            else:
-                lightest = min(
-                    range(self.n_core_groups), key=loads.__getitem__
-                )
-                home = bins.get(key)
-                if home is None or loads[home] - loads[lightest] > seconds:
-                    home = lightest
-                    bins[key] = home
             loads[home] += seconds
             assignments.append(home)
             item_seconds.append(seconds)
@@ -1056,10 +1025,14 @@ class CGScheduler:
                     ):
                         pass
                     continue
+                # a ``MemoryError`` (staging past the CG's main memory,
+                # or an LDM overflow) fails the same way on every
+                # engine, so it skips the fallback rung.
                 if (
                     self.fallback_engine is not None
                     and task.fallback_used is None
                     and task.engine != self.fallback_engine
+                    and not isinstance(exc, MemoryError)
                 ):
                     task.fallback_used = self.fallback_engine
                     task.engine = self.fallback_engine

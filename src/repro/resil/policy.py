@@ -13,7 +13,8 @@ The recovery ladder (applied per batch item, in order):
 2. **Fallback engine** — when retries exhaust and the scheduler has a
    ``fallback_engine`` (a :class:`~repro.core.session.Session` batch
    falls back from ``vectorized`` to ``device``), the item runs once
-   more on that engine.
+   more on that engine.  A ``MemoryError`` skips this rung: staging
+   that does not fit the CG fails the same way on every engine.
 3. **Quarantine** — a whole-CG fault (site ``"cg"``) marks the core
    group unhealthy for the rest of the run; its queued items respill to
    the least-loaded healthy CG.  Load-balance statistics then count

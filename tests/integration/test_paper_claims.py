@@ -8,6 +8,9 @@ fail if a calibration constant or model change breaks the reproduction.
 import pytest
 
 from repro.arch.config import DEFAULT_SPEC
+from repro.core.params import BlockingParams
+from repro.core.session import Session
+from repro.core.variants import VARIANTS
 from repro.experiments import (
     fig4_dma_bandwidth,
     fig6_variants,
@@ -15,6 +18,7 @@ from repro.experiments import (
     sched_profile,
     table_blocksize,
 )
+from repro.workloads.matrices import mixed_batch
 
 
 @pytest.fixture(scope="module")
@@ -38,6 +42,24 @@ class TestFigure6:
             series = [fig6.gflops[v][idx] for v in ("RAW", "PE", "ROW", "DB", "SCHED")]
             assert series == sorted(series)
             assert len(set(series)) == 5
+
+    def test_session_batch_orders_the_ladder(self):
+        """The ladder holds end to end: a small mixed batch run through
+        ``Session.batch`` on a 2-CG pool reaches strictly more modeled
+        Gflop/s at each optimization step."""
+        items = mixed_batch(6, seed=0)
+        gflops = []
+        for variant in ("RAW", "PE", "ROW", "DB", "SCHED"):
+            params = BlockingParams(
+                16, 8, 16,
+                double_buffered=VARIANTS[variant].traits.double_buffered,
+            )
+            with Session(variant=variant, params=params,
+                         n_core_groups=2) as session:
+                result = session.batch(items)
+            assert not result.errors
+            gflops.append(result.flops / result.makespan_seconds / 1e9)
+        assert all(lo < hi for lo, hi in zip(gflops, gflops[1:])), gflops
 
     def test_sched_peak_95pct(self, fig6):
         """Paper: 706.1 Gflop/s = 95% of peak."""

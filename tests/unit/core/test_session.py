@@ -98,6 +98,16 @@ class TestBatch:
             with pytest.raises(MemoryError):
                 s.batch(items, isolate_failures=False)
 
+    def test_memory_error_skips_engine_fallback(self, small_memory_spec,
+                                                unstageable):
+        # staging fails the same way on every engine, so re-running the
+        # item on the device fallback would only repeat the failure
+        with Session(params=PARAMS, spec=small_memory_spec) as s:
+            result = s.batch([unstageable])
+            assert [e.kind for e in result.errors] == ["MemoryError"]
+            assert result.fault_reports == ()
+            assert s.resil_stats()["fallbacks"] == 0
+
 
 class TestUnknownEngine:
     """Unknown engine names fail where they are given; the device

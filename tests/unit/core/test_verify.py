@@ -1,7 +1,9 @@
 """Unit tests for the verification battery."""
 
+import numpy as np
 import pytest
 
+from repro.core import verify
 from repro.core.verify import verify_variants
 
 
@@ -24,13 +26,27 @@ class TestVerifyVariants:
         worst = report.worst
         assert worst.max_abs_error == max(c.max_abs_error for c in report.cases)
 
-    def test_tight_atol_fails(self):
+    def test_perturbed_result_fails(self, monkeypatch):
+        real = verify.dgemm
+
+        def perturbed_dgemm(*args, **kwargs):
+            out = real(*args, **kwargs)
+            out[0] += 1e-3 * np.abs(out[0]) + 1e-3
+            return out
+
+        monkeypatch.setattr(verify, "dgemm", perturbed_dgemm)
+        report = verify_variants(variants=("SCHED",), grids=((1, 1, 1),))
+        assert report.failures() == list(report.cases)
+        assert report.worst.max_abs_error > 1e-3
+
+    def test_large_alpha_judged_by_contract(self):
+        # the absolute error grows with alpha but stays inside the
+        # contract's componentwise bound, so the case passes
         report = verify_variants(
-            variants=("SCHED",), grids=((1, 1, 1),), atol=0.0
+            variants=("SCHED",), grids=((1, 1, 1),), scalars=((1e6, 0.0),)
         )
-        # float accumulation order differs from numpy: exact zero error
-        # is not achievable, so the battery must report failures
-        assert not report.all_passed
+        assert report.worst.max_abs_error > 1e-9
+        assert report.all_passed
 
     def test_seed_changes_operands(self):
         r1 = verify_variants(variants=("PE",), grids=((1, 1, 1),),

@@ -1,8 +1,8 @@
-"""Per-item blocking overrides and dispatch policies on the scheduler.
+"""Per-item blocking overrides on the scheduler.
 
 Covers the ``blocking=`` pass-through from ``Session.batch`` to
-``CGScheduler`` (validation errors name the offending item index, the
-``dgemm_batch`` convention) and the ``round_robin`` ablation policy.
+``CGScheduler``; validation errors name the offending item index, the
+``dgemm_batch`` convention.
 """
 
 import numpy as np
@@ -13,7 +13,6 @@ from repro.core.params import BlockingParams
 from repro.core.session import Session
 from repro.errors import ConfigError
 from repro.multi import CGScheduler
-from repro.multi.scheduler import POLICIES
 from repro.workloads.matrices import gemm_operands
 
 PARAMS = BlockingParams.small(double_buffered=True)
@@ -90,27 +89,3 @@ class TestBatchOverrides:
         for item, out in zip(items, result.outputs):
             want = np.asarray(item.a) @ np.asarray(item.b)
             np.testing.assert_allclose(out, want, rtol=1e-10)
-
-
-class TestPolicies:
-    def test_policies_constant(self):
-        assert POLICIES == ("binned", "round_robin")
-
-    def test_unknown_policy_rejected(self):
-        with pytest.raises(ConfigError, match="policy"):
-            CGScheduler(n_core_groups=2, policy="lifo")
-
-    def test_round_robin_assignment(self):
-        scheduler = CGScheduler(n_core_groups=2, policy="round_robin")
-        plan = scheduler.plan_shapes(SHAPES)
-        assert list(plan.assignments) == [0, 1, 0]
-
-    def test_round_robin_matches_binned_bitwise(self):
-        items = items_of(SHAPES)
-        with Session(n_core_groups=2, policy="round_robin") as session:
-            rr = session.batch(items)
-        with Session(n_core_groups=2, policy="binned") as session:
-            binned = session.batch(items)
-        for got, want in zip(rr.outputs, binned.outputs):
-            assert np.array_equal(got, want)
-

@@ -5,7 +5,6 @@ import json
 import pytest
 
 from repro.cli import (
-    build_ablate_parser,
     build_chaos_parser,
     build_metrics_parser,
     build_parser,
@@ -264,28 +263,3 @@ class TestMetrics:
         assert main(["metrics", "--items", "2"]) == 0
         out = capsys.readouterr().out
         assert "# EOF" in out
-
-
-class TestAblate:
-    def test_parser_defaults(self):
-        args = build_ablate_parser().parse_args([])
-        assert args.items == 8
-        assert args.reps == 3
-        assert args.cgs == 4
-        assert args.variant == "SCHED"
-        assert args.engine == "stepwise"
-        assert not args.smoke
-
-    def test_small_run_renders_report(self, capsys, tmp_path):
-        out = tmp_path / "ablation.json"
-        assert main(["ablate", "--items", "4", "--reps", "1",
-                     "--cgs", "2", "--out", str(out)]) == 0
-        stdout = capsys.readouterr().out
-        assert "ablation report" in stdout
-        assert "importance" in stdout
-        payload = json.loads(out.read_text())
-        assert payload["version"] == 1
-        assert payload["baseline"]["component"] == "baseline"
-        components = {r["component"] for r in payload["runs"]}
-        assert "stage" in components and "blocking" in components
-
