@@ -80,8 +80,22 @@ def apply_trans(name: str, flag: str, array: np.ndarray) -> np.ndarray:
 
 
 def _hash_array(digest: "hashlib._Hash", array: np.ndarray) -> None:
-    digest.update(str(array.shape).encode())
-    digest.update(np.ascontiguousarray(array, dtype=np.float64).tobytes())
+    """Feed one operand's shape, memory layout and bytes to ``digest``.
+
+    A float64 operand that is C- or Fortran-contiguous is hashed
+    through its own buffer, with no copy; the layout tag keeps a
+    Fortran-ordered ``A`` apart from a C-ordered array holding the
+    bytes of ``A.T``.  Any other operand takes one conversion copy to
+    C-ordered float64 and so hashes like that copy.
+    """
+    if array.dtype != np.float64 or not (
+        array.flags.c_contiguous or array.flags.f_contiguous
+    ):
+        array = np.ascontiguousarray(array, dtype=np.float64)
+    layout = "C" if array.flags.c_contiguous else "F"
+    digest.update(f"{array.shape}|{layout}".encode())
+    # a Fortran-ordered buffer is the C-ordered buffer of the transpose
+    digest.update((array if layout == "C" else array.T).data)
 
 
 # -- requests -----------------------------------------------------------

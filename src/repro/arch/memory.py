@@ -112,10 +112,12 @@ class MainMemory:
         single host-side copy — never the ``asfortranarray`` +
         ``copy`` double copy).
 
-        ``rows``/``cols`` stage into a larger zero-padded target region
-        (the ``pad=True`` path of :func:`repro.core.api.dgemm`), with
-        ``array`` in the top-left corner.  ``array=None`` stores zeros;
-        :meth:`allocate` is the sugar for that.
+        ``rows``/``cols`` stage into a larger zero-padded target region,
+        with ``array`` in the top-left corner: the ``pad=True`` path of
+        :func:`repro.core.api.dgemm` on the engines that read the zeros
+        (``device``, ``stepwise``, RAW); the fused engine stages logical
+        extents and keeps the padding in its model.  ``array=None``
+        stores zeros; :meth:`allocate` is the sugar for that.
         """
         if self.injector is not None:
             # chaos fire point, before any resident byte changes — an

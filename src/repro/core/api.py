@@ -13,6 +13,12 @@ host-side copy, and every staged handle is freed when the scope exits —
 including when a variant raises — so ``MainMemory.used_bytes`` always
 returns to its pre-call baseline.  Pass ``context=`` to share staging
 plans across calls (the batched hot path).
+
+Padding is a fact of the modeled device.  The engine decides how much
+of it the host holds (:meth:`~repro.core.engine.Engine.needs_padded_staging`):
+the fused ``vectorized`` engine stages the shared variants' operands at
+their logical extents and only books the padded block grid, while
+``device``, ``stepwise`` and RAW stage zero-padded operands.
 """
 
 from __future__ import annotations
@@ -104,9 +110,13 @@ def dgemm(
         the handles are freed.  Mutually consistent with
         ``core_group`` (they must name the same device).
     pad:
-        zero-pad dimensions up to the CG block factors instead of
-        raising :class:`~repro.errors.UnsupportedShapeError` — an
-        extension beyond the paper, which only handles exact multiples.
+        run a shape that is not a multiple of the CG block factors on
+        the padded block grid instead of raising
+        :class:`~repro.errors.UnsupportedShapeError` (raised before
+        anything is staged) — an extension beyond the paper, which only
+        handles exact multiples.  The statistics always book the padded
+        grid; the zeros are materialized in main memory only for
+        ``device``, ``stepwise`` and RAW.
     check:
         verify the result against the engine contract
         (:func:`~repro.core.reference.contract_violation`: NaN and Inf
@@ -150,7 +160,15 @@ def dgemm(
     if c is not None:
         c = np.asarray(c, dtype=np.float64)
 
-    pm, pn, pk = (params.pad_shape(m, n, k) if pad else (m, n, k))
+    if eng.needs_padded_staging(impl):
+        pm, pn, pk = params.pad_shape(m, n, k) if pad else (m, n, k)
+    else:
+        # the engine clips to the logical extents and books the padded
+        # grid itself, so the paper's shape rule is checked here, before
+        # anything is staged
+        if not pad:
+            params.check_shape(m, n, k)
+        pm, pn, pk = m, n, k
 
     tracer = ensure_tracer(tracer)
     pc = default_plan_cache() if plan_cache is None else plan_cache

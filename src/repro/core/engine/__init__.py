@@ -9,7 +9,9 @@ exchanges strips, in what order tiles multiply.  An **engine** decides
     the throughput path: the eight sharing steps of a strip
     multiplication collapse into one BLAS panel product on strided
     views of the operands in main memory, with the DMA/register-
-    communication statistics booked analytically.
+    communication statistics booked analytically.  Padding is counted
+    in the model only: the shared variants' operands are staged and
+    multiplied at their logical extents.
 
 ``device`` (:class:`DeviceEngine`)
     the fidelity path: every per-CPE DMA transfer, register-network
@@ -22,6 +24,10 @@ exchanges strips, in what order tiles multiply.  An **engine** decides
     ``(64, rows, cols)`` stack and each sharing step's 64 tile
     multiplies run as one batched ``np.matmul``, through cached
     :class:`~repro.core.engine.plans.IndexPlan`\\ s.
+
+``device`` and ``stepwise`` (and RAW on any engine) read whole padded
+blocks, so ``pad=True`` materializes the zeros in main memory for them
+(:meth:`Engine.needs_padded_staging`).
 
 The engines mutate C in core-group main memory and are
 interchangeable behind the ``engine=`` keyword of

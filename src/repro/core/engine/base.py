@@ -58,5 +58,17 @@ class Engine(ABC):
         product.
         """
 
+    def needs_padded_staging(self, impl: "GEMMVariant") -> bool:
+        """Whether ``impl`` on this engine reads zero padding from memory.
+
+        Per-CPE tiles and stacked-tile reshapes walk whole padded
+        blocks, so :func:`repro.core.api.dgemm` stages ``pad=True``
+        operands at the padded shape for them.  An engine that computes
+        on views of main memory and clips edge panels to the logical
+        extents returns ``False``: padding is then a fact of the model
+        only, booked in the statistics but never materialized.
+        """
+        return True
+
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"{type(self).__name__}()"

@@ -15,6 +15,10 @@ collapse into one blocked ``C_panel += alpha * A_panel @ B_panel`` on
 strided views of the operands in main memory, one BLAS call per
 (j, l) panel, with zero intermediate copies.  Only the floating-point
 summation *order* inside a k-panel differs from the device engine.
+Padding is a fact of the model on this path: operands are staged at
+their logical extents, the edge panels are clipped to them, and the
+statistics still book the padded block grid.  RAW's 8-panel reshapes
+are the exception and run on zero-padded operands.
 
 :class:`StepwiseEngine` (``"stepwise"``) is the literal mesh-wide
 formulation, executed through a compiled
@@ -117,6 +121,11 @@ class VectorizedEngine(Engine):
 
     name = "vectorized"
 
+    def needs_padded_staging(self, impl) -> bool:
+        # the panel products clip to the logical extents; RAW's 8-panel
+        # reshapes need whole padded panels
+        return not impl.traits.shared
+
     def run(
         self,
         impl,
@@ -147,8 +156,12 @@ class VectorizedEngine(Engine):
         if not impl.traits.double_buffered and params.double_buffered:
             raise ValueError(f"{name} is a single-buffered variant")
         params.validate(cg.spec)
-        m, n, k = check_gemm_shapes(a, b, c)
-        grid = params.check_shape(m, n, k)
+        shape = check_gemm_shapes(a, b, c)
+        # logically staged operands run on the padded block grid the
+        # model books (``pad_shape`` is the identity on block multiples)
+        modeled = (shape if self.needs_padded_staging(impl)
+                   else params.pad_shape(*shape))
+        grid = params.check_shape(*modeled)
         cg.reset_cpes()
         cg.mpe.spawn(cg.spec.n_cpes)
         mapping = impl.mapping_cls(params)
@@ -158,7 +171,7 @@ class VectorizedEngine(Engine):
         # and the cumulative statistics still match the device path
         # exactly.
         self._run_shared(impl, cg, a, b, c, alpha, beta, params, mapping,
-                         grid, (m, n, k), tracer, plan_cache)
+                         grid, shape, tracer, plan_cache)
 
     # -- the blocked, shared variants (PE / ROW / DB / SCHED) -----------
 
@@ -172,28 +185,34 @@ class VectorizedEngine(Engine):
         memory.  The product lands in a transposed scratch (computed as
         ``B^T A^T``) so both the matmul output and the C accumulation
         run over column-major-aligned memory.
+
+        ``shape`` is the logical ``(m, n, k)`` and ``grid`` the padded
+        block grid: edge panels are clipped to the logical extents,
+        while the tallies book every padded block.
         """
         grid_m, grid_n, grid_k = grid
+        m, n, k = shape
         b_n, b_k = params.b_n, params.b_k
         a_v = cg.memory.array(a)
         b_v = cg.memory.array(b)
         c_v = cg.memory.array(c)
-        res_t = np.empty((b_n, shape[0]))
+        res_t = np.empty((b_n, m))
         meter = cg_meter(cg)
         for j in range(grid_n):
-            jb = slice(j * b_n, (j + 1) * b_n)
+            jb = slice(j * b_n, min((j + 1) * b_n, n))
+            res_j = res_t[:jb.stop - jb.start]
             for l in range(grid_k):
-                lb = slice(l * b_k, (l + 1) * b_k)
+                lb = slice(l * b_k, min((l + 1) * b_k, k))
                 with tracer.span("strip_mult", cat="kernel", meter=meter,
                                  j=j, l=l), fault_phase(cg.injector, "kernel"):
                     _fire(cg, "compute")
                     _fire(cg, "dma.get")
                     if l == 0 and beta != 1.0:
                         c_v[:, jb] *= beta
-                    np.matmul(b_v[lb, jb].T, a_v[:, lb].T, out=res_t)
+                    np.matmul(b_v[lb, jb].T, a_v[:, lb].T, out=res_j)
                     if alpha != 1.0:
-                        res_t *= alpha
-                    c_v[:, jb] += res_t.T
+                        res_j *= alpha
+                    c_v[:, jb] += res_j.T
                     mapping.tally_load_b(cg)
                     for _ in range(grid_m):
                         _fire(cg, "dma.get")
@@ -297,6 +316,9 @@ class StepwiseEngine(VectorizedEngine):
     """
 
     name = "stepwise"
+
+    def needs_padded_staging(self, impl) -> bool:
+        return True  # the tile stacks copy whole padded blocks
 
     def _run_shared(self, impl, cg, a, b, c, alpha, beta, params, mapping,
                     grid, shape, tracer, plan_cache) -> None:

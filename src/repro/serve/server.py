@@ -150,6 +150,12 @@ def _check_fits(shape: tuple[int, int, int], budget: int) -> None:
     <repro.api.GemmRequest.content_hash>` keeps the event loop from
     materializing an operand (a broadcast view, say) that staging
     would refuse anyway.
+
+    The bound is the logical footprint, which is what the default
+    ``vectorized`` engine stages: padding stays in its model.  A request
+    run with ``SubmitOptions(engine="device")`` (or ``"stepwise"``)
+    still stages the padded shape, so it can pass this check and fail
+    staging with ``MemoryError``.
     """
     m, n, k = shape
     need = 8 * (m * k + k * n + m * n)

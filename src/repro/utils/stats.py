@@ -27,6 +27,7 @@ from ``self`` unchanged.
 from __future__ import annotations
 
 import dataclasses
+import functools
 import numbers
 import typing
 
@@ -44,6 +45,16 @@ def _combine(mine, theirs, sign: int):
     if isinstance(mine, numbers.Number):
         return mine + sign * theirs
     return mine
+
+
+@functools.cache
+def _field_hints(cls: type) -> dict:
+    """``cls``'s resolved field annotations, evaluated once per class.
+
+    The hints, not a zero instance, are what is cached: a ``dict`` field
+    must be a fresh object in every :meth:`StatsProtocol.zero` result.
+    """
+    return typing.get_type_hints(cls)
 
 
 def _zero_value(field_type):
@@ -96,7 +107,7 @@ class StatsProtocol:
     @classmethod
     def zero(cls):
         """The additive identity for :meth:`plus` / :meth:`delta`."""
-        hints = typing.get_type_hints(cls)
+        hints = _field_hints(cls)
         return cls(
             **{f.name: _zero_value(hints[f.name]) for f in dataclasses.fields(cls)}
         )

@@ -53,3 +53,14 @@ def unstageable() -> GemmRequest:
     staged, on every engine.  B is a broadcast view, so the host never
     holds those 32 MiB."""
     return GemmRequest(np.ones((128, 128)), np.broadcast_to(1.0, (128, 32768)))
+
+
+@pytest.fixture()
+def fits_only_logically() -> tuple[SW26010Spec, GemmRequest]:
+    """A 4 MiB CG and a GEMM that fits it only unpadded: A 128x769 and
+    B 769x256 take 2.6 MB, but SCHED's paper blocking pads k to 1536
+    (5.0 MB).  The default engine stages the logical extents."""
+    rng = np.random.default_rng(27)
+    request = GemmRequest(rng.standard_normal((128, 769)),
+                          rng.standard_normal((769, 256)))
+    return replace(SW26010Spec(), main_memory_bytes=4 * 2**20), request

@@ -98,6 +98,16 @@ class TestBatch:
             with pytest.raises(MemoryError):
                 s.batch(items, isolate_failures=False)
 
+    def test_operands_that_fit_logically_are_served(self,
+                                                    fits_only_logically):
+        # padding is booked by the model, not staged, so the batch fits
+        spec, request = fits_only_logically
+        with Session(spec=spec) as s:
+            result = s.batch([request])
+            assert result.errors == ()
+            np.testing.assert_allclose(result.outputs[0],
+                                       request.a @ request.b, atol=1e-9)
+
     def test_memory_error_skips_engine_fallback(self, small_memory_spec,
                                                 unstageable):
         # staging fails the same way on every engine, so re-running the

@@ -35,6 +35,15 @@ class TestProtocolUniform:
             else:
                 assert value == 0
 
+    def test_zero_results_share_no_mutable_field(self, cls):
+        # zero() caches the type hints, never an instance
+        first, second = cls.zero(), cls.zero()
+        assert first is not second
+        for f in dataclasses.fields(cls):
+            value = getattr(first, f.name)
+            if isinstance(value, (dict, StatsProtocol)):
+                assert value is not getattr(second, f.name)
+
     def test_as_dict_covers_every_field(self, cls):
         assert set(cls.zero().as_dict()) == {
             f.name for f in dataclasses.fields(cls)

@@ -123,6 +123,20 @@ class TestRequestPath:
 
         run(scenario())
 
+    def test_operands_that_fit_logically_are_served(self,
+                                                    fits_only_logically):
+        """Admission counts logical bytes, and so does staging on the
+        default engine: a request admitted is a request that stages."""
+        async def scenario():
+            spec, request = fits_only_logically
+            async with ReproServer(spec=spec, n_core_groups=1) as server:
+                result = await server.submit(request)
+                assert result.ok, result.error
+                np.testing.assert_allclose(result.value,
+                                           request.a @ request.b, atol=1e-9)
+
+        run(scenario())
+
     def test_conv_request_folds_to_feature_maps(self):
         async def scenario():
             rng = np.random.default_rng(1)

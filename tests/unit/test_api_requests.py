@@ -1,7 +1,10 @@
 """Unit tests for the typed request/response surface (repro.api)."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.api import (
     ConvRequest,
@@ -21,6 +24,21 @@ from repro.errors import ConfigError, UnsupportedShapeError
 from repro.multi.dgemm4 import dgemm_multi_cg
 
 PARAMS = BlockingParams.small(double_buffered=True)
+
+LAYOUTS = st.sampled_from(["C", "F", "strided", "int"])
+
+
+def _in_layout(x: np.ndarray, layout: str) -> np.ndarray:
+    """``x``'s values in one memory layout or dtype."""
+    if layout == "C":
+        return np.ascontiguousarray(x)
+    if layout == "F":
+        return np.asfortranarray(x)
+    if layout == "int":
+        return x.astype(np.int64)
+    wide = np.zeros((x.shape[0], 2 * x.shape[1]))
+    wide[:, ::2] = x
+    return wide[:, ::2]  # a non-contiguous view
 
 
 class TestGemmRequest:
@@ -90,6 +108,57 @@ class TestContentHash:
             LuRequest(a=a).content_hash()
             != GemmRequest(a=a, b=a).content_hash()
         )
+
+    def test_layout_is_part_of_the_hash(self):
+        # same bytes and shape, different matrices: A and A.T
+        a = np.asfortranarray(np.arange(16.0).reshape(4, 4))
+        a_t = np.ascontiguousarray(a.T)
+        assert a.ravel(order="K").tobytes() == a_t.ravel(order="K").tobytes()
+        b = np.ones((4, 2))
+        assert (GemmRequest(a=a, b=b).content_hash()
+                != GemmRequest(a=a_t, b=b).content_hash())
+
+    @settings(max_examples=80, deadline=None)
+    @given(m=st.integers(1, 6), n=st.integers(1, 6), k=st.integers(1, 6),
+           layouts=st.tuples(LAYOUTS, LAYOUTS, LAYOUTS, LAYOUTS),
+           which=st.sampled_from("ab"), data=st.data())
+    def test_one_element_apart_never_share_a_hash(self, m, n, k, layouts,
+                                                  which, data):
+        rng = np.random.default_rng(m * 100 + n * 10 + k)
+        a = rng.integers(-9, 9, (m, k)).astype(np.float64)
+        b = rng.integers(-9, 9, (k, n)).astype(np.float64)
+        changed = (a if which == "a" else b).copy()
+        i = data.draw(st.integers(0, changed.shape[0] - 1))
+        j = data.draw(st.integers(0, changed.shape[1] - 1))
+        changed[i, j] += 1.0  # integral, so the "int" layout keeps it
+        a2, b2 = (changed, b) if which == "a" else (a, changed)
+        la, lb, la2, lb2 = layouts
+        first = GemmRequest(a=_in_layout(a, la), b=_in_layout(b, lb))
+        second = GemmRequest(a=_in_layout(a2, la2), b=_in_layout(b2, lb2))
+        assert first.content_hash() != second.content_hash()
+
+    def test_converted_operands_hash_like_their_float64_copy(self):
+        # ints and non-contiguous views take one conversion copy to
+        # C-ordered float64, so their cache keys are that copy's
+        ints = np.arange(12).reshape(4, 3)
+        view = np.arange(24.0).reshape(4, 6)[:, ::2]
+        b = np.ones((3, 2))
+        for a in (ints, np.asfortranarray(ints), view):
+            copy = np.ascontiguousarray(a, dtype=np.float64)
+            assert (GemmRequest(a=a, b=b).content_hash()
+                    == GemmRequest(a=copy, b=b).content_hash())
+
+    def test_contiguous_float64_hashes_without_copies(self):
+        a = np.asfortranarray(
+            np.random.default_rng(0).standard_normal((768, 768)))
+        request = GemmRequest(a=a, b=a)
+        tracemalloc.start()
+        try:
+            request.content_hash()
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < a.nbytes // 4
 
 
 class TestLuRequest:

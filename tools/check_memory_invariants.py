@@ -20,12 +20,16 @@ guarantees the ExecutionContext refactor made contractual:
 6. the execution-plan cache keeps its resident bytes within the
    LDM-derived budget while in use (evicting LRU signatures when a
    tiny budget forces it) and drains to zero plans / zero bytes on
-   ``Session.close()`` / ``CGScheduler.close()``.
+   ``Session.close()`` / ``CGScheduler.close()``,
+7. padding lives in the model: a padded odd-shape dgemm on a fresh
+   CoreGroup peaks at the logical footprint on the fused
+   ``vectorized`` engine and at the padded footprint on ``device`` and
+   ``stepwise``, whose per-CPE tiles read the zeros.
 
 The single-CG checks run under **all three execution engines** (device,
-vectorized and stepwise): staging is engine-independent, so the
-lifecycle guarantees must hold identically whichever engine executes
-the multiply.
+vectorized and stepwise): the lifecycle guarantees must hold
+identically whichever engine executes the multiply, even though the
+staged footprint differs by engine.
 
 Exits non-zero with a diagnostic on the first violation, so CI can run
 it alongside the unit suite as a fast end-to-end guard.
@@ -83,6 +87,18 @@ def main() -> int:
         a2, b2, _ = gemm_operands(100, 30, 50, seed=1)
         dgemm(a2, b2, params=PARAMS, core_group=cg, pad=True, engine=engine)
         check(cg.memory.used_bytes == baseline, "used_bytes back to baseline")
+        fresh = CoreGroup()
+        dgemm(a2, b2, params=PARAMS, core_group=fresh, pad=True,
+              engine=engine)
+        if engine == "vectorized":
+            extents, what = (100, 30, 50), "logical"
+        else:
+            extents, what = PARAMS.pad_shape(100, 30, 50), "padded"
+        m, n, k = extents
+        want = 8 * (m * k + k * n + m * n)
+        check(fresh.memory.peak_bytes == want,
+              f"staging peaks at the {what} footprint "
+              f"(got {fresh.memory.peak_bytes} B, want {want} B)")
 
         print(f"same-shape batch reuses staging allocations [{engine} engine]:")
         items = [
