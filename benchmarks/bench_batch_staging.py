@@ -13,9 +13,10 @@ import pytest
 
 from repro.arch.core_group import CoreGroup
 from repro.api import GemmRequest
-from repro.core.batch import dgemm_batch
 from repro.core.context import ExecutionContext
 from repro.core.params import BlockingParams
+from repro.multi.processor import SW26010Processor
+from repro.multi.scheduler import CGScheduler
 from repro.workloads.matrices import gemm_operands
 
 PARAMS = BlockingParams.small(double_buffered=True)
@@ -52,13 +53,14 @@ def test_batch_staging_warm_context(benchmark, show):
     assert stats.in_place_stores == 3 * (ITEMS - 1)
 
 
-def test_batch_staging_counters_via_dgemm_batch(show):
+def test_batch_staging_counters_via_scheduler(show):
     """The same reuse holds through the public batch entry point."""
-    cg = CoreGroup()
-    dgemm_batch(make_items(), params=PARAMS, core_group=cg)
-    stats = cg.memory.stats
+    proc = SW26010Processor()
+    with CGScheduler(proc, n_core_groups=1, params=PARAMS) as scheduler:
+        scheduler.run(make_items())
+    stats = proc.cg(0).memory.stats
     show(
-        f"dgemm_batch, {ITEMS} same-shape items: "
+        f"1-CG CGScheduler, {ITEMS} same-shape items: "
         f"{stats.allocations} allocations, "
         f"{stats.in_place_stores} in-place restores"
     )

@@ -7,15 +7,20 @@ same batch on one core group.  Three claims are checked:
 - the **modeled makespan** on the pool never exceeds the serial
   single-CG modeled time (the acceptance bar for the scheduler), and
   approaches ``serial / n_cgs`` as the mix balances;
-- the **functional outputs** are bit-identical to the serial
-  ``dgemm_batch`` run, so the dispatch layer costs no numerics;
+- the **functional outputs** are bit-identical to a serial loop of
+  ``dgemm`` calls, so the dispatch layer costs no numerics;
 - **parallel dispatch** (``run(parallel=True)``, fused vectorized
   engine, paper-sized blocking) beats serial dispatch in *wall-clock*
   p50 — the fused strip multiplies release the GIL, so on a >=4-core
   host a 4-CG batch must reach at least
-  :data:`PARALLEL_SPEEDUP_FLOOR`x; on smaller hosts the wall-clock
-  gate downgrades to a warning (there is nothing to overlap on one
-  core) while the bit-identity checks stay hard.
+  :data:`PARALLEL_SPEEDUP_FLOOR`x, on a 2-3-core host
+  :data:`PARALLEL_SPEEDUP_FLOOR_2CORE`x; on one core the wall-clock
+  gate downgrades to a warning (there is nothing to overlap) while the
+  bit-identity checks stay hard.
+
+Host BLAS is pinned to one thread, so both legs measure CG dispatch,
+not BLAS threading: here before numpy loads for the standalone run,
+and in ``benchmarks/conftest.py`` under pytest.
 
 Runnable standalone (used by CI)::
 
@@ -29,10 +34,14 @@ import os
 import sys
 import time
 
+if __name__ == "__main__":
+    for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+        os.environ[_var] = "1"
+
 import numpy as np
 import pytest
 
-from repro.core.batch import dgemm_batch
+from repro.core.api import dgemm
 from repro.core.params import BlockingParams
 from repro.core.variants import get_variant
 from repro.multi.processor import SW26010Processor
@@ -48,8 +57,9 @@ PARALLEL_ITEMS = 16
 PARALLEL_REPS = 5
 #: wall-clock acceptance bar for a 4-CG fused batch on a >=4-core host.
 PARALLEL_SPEEDUP_FLOOR = 2.0
-#: softer bar when only 2-3 cores are available to overlap on.
-PARALLEL_SPEEDUP_FLOOR_2CORE = 1.1
+#: softer bar when only 2-3 cores are available to overlap on; below
+#: the lowest of 24 BLAS-pinned smoke runs on a 2-core host (1.70x).
+PARALLEL_SPEEDUP_FLOOR_2CORE = 1.5
 
 
 def effective_cores() -> int:
@@ -141,9 +151,18 @@ def measure_parallel_dispatch(
     return record, failures, warnings
 
 
+def serial_outputs(items) -> list[np.ndarray]:
+    """The reference: one ``dgemm`` call per item, in order."""
+    return [
+        dgemm(i.a, i.b, i.c, alpha=i.alpha, beta=i.beta, transa=i.transa,
+              transb=i.transb, params=PARAMS, pad=True)
+        for i in items
+    ]
+
+
 def test_scheduler_vs_serial_outputs(benchmark, show):
     items = mixed_batch(ITEMS, params=PARAMS, seed=0)
-    serial = dgemm_batch(items, params=PARAMS)
+    serial = serial_outputs(items)
 
     def run():
         return CGScheduler(n_core_groups=4, params=PARAMS).run(items)
@@ -157,9 +176,7 @@ def test_scheduler_vs_serial_outputs(benchmark, show):
         f"{100 * result.load_balance_efficiency:.1f}%)"
     )
     assert result.ok
-    assert all(
-        np.array_equal(x, y) for x, y in zip(serial.outputs, result.outputs)
-    )
+    assert all(np.array_equal(x, y) for x, y in zip(serial, result.outputs))
     assert result.makespan_seconds <= result.serial_seconds
 
 
@@ -196,7 +213,7 @@ def test_parallel_dispatch_wall_clock(show):
 def smoke() -> int:
     """Fast scheduler regression check for CI (no benchmark harness)."""
     items = mixed_batch(ITEMS, params=PARAMS, seed=0)
-    serial = dgemm_batch(items, params=PARAMS)
+    serial = serial_outputs(items)
     proc = SW26010Processor()
     baselines = [proc.cg(g).memory.used_bytes for g in range(4)]
     result = CGScheduler(proc, params=PARAMS).run(items)
@@ -204,10 +221,8 @@ def smoke() -> int:
     failures: list[str] = []
     if not result.ok:
         failures.append(f"scheduler reported item errors: {result.errors}")
-    if not all(
-        np.array_equal(x, y) for x, y in zip(serial.outputs, result.outputs)
-    ):
-        failures.append("pool outputs differ from serial dgemm_batch")
+    if not all(np.array_equal(x, y) for x, y in zip(serial, result.outputs)):
+        failures.append("pool outputs differ from serial dgemm calls")
     if result.makespan_seconds > result.serial_seconds:
         failures.append(
             f"modeled makespan {result.makespan_seconds} exceeds serial "

@@ -8,7 +8,15 @@ the pytest-benchmark run via ``capsys.disabled``).
 
 from __future__ import annotations
 
+import os
+
 import pytest
+
+# Host BLAS runs on one thread, as in ``perfbench/run.py``: a
+# multithreaded serial leg would borrow the cores a parallel leg's CG
+# workers need.  numpy is not loaded yet when pytest imports this file.
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ[_var] = "1"
 
 
 @pytest.fixture()

@@ -5,20 +5,21 @@ The paper closes by hoping the methodology extends to other dense
 kernels.  This example runs the two extensions built on the DGEMM core
 — DTRSM (blocked triangular solve) and DSYRK (symmetric rank-k update)
 — plus the batched interface that real consumers (LU, conv layers) use,
-all on one shared simulated core group.
+all on one shared simulated core group: CG 0 of one chip, which a
+one-CG scheduler pool also batches on.
 
 Run:  python examples/blas3_kernels.py
 """
 
 import numpy as np
 
-from repro import BlockingParams, CoreGroup
+from repro import BlockingParams, CGScheduler, SW26010Processor
 from repro.apps import dsyrk_ln, dtrsm_llnu
 from repro.api import GemmRequest
-from repro.core.batch import dgemm_batch
 
 params = BlockingParams.small(double_buffered=True)
-cg = CoreGroup()
+chip = SW26010Processor()
+cg = chip.cg(0)
 rng = np.random.default_rng(21)
 
 # --- DTRSM: L X = B with unit-lower L ---------------------------------
@@ -45,7 +46,8 @@ items = [
     GemmRequest(rng.standard_normal((64, 27)), rng.standard_normal((27, 196)))
     for _ in range(4)
 ]
-result = dgemm_batch(items, params=params, core_group=cg)
+with CGScheduler(chip, n_core_groups=1, params=params) as scheduler:
+    result = scheduler.run(items, isolate_failures=False)
 for item, output in zip(items, result.outputs):
     assert np.allclose(output, item.a @ item.b, rtol=1e-10, atol=1e-9)
 print(f"batch  {len(result)} GEMMs: {result.flops / 1e6:.1f} Mflops, "

@@ -30,9 +30,11 @@ can dispatch batches across the chip's four core groups)::
         r = s.batch([GemmRequest(a, b) for a, b in pairs])
         print(s.stats())
 
-The functional entry points (``dgemm``, ``dgemm_batch``,
-``dgemm_multi_cg``) remain available for one-shot calls and for code
-that manages devices explicitly.
+The functional entry points remain available for code that manages
+devices explicitly: ``dgemm`` runs one multiply on one core group,
+``CGScheduler`` runs a batch of them across a core-group pool, and
+``dgemm_multi_cg`` splits one multiply into column panels over the
+chip's core groups.
 
 The typed request surface (:mod:`repro.api`) is the structured
 alternative: build a :class:`~repro.api.GemmRequest` /
@@ -49,7 +51,7 @@ and SLO reporting through :mod:`repro.serve`::
         result = await server.submit(GemmRequest(a, b))
 
 Telemetry (:mod:`repro.obs`) is opt-in: pass ``tracer=SpanTracer()``
-to a session (or to ``dgemm``/``dgemm_batch`` directly) and every
+to a session (or to ``dgemm``/``CGScheduler`` directly) and every
 phase — staging, per-panel multiplies, stores, dispatch — records its
 wall time and counter deltas, exportable as a Perfetto-loadable Chrome
 trace::
@@ -73,12 +75,10 @@ from repro.api import (
 )
 from repro.arch import CoreGroup, SW26010Spec, DEFAULT_SPEC
 from repro.core import (
-    BatchResult,
     BlockingParams,
     Session,
     SessionStats,
     dgemm,
-    dgemm_batch,
     reference_dgemm,
 )
 from repro.multi import (
@@ -110,7 +110,6 @@ __all__ = [
     "BlockingParams",
     "Session",
     "SessionStats",
-    "BatchResult",
     "GemmRequest",
     "LuRequest",
     "ConvRequest",
@@ -118,7 +117,6 @@ __all__ = [
     "RequestResult",
     "RequestError",
     "dgemm",
-    "dgemm_batch",
     "reference_dgemm",
     "CGScheduler",
     "ScheduleResult",

@@ -9,7 +9,7 @@ back into feature maps.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -17,12 +17,10 @@ from repro.errors import ConfigError, UnsupportedShapeError
 from repro.api import ConvRequest
 from repro.arch.core_group import CoreGroup
 from repro.core.api import dgemm
-from repro.core.batch import dgemm_batch
 from repro.core.context import ExecutionContext
 from repro.core.params import BlockingParams
-
-if TYPE_CHECKING:  # pragma: no cover - import cycle guard, typing only
-    from repro.multi.processor import SW26010Processor
+from repro.multi.processor import SW26010Processor
+from repro.multi.scheduler import CGScheduler
 
 __all__ = ["im2col", "conv2d_gemm", "conv2d_gemm_batch", "conv2d_reference"]
 
@@ -91,19 +89,18 @@ def conv2d_gemm_batch(
     stride: int = 1,
     variant: str = "SCHED",
     params: BlockingParams | None = None,
-    processor: "SW26010Processor | None" = None,
+    processor: SW26010Processor | None = None,
     n_core_groups: int | None = None,
 ) -> tuple[np.ndarray, ...]:
     """Convolve many independent ``(images, kernels)`` layers at once.
 
-    Each layer lowers to one GEMM; the whole sequence then runs through
-    :func:`~repro.core.batch.dgemm_batch` — serially on one CG by
-    default, or dispatched across the chip's core-group pool by a
-    :class:`~repro.multi.scheduler.CGScheduler` when
-    ``processor=``/``n_core_groups=`` is given (the layers are
+    Each layer lowers to one GEMM; the whole sequence then runs as one
+    :class:`~repro.multi.scheduler.CGScheduler` batch over
+    ``processor`` (a fresh chip by default), on its first
+    ``n_core_groups`` CGs (all by default).  The layers are
     independent, which is exactly the workload the scheduler exists
-    for; same-shape layers keep one CG's staging-plan cache hot).  Any
-    layer failure propagates either way.
+    for; same-shape layers keep one CG's staging-plan cache hot.  Any
+    layer failure propagates.
 
     Returns the N x O x oh x ow feature maps per layer, in order.
     """
@@ -112,16 +109,11 @@ def conv2d_gemm_batch(
     params = params or BlockingParams.small(double_buffered=True)
     requests = [ConvRequest(images, kernels, stride) for images, kernels in layers]
     items = [request.lower() for request in requests]
-    if processor is None and n_core_groups is None:
-        outputs = dgemm_batch(items, variant=variant, params=params).outputs
-    else:
-        from repro.multi.scheduler import CGScheduler
-
-        with CGScheduler(
-            processor, n_core_groups=n_core_groups, variant=variant,
-            params=params,
-        ) as scheduler:
-            outputs = scheduler.run(items, isolate_failures=False).outputs
+    with CGScheduler(
+        processor, n_core_groups=n_core_groups, variant=variant,
+        params=params,
+    ) as scheduler:
+        outputs = scheduler.run(items, isolate_failures=False).outputs
     return tuple(
         request.fold(out) for request, out in zip(requests, outputs)
     )

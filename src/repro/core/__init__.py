@@ -43,7 +43,6 @@ from repro.core.context import ContextStats, ExecutionContext
 from repro.core.api import dgemm
 from repro.core.engine import ENGINES, get_engine
 from repro.core.variants import VARIANTS, get_variant
-from repro.core.batch import BatchResult, dgemm_batch, validate_items
 
 # imported last: Session pulls in repro.multi, which imports the
 # submodules above — reordering this import recreates the cycle.
@@ -54,9 +53,6 @@ __all__ = [
     "ExecutionContext",
     "Session",
     "SessionStats",
-    "BatchResult",
-    "dgemm_batch",
-    "validate_items",
     "BlockingParams",
     "bandwidth_reduction",
     "required_bandwidth",

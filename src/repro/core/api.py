@@ -74,7 +74,10 @@ def dgemm(
         f64 matrices (any memory order; staged column-major).  ``c``
         may be omitted when ``beta == 0``; with ``beta == 0`` it is
         never read (only its shape is checked), and with ``alpha == 0``
-        neither are ``a`` and ``b``, as in reference BLAS.
+        neither are ``a`` and ``b``, as in reference BLAS.  A zero
+        ``m``, ``n`` or ``k`` returns early, as in reference BLAS:
+        nothing is staged, and the result is ``beta * c`` (zeros when
+        ``beta == 0``), empty when ``m`` or ``n`` is 0.
     transa, transb:
         ``"N"`` or ``"T"``.  The paper implements only the
         non-transposed case; ``"T"`` is an extension handled by staging
@@ -159,6 +162,11 @@ def dgemm(
     c = request.c
     if c is not None:
         c = np.asarray(c, dtype=np.float64)
+    if 0 in (m, n, k):
+        # BLAS quick return: nothing is staged and no traffic is booked
+        if beta == 0:
+            return np.zeros((m, n), dtype=np.float64, order="F")
+        return np.asfortranarray(float(beta) * c)
 
     if eng.needs_padded_staging(impl):
         pm, pn, pk = params.pad_shape(m, n, k) if pad else (m, n, k)

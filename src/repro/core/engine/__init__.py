@@ -31,7 +31,7 @@ blocks, so ``pad=True`` materializes the zeros in main memory for them
 
 The engines mutate C in core-group main memory and are
 interchangeable behind the ``engine=`` keyword of
-:func:`repro.core.api.dgemm`, :func:`repro.core.batch.dgemm_batch`,
+:func:`repro.core.api.dgemm`,
 :class:`repro.multi.scheduler.CGScheduler` and
 :class:`repro.core.session.Session`, all of which default to
 :data:`DEFAULT_ENGINE`.  Pass ``engine="device"`` where the device

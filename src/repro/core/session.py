@@ -1,10 +1,10 @@
 """The one-true entry point: a session that owns device, context, pool.
 
-The layers below are deliberately explicit — ``dgemm`` and
-``dgemm_batch`` take a ``core_group``/``context``, ``CGScheduler``
-wants a pool — and that explicitness is the right *low-level*
-surface.  But a caller who just wants the paper's DGEMM served fast
-should not have to thread devices and contexts by hand.
+The layers below are deliberately explicit — ``dgemm`` takes a
+``core_group``/``context``, ``CGScheduler`` wants a pool — and that
+explicitness is the right *low-level* surface.  But a caller who just
+wants the paper's DGEMM served fast should not have to thread devices
+and contexts by hand.
 :class:`Session` is that caller's API:
 
     with Session(n_core_groups=4) as s:
@@ -303,11 +303,10 @@ class Session:
         """Dispatch a batch across the session's CG pool.
 
         Returns the scheduler's
-        :class:`~repro.multi.scheduler.ScheduleResult` (a superset of
-        :class:`~repro.core.batch.BatchResult`'s accounting).  By
-        default item failures are isolated — inspect ``result.errors``;
-        pass ``isolate_failures=False`` for the raise-on-first-failure
-        contract of serial :func:`~repro.core.batch.dgemm_batch`.
+        :class:`~repro.multi.scheduler.ScheduleResult`.  By default
+        item failures are isolated — inspect ``result.errors``; pass
+        ``isolate_failures=False`` to raise the first failure, as a
+        loop of ``dgemm`` calls would.
 
         ``parallel=True`` runs each CG's queue on its own worker thread
         (see :meth:`CGScheduler.run

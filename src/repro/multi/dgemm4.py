@@ -17,11 +17,9 @@ model is ``NoC broadcast + max over CGs of the single-CG estimate``.
 
 The keyword surface matches the scalar :func:`repro.core.api.dgemm`:
 ``alpha``/``beta``/``transa``/``transb``/``pad``/``check`` behave the
-same way (``pad=True`` zero-pads ``m``/``k`` to the CG block factors
-and ``n`` to a whole number of block-multiple panels).  Because this
-entry point drives four devices, the scalar ``context=`` becomes
-``contexts=``: one :class:`ExecutionContext` per CG, for callers that
-keep panel staging warm across calls.
+same way, because each panel's ``dgemm`` applies them: it pads its
+panel in the model, checks it against the engine contract and returns
+early for an empty panel.
 """
 
 from __future__ import annotations
@@ -34,9 +32,7 @@ from repro.errors import ConfigError, UnsupportedShapeError
 from repro.api import apply_trans, as_gemm_request
 from repro.arch.config import SW26010Spec, DEFAULT_SPEC
 from repro.core.api import dgemm
-from repro.core.context import ExecutionContext
 from repro.core.params import BlockingParams
-from repro.core.reference import contract_violation
 from repro.core.variants import get_variant
 from repro.multi.noc import NoC
 from repro.multi.processor import SW26010Processor
@@ -60,7 +56,6 @@ def dgemm_multi_cg(
     spec: SW26010Spec = DEFAULT_SPEC,
     processor: SW26010Processor | None = None,
     n_core_groups: int | None = None,
-    contexts: "list[ExecutionContext] | None" = None,
     pad: bool = False,
     check: bool = False,
 ) -> np.ndarray:
@@ -68,9 +63,9 @@ def dgemm_multi_cg(
 
     Without ``pad``, ``n`` must split evenly into four panels that are
     multiples of the CG block factor ``b_n`` and ``m``/``k`` must be
-    block-factor multiples; with ``pad=True`` every dimension is
-    zero-padded up (``n`` to a whole number of block-multiple panels)
-    and the result is truncated back, as in the single-CG entry point.
+    block-factor multiples; with ``pad=True`` CG ``g`` takes columns
+    ``[g*n/4, (g+1)*n/4)`` of any shape and its ``dgemm`` pads them,
+    as in the single-CG entry point.
 
     ``params=`` defaults to the variant's paper blocking, as in
     ``dgemm``.  ``n_core_groups=`` restricts the decomposition to the
@@ -83,49 +78,21 @@ def dgemm_multi_cg(
     ).validate()
     proc = processor or SW26010Processor(spec)
     params = params or get_variant(variant).default_params()
-    a = np.asfortranarray(apply_trans(
-        "transa", transa, np.asarray(a, dtype=np.float64)
-    ))
-    b = np.asfortranarray(apply_trans(
-        "transb", transb, np.asarray(b, dtype=np.float64)
-    ))
-    if c is None:
-        c = np.zeros((m, n), dtype=np.float64, order="F")
-    c = np.asfortranarray(c, dtype=np.float64)
     n_cgs = n_core_groups if n_core_groups is not None else proc.N_CORE_GROUPS
     if not 1 <= n_cgs <= proc.N_CORE_GROUPS:
         raise ConfigError(
             f"n_core_groups must be in [1, {proc.N_CORE_GROUPS}], got {n_cgs}"
         )
-    if contexts is not None and len(contexts) != n_cgs:
-        raise ConfigError(
-            f"contexts must supply one ExecutionContext per CG "
-            f"({n_cgs}), got {len(contexts)}"
-        )
-
-    pm, pn, pk = m, n, k
-    if pad:
-        pm, _, pk = params.pad_shape(m, 1, k)
-        panel_block = n_cgs * params.b_n
-        pn = -(-n // panel_block) * panel_block
-        if (pm, pn, pk) != (m, n, k):
-            ap = np.zeros((pm, pk), dtype=np.float64, order="F")
-            ap[:m, :k] = a
-            bp = np.zeros((pk, pn), dtype=np.float64, order="F")
-            bp[:k, :n] = b
-            cp = np.zeros((pm, pn), dtype=np.float64, order="F")
-            cp[:m, :n] = c
-            a, b_eff, c_eff = ap, bp, cp
-        else:
-            b_eff, c_eff = b, c
-    else:
-        b_eff, c_eff = b, c
-    panel = pn // n_cgs
-    if pn % n_cgs != 0 or panel % params.b_n != 0:
+    if not pad and (n % n_cgs != 0 or (n // n_cgs) % params.b_n != 0):
         raise UnsupportedShapeError(
-            f"n={pn} must split into {n_cgs} panels that are multiples of "
+            f"n={n} must split into {n_cgs} panels that are multiples of "
             f"bN={params.b_n} (pass pad=True to zero-pad)"
         )
+    a = apply_trans("transa", transa, np.asarray(a, dtype=np.float64))
+    b = apply_trans("transb", transb, np.asarray(b, dtype=np.float64))
+    if c is not None:
+        c = np.asarray(c)
+    bounds = [g * n // n_cgs for g in range(n_cgs + 1)]
 
     # stage A in CG 0's memory and broadcast it over the NoC; the
     # broadcast copies are scratch operands of this call, so they are
@@ -137,14 +104,13 @@ def dgemm_multi_cg(
             proc.noc.copy(
                 proc.cg(0).memory, proc.cg(g).memory, "mc.A", src=0, dst=g
             )
-        out = np.empty_like(c_eff)
+        out = np.empty((m, n), dtype=np.float64, order="F")
         for g in range(n_cgs):
-            cols = slice(g * panel, (g + 1) * panel)
+            cols = slice(bounds[g], bounds[g + 1])
             out[:, cols] = dgemm(
-                a, b_eff[:, cols], c_eff[:, cols],
+                a, b[:, cols], None if c is None else c[:, cols],
                 alpha=alpha, beta=beta, variant=variant, params=params,
-                core_group=None if contexts is not None else proc.cg(g),
-                context=None if contexts is None else contexts[g],
+                core_group=proc.cg(g), pad=pad, check=check,
             )
     finally:
         for g in range(n_cgs):
@@ -152,17 +118,7 @@ def dgemm_multi_cg(
                 proc.cg(g).memory.free("mc.A")
             except KeyError:
                 pass
-    result = np.array(out[:m, :n], order="F", copy=True)
-    if check:
-        violation = contract_violation(
-            result, alpha, a[:m, :k], b_eff[:k, :n], beta, c
-        )
-        if violation is not None:
-            raise AssertionError(
-                f"multi-CG {variant} result deviates from reference: "
-                f"{violation}"
-            )
-    return result
+    return out
 
 
 @dataclass(frozen=True)

@@ -80,11 +80,15 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from repro.errors import ConfigError, FaultInjectedError, QuarantineError
+from repro.errors import (
+    ConfigError,
+    FaultInjectedError,
+    QuarantineError,
+    UnsupportedShapeError,
+)
 from repro.api import GemmRequest
 from repro.arch.config import SW26010Spec, DEFAULT_SPEC
 from repro.core.api import dgemm
-from repro.core.batch import validate_items
 from repro.core.context import ContextStats, ExecutionContext
 from repro.core.engine import DEFAULT_ENGINE, check_engine
 from repro.core.engine.plans import PlanCache
@@ -104,7 +108,34 @@ __all__ = [
     "ItemError",
     "SchedulePlan",
     "ScheduleResult",
+    "validate_items",
 ]
+
+
+def validate_items(
+    items: Sequence[GemmRequest],
+) -> list[tuple[int, int, int]]:
+    """Validate every item up front; return the effective (m, n, k) shapes.
+
+    The returned shapes account for ``transa``/``transb``.  Any
+    mis-shaped item raises :class:`UnsupportedShapeError` (or
+    :class:`ConfigError` for a non-item) naming the item's index, so a
+    bad batch fails before a single operand is staged.  Validation
+    itself lives on :meth:`repro.api.GemmRequest.validate`; this
+    wrapper only contributes the index prefix.
+    """
+    shapes: list[tuple[int, int, int]] = []
+    for idx, item in enumerate(items):
+        if not isinstance(item, GemmRequest):
+            raise ConfigError(
+                f"batch item {idx} is {type(item).__name__}, expected "
+                "GemmRequest"
+            )
+        try:
+            shapes.append(item.validate())
+        except UnsupportedShapeError as exc:
+            raise UnsupportedShapeError(f"batch item {idx}: {exc}") from None
+    return shapes
 
 
 @dataclass(frozen=True)
@@ -183,10 +214,9 @@ class ScheduleResult:
 
     ``traffic`` is the :class:`ContextStats` sum over every CG's
     context delta (one ``plus`` fold, no ad-hoc per-field arithmetic);
-    the ``dma_bytes``/``dma_transactions``/``regcomm_bytes`` properties
-    mirror :class:`repro.core.batch.BatchResult`, so callers that
-    consume a serial batch result can consume a scheduled one
-    unchanged.  ``flops`` counts successfully executed items only.
+    ``dma_bytes``/``dma_transactions``/``regcomm_bytes`` read it.
+    ``flops`` counts the logical ``2*m*n*k`` of successfully executed
+    items only, ``padded_flops`` the work of their padded block grid.
 
     Timing properties are computed from the *runtime* per-CG seconds in
     ``per_cg`` (which include retry backoff and respilled work), not
@@ -504,8 +534,11 @@ class CGScheduler:
 
         ``params`` defaults to the scheduler's blocking; per-item
         overrides pass their own so the model prices the blocking that
-        will actually run.
+        will actually run.  A zero-size item costs 0 s: ``dgemm``
+        returns before staging it.
         """
+        if 0 in (m, n, k):
+            return 0.0
         params = params or self.params
         key = (params.pad_shape(m, n, k), params)
         with self._cache_lock:
@@ -530,7 +563,7 @@ class CGScheduler:
         paper blocking unless the caller passed its own).  Every resolved
         choice is checked against the LDM budget and the variant's
         buffering regime up front, so a bad override fails before any
-        item executes, naming its index in ``dgemm_batch`` style.
+        item executes, naming its index as :func:`validate_items` does.
         """
         count = len(shapes)
         if blocking is None:
@@ -652,14 +685,20 @@ class CGScheduler:
         recorded in ``result.errors``: its slot in ``outputs`` is
         ``None``, its CG's context stays usable, and the rest of the
         batch proceeds.  With ``isolate_failures=False`` the first
-        unrecoverable failure propagates (the serial ``dgemm_batch``
-        contract).
+        unrecoverable failure propagates.
+
+        Every item is validated before anything is staged
+        (:func:`validate_items`): a malformed item raises, naming its
+        index, whatever ``isolate_failures`` says.
 
         With ``parallel=True`` every CG's item queue runs on its own
         worker thread from the scheduler's pool; outputs, modeled
         accounting and span-counter reconciliation are identical to
         serial mode (see the module docstring for the threading model).
-        Serial mode (the default) executes items inline in input order.
+        Serial mode (the default) executes items inline in input order:
+        with ``n_core_groups=1`` and ``isolate_failures=False`` that is
+        a loop of :func:`~repro.core.api.dgemm` calls on one staging
+        context, each raising as ``dgemm`` would.
 
         Either way, every CG's staged handles are freed when the run
         exits, so each ``MainMemory.used_bytes`` returns to its pre-run

@@ -22,8 +22,8 @@ the layer that spent it:
 - :mod:`repro.obs.promexp` — Prometheus/OpenMetrics text exposition
   of snapshots and histogram families.
 
-Spans are emitted by ``Session``/``dgemm``/``dgemm_batch``, both
-execution engines and ``CGScheduler`` whenever a real tracer is passed;
+Spans are emitted by ``Session``/``dgemm``, both execution engines and
+``CGScheduler`` whenever a real tracer is passed;
 ``tools/check_trace.py`` validates exported traces and
 ``tools/check_metrics.py`` validates OpenMetrics scrapes in CI.
 """

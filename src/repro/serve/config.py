@@ -9,9 +9,8 @@ coalescing entirely; ``max_pending=1`` serializes admission).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
-from repro.api import DEFAULT_SUBMIT_OPTIONS, SubmitOptions
 from repro.errors import ConfigError
 
 __all__ = ["ServeConfig"]
@@ -37,21 +36,13 @@ class ServeConfig:
     #: beyond which new submissions are rejected with a retryable
     #: ``RejectedError``.
     max_pending: int = 64
-    #: run dispatched batches on per-CG worker threads.
-    parallel: bool = True
     #: operand-cache capacity in entries; ``0`` disables the cache.
     cache_entries: int = 128
-    #: server-wide default execution options; a request's own
-    #: ``options=`` wins.
-    options: SubmitOptions = field(default=DEFAULT_SUBMIT_OPTIONS)
     #: TCP port for the OpenMetrics exposition endpoint (``0`` binds an
     #: ephemeral port); ``None`` disables the endpoint.
     metrics_port: int | None = None
     #: bind host for the exposition endpoint.
     metrics_host: str = "127.0.0.1"
-    #: per-bin sample ring for exact SLO percentiles (0 = histogram
-    #: estimates only).
-    slo_exact_reservoir: int = 1024
 
     def __post_init__(self) -> None:
         if self.window_seconds < 0:
@@ -75,9 +66,4 @@ class ServeConfig:
         ):
             raise ConfigError(
                 f"metrics_port must be in [0, 65535], got {self.metrics_port}"
-            )
-        if self.slo_exact_reservoir < 0:
-            raise ConfigError(
-                "slo_exact_reservoir must be >= 0, got "
-                f"{self.slo_exact_reservoir}"
             )

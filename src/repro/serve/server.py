@@ -52,6 +52,7 @@ from dataclasses import replace
 from typing import Any, Callable
 
 from repro.api import (
+    DEFAULT_SUBMIT_OPTIONS,
     ConvRequest,
     GemmRequest,
     LuRequest,
@@ -196,7 +197,7 @@ class ReproServer:
             session = Session(**session_kwargs)
         self.session = session
         self.cache = OperandCache(self.config.cache_entries)
-        self.slo = SLOTracker(exact_reservoir=self.config.slo_exact_reservoir)
+        self.slo = SLOTracker()
         self.metrics_address: tuple[str, int] | None = None
         self._metrics_server: asyncio.AbstractServer | None = None
         self._registry: MetricsRegistry | None = None
@@ -306,7 +307,7 @@ class ReproServer:
                 "ReproServer is not running — use 'async with' or start()"
             )
         start = time.monotonic()
-        opts = options or self.config.options
+        opts = options or DEFAULT_SUBMIT_OPTIONS
         if self._closed:
             return self._refused(
                 "ShutdownError", "server is shutting down", retryable=False,
@@ -527,9 +528,7 @@ class ReproServer:
             else:
                 assert isinstance(request, GemmRequest)
                 items.append(request)
-        batch = self.session.batch(
-            items, parallel=self.config.parallel, options=opts
-        )
+        batch = self.session.batch(items, parallel=True, options=opts)
         errors = {e.index: e for e in batch.errors}
         results: list[RequestResult] = []
         for i, pending in enumerate(group):

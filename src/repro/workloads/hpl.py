@@ -5,9 +5,9 @@ trailing update is a DGEMM of shape (N - j*NB) x (N - j*NB) x NB.  This
 module enumerates that sequence and its flop accounting so the E8
 experiment can project how much of an HPL run the paper's kernel
 covers, and at what rate — and, via :func:`run_trace`, executes the
-sequence functionally through the batched staging path
-(:func:`repro.core.batch.dgemm_batch`), the way a host-side HPL driver
-would feed the device.
+sequence functionally as one
+:class:`~repro.multi.scheduler.CGScheduler` batch, the way a host-side
+HPL driver would feed the device.
 """
 
 from __future__ import annotations
@@ -87,21 +87,20 @@ def run_trace(
     trace: HPLTrace,
     variant: str = "SCHED",
     params=None,
-    core_group=None,
+    processor=None,
     seed: int = 0,
 ):
-    """Execute the trace's update sequence on one core group.
+    """Execute the trace's update sequence across ``processor``'s CGs.
 
-    Returns the :class:`~repro.core.batch.BatchResult`, whose
-    ``flops`` / ``padded_flops`` pair shows how much extra work the
-    block-factor padding costs for this (N, NB) choice.
+    ``processor`` defaults to a fresh chip.  Returns the
+    :class:`~repro.multi.scheduler.ScheduleResult`, whose ``flops`` /
+    ``padded_flops`` pair shows how much extra work the block-factor
+    padding costs for this (N, NB) choice.  Any update failure
+    propagates.
     """
-    from repro.core.batch import dgemm_batch
+    from repro.multi.scheduler import CGScheduler
 
-    return dgemm_batch(
-        trace_items(trace, seed=seed),
-        variant=variant,
-        params=params,
-        core_group=core_group,
-        pad=True,
-    )
+    with CGScheduler(processor, variant=variant, params=params) as scheduler:
+        return scheduler.run(
+            trace_items(trace, seed=seed), isolate_failures=False
+        )

@@ -11,16 +11,23 @@ random} at ``BlockingParams.small``, and asserts
   componentwise within ``k*eps*(|alpha|*|A||B| + |beta|*|C|)``;
 - the DMA and register-communication counters are identical across
   the three engines, field by field.
+
+Zero-size draws (``m``, ``n`` or ``k`` = 0) cross the entry points
+``dgemm`` (each engine), ``Session.dgemm``, ``Session.batch`` and
+``Session.submit``: each returns early as reference BLAS does, with
+the reference's ``(m, n)`` result and no traffic booked.
 """
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.api import GemmRequest
 from repro.arch.core_group import CoreGroup
 from repro.core.api import dgemm
 from repro.core.params import BlockingParams
 from repro.core.reference import contract_violation
+from repro.core.session import Session
 from repro.core.variants import get_variant
 from repro.workloads.matrices import gemm_operands
 
@@ -127,3 +134,68 @@ def test_contract_at_paper_blocking(variant):
     p = get_variant(variant).default_params()
     a, b, c = gemm_operands(p.b_m, p.b_n, p.b_k, seed=13)
     _assert_contract(variant, p, a, b, c, -1.5, 0.75)
+
+
+def _zero_size_session(entry, a, b, c, alpha, beta, transa, transb, pad):
+    """One zero-size call through a Session entry; returns (result,
+    DMA bytes booked)."""
+    call = dict(alpha=alpha, beta=beta, transa=transa, transb=transb)
+    with Session(params=DOUBLE, n_core_groups=1, pad=pad) as session:
+        if entry == "Session.dgemm":
+            out = session.dgemm(a, b, c, **call)
+            return out, session.stats().traffic.dma_bytes
+        request = GemmRequest(a, b, c, **call)
+        if entry == "Session.batch":
+            result = session.batch([request])
+            assert result.ok, result.errors
+            return result.outputs[0], result.traffic.dma_bytes
+        result = session.submit(request)
+        assert result.ok, result.error
+        return result.value, result.traffic.dma_bytes
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    shape=st.tuples(*(st.sampled_from([0, 5, 40]),) * 3).filter(
+        lambda dims: 0 in dims
+    ),
+    entry=st.sampled_from(
+        ["dgemm", "Session.dgemm", "Session.batch", "Session.submit"]
+    ),
+    variant=st.sampled_from(["RAW", "SCHED"]),
+    pad=st.booleans(),
+    transa=st.sampled_from(["N", "T"]),
+    transb=st.sampled_from(["N", "T"]),
+    alpha=scalars,
+    beta=scalars,
+    seed=st.integers(0, 2**16),
+)
+def test_zero_size_returns_early(shape, entry, variant, pad, transa, transb,
+                                 alpha, beta, seed):
+    """BLAS quick return: ``k == 0`` gives ``beta*C`` (C unread when
+    ``beta == 0``, so its NaNs stay out), ``m == 0`` or ``n == 0`` an
+    empty result; nothing is staged and no traffic is booked."""
+    m, n, k = shape
+    rng = np.random.default_rng(seed)
+    op_a, op_b = rng.standard_normal((m, k)), rng.standard_normal((k, n))
+    c = rng.standard_normal((m, n)) if beta != 0 else np.full((m, n), np.nan)
+    a = np.asfortranarray(op_a.T) if transa == "T" else op_a
+    b = np.asfortranarray(op_b.T) if transb == "T" else op_b
+    if entry == "dgemm":
+        for engine in ENGINES:
+            cg = CoreGroup()
+            out = dgemm(a, b, c, alpha=alpha, beta=beta, transa=transa,
+                        transb=transb, variant=variant, engine=engine,
+                        params=_params_for(variant), core_group=cg, pad=pad)
+            assert out.shape == (m, n)
+            violation = contract_violation(out, alpha, op_a, op_b, beta, c)
+            assert violation is None, f"{engine}/{variant}: {violation}"
+            assert cg.memory.stats.stores == 0
+            assert cg.dma.stats.bytes_total == 0
+            assert cg.regcomm.stats.as_dict() == CoreGroup().regcomm.stats.as_dict()
+        return
+    out, dma_bytes = _zero_size_session(entry, a, b, c, alpha, beta, transa,
+                                        transb, pad)
+    assert out.shape == (m, n)
+    assert contract_violation(out, alpha, op_a, op_b, beta, c) is None
+    assert dma_bytes == 0

@@ -2,15 +2,15 @@
 
 The CGScheduler may route items anywhere and in any grouping, but
 every item runs the same single-CG kernel on identical operands — so
-the outputs must be *bit-identical* to the serial ``dgemm_batch`` run,
-for any mix of shapes, trans flags and alpha/beta.
+the outputs must be *bit-identical* to a serial loop of ``dgemm``
+calls, for any mix of shapes, trans flags and alpha/beta.
 """
 
 import numpy as np
 from hypothesis import given, settings, strategies as st
 
 from repro.api import GemmRequest
-from repro.core.batch import dgemm_batch
+from repro.core.api import dgemm
 from repro.core.params import BlockingParams
 from repro.multi import CGScheduler
 
@@ -43,14 +43,22 @@ def batch_items(draw):
     pool=st.integers(1, 4),
 )
 def test_pool_results_bit_identical_to_serial(items, pool):
-    serial = dgemm_batch(items, params=PARAMS)
+    serial = [
+        dgemm(i.a, i.b, i.c, alpha=i.alpha, beta=i.beta, transa=i.transa,
+              transb=i.transb, params=PARAMS, pad=True)
+        for i in items
+    ]
     result = CGScheduler(n_core_groups=pool, params=PARAMS).run(items)
     assert result.ok
-    assert len(result) == len(serial.outputs)
-    for x, y in zip(serial.outputs, result.outputs):
+    assert len(result) == len(serial)
+    for x, y in zip(serial, result.outputs):
         assert np.array_equal(x, y)
-    assert result.flops == serial.flops
-    assert result.padded_flops == serial.padded_flops
+    shapes = [i.validate() for i in items]
+    assert result.flops == sum(2 * m * n * k for m, n, k in shapes)
+    assert result.padded_flops == sum(
+        2 * pm * pn * pk
+        for pm, pn, pk in (PARAMS.pad_shape(*s) for s in shapes)
+    )
     assert result.makespan_seconds <= result.serial_seconds + 1e-15
 
 

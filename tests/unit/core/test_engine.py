@@ -6,7 +6,6 @@ import numpy as np
 import pytest
 
 from repro.api import GemmRequest
-from repro.core.batch import dgemm_batch
 from repro.core.api import dgemm
 from repro.core.engine import (
     DEFAULT_ENGINE,
@@ -97,14 +96,14 @@ class TestEngineSelection:
                     engine=StepwiseEngine(), params=DOUBLE)
         assert np.allclose(out, a @ b + c, rtol=1e-12, atol=1e-9)
 
-    def test_dgemm_batch_engine_kwarg(self):
+    def test_scheduler_engine_kwarg(self):
         items = [
             GemmRequest(*gemm_operands(DOUBLE.b_m, DOUBLE.b_n, DOUBLE.b_k,
                                        seed=s), alpha=1.0, beta=1.0)
             for s in (5, 6)
         ]
-        result = dgemm_batch(items, engine="vectorized", params=DOUBLE,
-                             pad=False)
+        result = CGScheduler(n_core_groups=1, engine="vectorized",
+                             params=DOUBLE, pad=False).run(items)
         for item, out in zip(items, result.outputs):
             assert np.allclose(out, item.a @ item.b + item.c,
                                rtol=1e-12, atol=1e-9)
@@ -115,7 +114,7 @@ class TestEngineSelection:
             assert s.scheduler.engine == "vectorized"
 
     def test_every_entry_point_defaults_to_the_fused_engine(self):
-        for entry in (dgemm, dgemm_batch, CGScheduler):
+        for entry in (dgemm, CGScheduler):
             default = inspect.signature(entry).parameters["engine"].default
             assert default == DEFAULT_ENGINE == "vectorized"
         with Session() as s:

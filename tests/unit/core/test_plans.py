@@ -13,7 +13,6 @@ import pytest
 
 from repro.api import GemmRequest
 from repro.arch.config import DEFAULT_SPEC
-from repro.core.batch import dgemm_batch
 from repro.core.engine.plans import (
     IndexPlan,
     PlanCache,
@@ -24,6 +23,7 @@ from repro.core.session import Session
 from repro.core.sharing import Scheme, step_owner_indices, step_owner_slots
 from repro.core.variants import get_variant
 from repro.errors import ConfigError
+from repro.multi.scheduler import CGScheduler
 from repro.workloads.matrices import gemm_operands
 
 PARAMS = BlockingParams.small(double_buffered=True)
@@ -201,8 +201,8 @@ class TestBatchRegression:
             GemmRequest(*gemm_operands(m, n, k, seed=s)[:2]) for s in range(4)
         ]
         cache = PlanCache()
-        result = dgemm_batch(items, engine="stepwise", params=PARAMS,
-                             plan_cache=cache)
+        result = CGScheduler(n_core_groups=1, engine="stepwise",
+                             params=PARAMS, plan_cache=cache).run(items)
         assert len(result.outputs) == 4
         stats = cache.stats()
         assert stats.builds == 1 == stats.misses

@@ -1,8 +1,8 @@
 """Per-item blocking overrides on the scheduler.
 
 Covers the ``blocking=`` pass-through from ``Session.batch`` to
-``CGScheduler``; validation errors name the offending item index, the
-``dgemm_batch`` convention.
+``CGScheduler``; validation errors name the offending item index, as
+``validate_items`` does.
 """
 
 import numpy as np

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.api import GemmRequest
-from repro.core.batch import dgemm_batch
+from repro.core.api import dgemm
 from repro.core.params import BlockingParams
 from repro.errors import ConfigError
 from repro.multi import CGScheduler, SW26010Processor
@@ -123,14 +123,17 @@ class TestPlanning:
 
 
 class TestExecution:
-    def test_matches_serial_dgemm_batch_bitwise(self):
+    def test_matches_serial_dgemm_loop_bitwise(self):
         items = mixed_batch(16, params=PARAMS, seed=0)
-        serial = dgemm_batch(items, params=PARAMS)
+        serial = [
+            dgemm(i.a, i.b, i.c, alpha=i.alpha, beta=i.beta,
+                  transa=i.transa, transb=i.transb, params=PARAMS, pad=True)
+            for i in items
+        ]
         result = CGScheduler(n_core_groups=4, params=PARAMS).run(items)
         assert result.ok
         assert all(
-            np.array_equal(x, y)
-            for x, y in zip(serial.outputs, result.outputs)
+            np.array_equal(x, y) for x, y in zip(serial, result.outputs)
         )
         assert result.makespan_seconds <= result.serial_seconds
 

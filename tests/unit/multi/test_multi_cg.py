@@ -119,6 +119,17 @@ class TestMultiCGDgemm:
         assert out.shape == (100, 90)
         assert np.allclose(out, a @ b, rtol=1e-11, atol=1e-8)
 
+    def test_pad_leaves_cgs_without_columns_idle(self):
+        """With fewer columns than CGs some panels are empty; their
+        ``dgemm`` returns early and their CG moves no DMA bytes."""
+        proc = SW26010Processor()
+        a, b, c = gemm_operands(100, 2, 70, seed=14)
+        out = dgemm_multi_cg(a, b, c, beta=1.0, params=PARAMS,
+                             processor=proc, pad=True)
+        assert np.allclose(out, a @ b + c, rtol=1e-11, atol=1e-8)
+        moved = [cg.dma.stats.bytes_total > 0 for cg in proc.core_groups]
+        assert moved == [False, True, False, True]
+
     def test_trans_flags(self):
         rng = np.random.default_rng(9)
         m, n, k = PARAMS.b_m, 4 * PARAMS.b_n, PARAMS.b_k
@@ -141,7 +152,7 @@ class TestMultiCGDgemm:
         a, b, _ = gemm_operands(m, n, k, seed=10)
         dgemm_multi_cg(a, b, params=PARAMS, check=True)
         # a checker that rejects every result shows when the check runs
-        monkeypatch.setattr("repro.multi.dgemm4.contract_violation",
+        monkeypatch.setattr("repro.core.api.contract_violation",
                             lambda *args: "rejected")
         dgemm_multi_cg(a, b, params=PARAMS)
         with pytest.raises(AssertionError, match="rejected"):
@@ -168,17 +179,6 @@ class TestMultiCGDgemm:
         with pytest.raises(MemoryError):
             dgemm_multi_cg(a, b, params=PARAMS, processor=proc)
         assert [cg.memory.used_bytes for cg in proc.core_groups] == baselines
-
-    def test_contexts_kwarg_validated(self):
-        from repro.core.context import ExecutionContext
-        from repro.errors import ConfigError as CfgErr
-
-        proc = SW26010Processor()
-        m, n, k = PARAMS.b_m, 4 * PARAMS.b_n, PARAMS.b_k
-        a, b, _ = gemm_operands(m, n, k, seed=13)
-        with pytest.raises(CfgErr):
-            dgemm_multi_cg(a, b, params=PARAMS, processor=proc,
-                           contexts=[ExecutionContext(proc.cg(0))])
 
 
 class TestMultiCGEstimate:

@@ -3,7 +3,6 @@
 import numpy as np
 import pytest
 
-from repro.core.batch import dgemm_batch
 from repro.core.params import BlockingParams
 from repro.core.session import Session
 from repro.multi.scheduler import CGScheduler
@@ -20,7 +19,7 @@ def items():
 
 @pytest.fixture(scope="module")
 def reference(items):
-    return dgemm_batch(items, params=PARAMS, pad=True).outputs
+    return CGScheduler(n_core_groups=1, params=PARAMS).run(items).outputs
 
 
 def scheduler(**kwargs):
@@ -90,8 +89,9 @@ class TestFallback:
     def test_vectorized_item_falls_back_to_device(self, items, reference):
         # faults only the vectorized engine's kernel phase: retries see
         # it again, the device fallback does not.
-        dev_reference = dgemm_batch(items, engine="device", params=PARAMS,
-                                    pad=True).outputs
+        dev_reference = CGScheduler(
+            n_core_groups=1, engine="device", params=PARAMS
+        ).run(items).outputs
         injector = FaultInjector(
             [FaultSpec("compute", probability=1.0, phase="kernel", max_fires=2)]
         )

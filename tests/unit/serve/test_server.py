@@ -86,6 +86,21 @@ class TestRequestPath:
 
         run(scenario())
 
+    def test_zero_size_gemm_returns_early(self):
+        """BLAS quick return: ``k == 0`` answers ``beta*C``, staging
+        nothing."""
+        async def scenario():
+            async with make_server() as server:
+                c = np.arange(15.0).reshape(3, 5)
+                result = await server.submit(
+                    GemmRequest(np.ones((3, 0)), np.ones((0, 5)), c, beta=2.0)
+                )
+                assert result.ok, result.error
+                np.testing.assert_array_equal(result.value, 2.0 * c)
+                assert result.traffic.dma_bytes == 0
+
+        run(scenario())
+
     def test_unknown_engine_is_invalid_not_recovered(self):
         """A typo in ``SubmitOptions.engine`` is refused at admission;
         it never dispatches and never counts as a recovered fault."""

@@ -183,4 +183,3 @@ class TestServeConfig:
         config = ServeConfig()
         assert config.window_seconds > 0
         assert config.max_batch_size >= 2
-        assert config.options == SubmitOptions()

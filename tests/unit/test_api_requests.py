@@ -17,11 +17,11 @@ from repro.api import (
     format_bin,
 )
 from repro.core.api import dgemm
-from repro.core.batch import dgemm_batch
 from repro.core.params import BlockingParams
 from repro.core.session import Session
 from repro.errors import ConfigError, UnsupportedShapeError
 from repro.multi.dgemm4 import dgemm_multi_cg
+from repro.multi.scheduler import CGScheduler
 
 PARAMS = BlockingParams.small(double_buffered=True)
 
@@ -272,7 +272,7 @@ class TestRemovedSpellings:
 
     @pytest.mark.parametrize("spelling", REMOVED_SPELLINGS)
     @pytest.mark.parametrize(
-        "entry", ["dgemm", "dgemm_batch", "dgemm_multi_cg", "Session.dgemm"]
+        "entry", ["dgemm", "CGScheduler", "dgemm_multi_cg", "Session.dgemm"]
     )
     def test_raises_type_error(self, entry, spelling):
         a = np.eye(PARAMS.b_m)
@@ -280,9 +280,7 @@ class TestRemovedSpellings:
         with Session(params=PARAMS) as session:
             call = {
                 "dgemm": lambda: dgemm(a, a, **kwargs),
-                "dgemm_batch": lambda: dgemm_batch(
-                    [GemmRequest(a, a)], **kwargs
-                ),
+                "CGScheduler": lambda: CGScheduler(**kwargs),
                 "dgemm_multi_cg": lambda: dgemm_multi_cg(a, a, **kwargs),
                 "Session.dgemm": lambda: session.dgemm(a, a, **kwargs),
             }[entry]

@@ -3,10 +3,10 @@
 import numpy as np
 import pytest
 
-from repro.arch.core_group import CoreGroup
 from repro.core.params import BlockingParams
 from repro.errors import ConfigError
 from repro.experiments import hpl_projection
+from repro.multi.processor import SW26010Processor
 from repro.workloads.hpl import hpl_trace, run_trace, trace_items
 
 
@@ -64,11 +64,11 @@ class TestRunTrace:
         assert result.padded_flops > result.flops
 
     def test_shared_group_budget_restored(self):
-        cg = CoreGroup()
-        baseline = cg.memory.used_bytes
-        run_trace(hpl_trace(40, 16), params=self.PARAMS, core_group=cg)
-        assert cg.memory.used_bytes == baseline
-        assert cg.memory.handles() == []
+        proc = SW26010Processor()
+        baselines = [cg.memory.used_bytes for cg in proc.core_groups]
+        run_trace(hpl_trace(40, 16), params=self.PARAMS, processor=proc)
+        assert [cg.memory.used_bytes for cg in proc.core_groups] == baselines
+        assert all(cg.memory.handles() == [] for cg in proc.core_groups)
 
     def test_trace_items_shapes(self):
         trace = hpl_trace(40, 16)

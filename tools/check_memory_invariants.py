@@ -2,11 +2,12 @@
 """Smoke-check the staging lifecycle invariants on a shared CoreGroup.
 
 Run as ``PYTHONPATH=src python tools/check_memory_invariants.py``.
-Exercises dgemm and dgemm_batch against one device and verifies the
-guarantees the ExecutionContext refactor made contractual:
+Exercises dgemm and a one-CG CGScheduler batch against one device and
+verifies the guarantees the ExecutionContext refactor made contractual:
 
 1. used_bytes returns exactly to its pre-call value,
-2. no staging handles survive a call (including a failing one),
+2. no staging handles survive a call, including a batch whose item
+   fails staging partway through,
 3. a same-shape batch allocates each operand slot once and restages
    the rest in place,
 4. the multi-CG pool (CGScheduler / dgemm_multi_cg / Session) returns
@@ -24,7 +25,8 @@ guarantees the ExecutionContext refactor made contractual:
 7. padding lives in the model: a padded odd-shape dgemm on a fresh
    CoreGroup peaks at the logical footprint on the fused
    ``vectorized`` engine and at the padded footprint on ``device`` and
-   ``stepwise``, whose per-CPE tiles read the zeros.
+   ``stepwise``, whose per-CPE tiles read the zeros; a padded
+   ``dgemm_multi_cg`` peaks at the logical footprint on every CG.
 
 The single-CG checks run under **all three execution engines** (device,
 vectorized and stepwise): the lifecycle guarantees must hold
@@ -45,7 +47,6 @@ import numpy as np
 from repro.arch.config import DEFAULT_SPEC
 from repro.arch.core_group import CoreGroup
 from repro.api import GemmRequest
-from repro.core.batch import dgemm_batch
 from repro.core.api import dgemm
 from repro.core.params import BlockingParams
 from repro.core.session import Session
@@ -55,6 +56,13 @@ from repro.multi.scheduler import CGScheduler
 from repro.workloads.matrices import gemm_operands, mixed_batch
 
 PARAMS = BlockingParams.small(double_buffered=True)
+#: 16 MiB per CG holds every small-blocking workload here but not
+#: :data:`UNSTAGEABLE`.
+SMALL_SPEC = replace(DEFAULT_SPEC, main_memory_bytes=16 * 2**20)
+#: its 32 MiB B outgrows a SMALL_SPEC CG, so staging refuses the item
+#: after its A is staged (a broadcast view keeps the host copy out).
+UNSTAGEABLE = GemmRequest(np.ones((PARAMS.b_m, PARAMS.b_k)),
+                          np.broadcast_to(1.0, (PARAMS.b_k, 32768)))
 
 _failures: list[str] = []
 
@@ -67,7 +75,8 @@ def check(condition: bool, message: str) -> None:
 
 
 def main() -> int:
-    cg = CoreGroup()
+    single = SW26010Processor(SMALL_SPEC)
+    cg = single.cg(0)
     cg.memory.store("user.resident", np.ones((16, 16)))
     baseline = cg.memory.used_bytes
     resident = sorted(h.name for h in cg.memory.handles())
@@ -107,7 +116,9 @@ def main() -> int:
             for s in range(4)
         ]
         allocs_before = cg.memory.stats.allocations
-        dgemm_batch(items, params=PARAMS, core_group=cg, engine=engine)
+        with CGScheduler(single, n_core_groups=1, params=PARAMS,
+                         engine=engine) as scheduler:
+            scheduler.run(items, isolate_failures=False)
         new_allocs = cg.memory.stats.allocations - allocs_before
         check(new_allocs == 3,
               f"one allocation per operand slot (got {new_allocs}, want 3)")
@@ -115,16 +126,25 @@ def main() -> int:
         check(sorted(h.name for h in cg.memory.handles()) == resident,
               "handle set unchanged")
 
-        print(f"failing call still frees its staging [{engine} engine]:")
+        print(f"staging failure mid-batch still frees its staging "
+              f"[{engine} engine]:")
+        stores_before = cg.memory.stats.stores
         try:
-            dgemm_batch([items[0], ("not", "an item")],  # type: ignore[list-item]
-                        params=PARAMS, core_group=cg, engine=engine)
-        except Exception:
+            with CGScheduler(single, n_core_groups=1, params=PARAMS,
+                             engine=engine) as scheduler:
+                scheduler.run([items[0], UNSTAGEABLE, items[1]],
+                              isolate_failures=False)
+        except MemoryError:
             pass
         else:
-            check(False, "malformed batch item raised")
+            check(False, "unstageable batch item raised MemoryError")
+        check(cg.memory.stats.stores - stores_before == 5,
+              "the failure came from staging: item 0's A, B and C, then "
+              "item 1's A and its refused B")
         check(cg.memory.used_bytes == baseline,
               "used_bytes back to baseline after raise")
+        check(sorted(h.name for h in cg.memory.handles()) == resident,
+              "handle set unchanged after raise")
 
     print("multi-CG pool run restores every CG's baseline:")
     proc = SW26010Processor()
@@ -137,15 +157,11 @@ def main() -> int:
           "all four CG byte budgets back to baseline")
 
     print("pool run with a failing item still restores baselines:")
-    # 16 MiB per CG holds the mixed batch but not item 3's 32 MiB B, so
-    # staging refuses that item after its A is staged (a broadcast view
-    # keeps the host copy out of it).
-    small = SW26010Processor(replace(DEFAULT_SPEC, main_memory_bytes=16 * 2**20))
+    small = SW26010Processor(SMALL_SPEC)
     small.cg(2).memory.store("user.resident", np.ones((16, 16)))
     small_baselines = [small.cg(g).memory.used_bytes for g in range(4)]
     bad_items = mixed_batch(6, params=PARAMS, seed=1)
-    bad_items[3] = GemmRequest(np.ones((PARAMS.b_m, PARAMS.b_k)),
-                               np.broadcast_to(1.0, (PARAMS.b_k, 32768)))
+    bad_items[3] = UNSTAGEABLE
     result = CGScheduler(small, params=PARAMS).run(bad_items)
     check(len(result.errors) == 1 and result.errors[0].index == 3
           and result.errors[0].kind == "MemoryError",
@@ -160,6 +176,18 @@ def main() -> int:
     dgemm_multi_cg(a4, b4, params=PARAMS, processor=proc)
     check([proc.cg(g).memory.used_bytes for g in range(4)] == baselines,
           "all four CG byte budgets back to baseline")
+
+    print("padded dgemm_multi_cg stages logical extents on every CG:")
+    m, n, k = 160, 320, 257
+    a5, b5, _ = gemm_operands(m, n, k, seed=3)
+    fresh = SW26010Processor()
+    dgemm_multi_cg(a5, b5, processor=fresh, pad=True)
+    # broadcast A + staged A + this CG's B and C panels
+    want = 8 * (2 * m * k + k * (n // 4) + m * (n // 4))
+    peaks = [fresh.cg(g).memory.peak_bytes for g in range(4)]
+    check(peaks == [want] * 4,
+          f"every CG peaks at the logical footprint "
+          f"(got {peaks} B, want {want} B)")
 
     print("closing a Session frees its warm staging:")
     session = Session(processor=proc, params=PARAMS)

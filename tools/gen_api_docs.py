@@ -43,12 +43,17 @@ with Session(n_core_groups=4) as s:
     print(s.stats())                       # cumulative accounting
 ```
 
-The functional entry points (``dgemm``, ``dgemm_batch``,
-``dgemm_multi_cg``) share one keyword surface
-(``alpha``/``beta``/``transa``/``transb``/``pad``/``check``) for
-one-shot calls. Their ``core_group=``/``context=`` keywords are the
-low-level escape hatch: use them only when managing devices and
-staging lifetimes explicitly — ``Session`` does both for you.
+One function decides padding, the contract check and the early return
+for empty shapes: ``core.api.dgemm``, one multiply on one core group,
+with the keyword surface
+(``alpha``/``beta``/``transa``/``transb``/``pad``/``check``) the other
+entry points pass through. ``CGScheduler.run`` is the one loop over
+GEMM items (``n_core_groups=1`` runs them serially on one CG), and
+``multi.dgemm4.dgemm_multi_cg`` splits one multiply into column panels
+over the chip's core groups. ``dgemm``'s ``core_group=``/``context=``
+keywords are the low-level escape hatch: use them only when managing
+devices and staging lifetimes explicitly — ``Session`` does both for
+you.
 """
 
 
