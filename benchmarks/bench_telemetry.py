@@ -15,6 +15,11 @@ run; anything between :data:`OVERHEAD_TARGET` and the gate prints a
 warning.  The pytest entry points only check functional invariants
 (zero sampler errors, zero drops) and report the ratio.
 
+Host BLAS is pinned to one thread, so a multithreaded BLAS does not
+compete with the sampler thread and the CG workers for the host's
+cores: here before numpy loads for the standalone run, and in
+``benchmarks/conftest.py`` under pytest.
+
 Runnable standalone (used by CI)::
 
     PYTHONPATH=src python benchmarks/bench_telemetry.py --smoke
@@ -25,8 +30,13 @@ from __future__ import annotations
 import argparse
 import asyncio
 import contextlib
+import os
 import sys
 import time
+
+if __name__ == "__main__":
+    for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+        os.environ[_var] = "1"
 
 import numpy as np
 import pytest

@@ -95,12 +95,6 @@ from repro.obs import (
     write_chrome_trace,
 )
 from repro.perf import Estimator, TimelineSimulator
-from repro.resil import (
-    FaultInjector,
-    FaultReport,
-    FaultSpec,
-    RetryPolicy,
-)
 
 __all__ = [
     "__version__",
@@ -129,8 +123,4 @@ __all__ = [
     "chrome_trace",
     "phase_report",
     "write_chrome_trace",
-    "FaultInjector",
-    "FaultReport",
-    "FaultSpec",
-    "RetryPolicy",
 ]

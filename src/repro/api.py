@@ -2,9 +2,9 @@
 
 A serving tier cannot be built on kwargs: a request must carry its
 *shape metadata* (for per-request routing and bin coalescing), its
-*options* (retry budget, engine, check) and come back as a *structured
-response* (value, per-request traffic and timing, fault reports, or a
-typed error — never a bare exception string).
+*options* (engine, check) and come back as a *structured response*
+(value, per-request traffic and timing, or a typed error — never a
+bare exception string).
 
 This module is that surface:
 
@@ -13,13 +13,12 @@ This module is that surface:
   itself, report its effective shape, compute its padded *shape bin*
   (the coalescing key), and hash its operand contents (the serving
   tier's operand-cache key);
-- :class:`SubmitOptions` — per-request execution options (retry
-  budget, engine, result checking), hashable so same-option requests
-  can share one dispatched batch;
+- :class:`SubmitOptions` — per-request execution options (engine,
+  result checking), hashable so same-option requests can share one
+  dispatched batch;
 - :class:`RequestResult` / :class:`RequestError` — the structured
   response: value, per-request staging/DMA/regcomm traffic delta,
-  queue/service timing, fault reports from the resilience ladder, and
-  a typed error instead of a raise;
+  queue/service timing, and a typed error instead of a raise;
 - :func:`as_request` / :func:`as_gemm_request` — the single
   normalization funnel every public entry point routes through.
 
@@ -44,7 +43,6 @@ from repro.errors import ConfigError, UnsupportedShapeError
 if TYPE_CHECKING:  # pragma: no cover - typing only, avoids import cycles
     from repro.core.context import ContextStats
     from repro.core.params import BlockingParams
-    from repro.resil.policy import FaultReport
 
 __all__ = [
     "DEFAULT_SUBMIT_OPTIONS",
@@ -332,15 +330,8 @@ class SubmitOptions:
     #: verify results against the engine contract
     #: (:func:`repro.core.reference.contract_violation`).
     check: bool | None = None
-    #: retry budget for transiently faulted items (``0`` disables
-    #: retrying; ``None`` uses the session's retry policy).
-    max_retries: int | None = None
 
     def __post_init__(self) -> None:
-        if self.max_retries is not None and self.max_retries < 0:
-            raise ConfigError(
-                f"max_retries must be >= 0, got {self.max_retries}"
-            )
         if self.engine is not None:
             object.__setattr__(self, "engine", str(self.engine).lower())
 
@@ -384,8 +375,6 @@ class RequestResult:
     #: this request's staging/DMA/regcomm delta (``None`` only when
     #: the request never reached a device).
     traffic: "ContextStats | None" = None
-    #: resilience-ladder reports for this request (empty when clean).
-    fault_reports: "tuple[FaultReport, ...]" = ()
     #: shape-bin label the request was coalesced under.
     bin: str = ""
     #: served from the operand cache without staging or dispatch.

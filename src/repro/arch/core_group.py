@@ -35,26 +35,6 @@ class CoreGroup:
         self.dma = DMAEngine(self.memory, spec)
         self.mpe = MPE(spec)
         self._cpes = {c: CPE(c, spec) for c in self.mesh.coords()}
-        #: optional chaos hook shared by this CG's devices (see
-        #: :mod:`repro.resil`); wired by :meth:`attach_injector`.
-        self.injector = None
-        self.cg_index: int | None = None
-
-    def attach_injector(self, injector, cg_index: int | None = None) -> None:
-        """Wire a :class:`~repro.resil.FaultInjector` through this CG.
-
-        Every fault site the CG owns — host staging
-        (``memory.store``), DMA transfers (``dma.get``/``dma.put``),
-        register communication (``regcomm``) and the engines' compute
-        phases (``compute``, read via :attr:`injector`) — fires through
-        the attached injector, tagged with ``cg_index`` so per-CG fault
-        specs can target this group.  Pass ``injector=None`` to detach.
-        """
-        self.injector = injector
-        self.cg_index = cg_index
-        for device in (self.memory, self.dma, self.regcomm):
-            device.injector = injector
-            device.cg_index = cg_index
 
     def cpe(self, coord: Coord | tuple[int, int]) -> CPE:
         return self._cpes[self.mesh.check(Coord(*coord))]
@@ -86,10 +66,9 @@ class CoreGroup:
         Clears CPE LDM/registers and flushes undelivered register-comm
         broadcasts.  Main memory is untouched: staged operands are the
         :class:`~repro.core.context.ExecutionContext`'s to manage, and
-        a retry restages them from the host arrays anyway.  The
-        resilience layer calls this before re-dispatching a failed
-        item, so a retry starts from the same clean device state a
-        fresh run would.
+        the next item restages its own.  The scheduler calls this after
+        a failed item, so the next item on the CG starts from the same
+        clean device state a fresh run would.
         """
         self.reset_cpes()
         self.regcomm.flush()

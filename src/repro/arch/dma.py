@@ -186,17 +186,6 @@ class DMAEngine:
         self.memory = memory
         self.spec = spec
         self.stats = DMAStats()
-        #: optional chaos hook (see :mod:`repro.resil`); set via
-        #: :meth:`repro.arch.core_group.CoreGroup.attach_injector`.
-        self.injector = None
-        self.cg_index: int | None = None
-
-    def _fire(self, direction: DMADirection) -> None:
-        """Chaos fire point: runs before any data moves, so an injected
-        fault never leaves a transfer half-applied."""
-        if self.injector is not None:
-            site = "dma.get" if direction is DMADirection.GET else "dma.put"
-            self.injector.fire(site, cg=self.cg_index)
 
     # -- alignment ------------------------------------------------------
 
@@ -232,7 +221,6 @@ class DMAEngine:
         buf: LDMBuffer,
     ) -> DMAReply:
         """Load a submatrix into one CPE's LDM buffer (``PE_MODE`` get)."""
-        self._fire(DMADirection.GET)
         desc = DMADescriptor(DMAMode.PE, DMADirection.GET, handle, row0, col0, rows, cols)
         self._check_alignment(desc)
         self._check_buf(buf, rows, cols)
@@ -250,7 +238,6 @@ class DMAEngine:
         buf: LDMBuffer,
     ) -> DMAReply:
         """Store one CPE's LDM buffer back to main memory (``PE_MODE`` put)."""
-        self._fire(DMADirection.PUT)
         desc = DMADescriptor(DMAMode.PE, DMADirection.PUT, handle, row0, col0, rows, cols)
         self._check_alignment(desc)
         self._check_buf(buf, rows, cols)
@@ -274,7 +261,6 @@ class DMAEngine:
         ``bufs[j]`` is the LDM buffer of the j-th CPE in the row; it
         receives the interleaved rows of :func:`row_mode_owner_rows`.
         """
-        self._fire(DMADirection.GET)
         desc = DMADescriptor(DMAMode.ROW, DMADirection.GET, handle, row0, col0, rows, cols)
         self._validate_row_mode(desc, bufs)
         src = self.memory.array(handle)
@@ -295,7 +281,6 @@ class DMAEngine:
         bufs: Sequence[LDMBuffer],
     ) -> DMAReply:
         """Gather the 8 CPEs' interleaved slices back to main memory (put)."""
-        self._fire(DMADirection.PUT)
         desc = DMADescriptor(DMAMode.ROW, DMADirection.PUT, handle, row0, col0, rows, cols)
         self._validate_row_mode(desc, bufs)
         dst = self.memory.array(handle)
@@ -327,7 +312,6 @@ class DMAEngine:
         fans the data out, so the transaction count equals a single
         copy's.
         """
-        self._fire(DMADirection.GET)
         desc = DMADescriptor(DMAMode.BCAST, DMADirection.GET, handle, row0, col0, rows, cols)
         self._check_alignment(desc)
         if len(bufs) != self.spec.n_cpes:

@@ -77,10 +77,6 @@ class MainMemory:
         self._used_bytes = 0
         self._peak_bytes = 0
         self.stats = MemoryStats()
-        #: optional chaos hook (see :mod:`repro.resil`); set via
-        #: :meth:`repro.arch.core_group.CoreGroup.attach_injector`.
-        self.injector = None
-        self.cg_index: int | None = None
 
     @property
     def used_bytes(self) -> int:
@@ -119,10 +115,6 @@ class MainMemory:
         extents and keeps the padding in its model.  ``array=None``
         stores zeros; :meth:`allocate` is the sugar for that.
         """
-        if self.injector is not None:
-            # chaos fire point, before any resident byte changes — an
-            # injected staging fault never half-rewrites an allocation.
-            self.injector.fire("memory.store", cg=self.cg_index)
         if array is not None:
             array = np.asarray(array)
             if array.ndim != 2:

@@ -20,7 +20,7 @@ a barrier.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -112,16 +112,6 @@ class RegisterComm:
             c: deque() for c in mesh.coords()
         }
         self.stats = RegCommStats()
-        #: optional chaos hook (see :mod:`repro.resil`); set via
-        #: :meth:`repro.arch.core_group.CoreGroup.attach_injector`.
-        self.injector = None
-        self.cg_index: int | None = None
-
-    def _fire(self) -> None:
-        """Chaos fire point: runs before any buffer is touched, so an
-        injected fault never leaves a broadcast half-delivered."""
-        if self.injector is not None:
-            self.injector.fire("regcomm", cg=self.cg_index)
 
     # -- producing ----------------------------------------------------
 
@@ -132,7 +122,6 @@ class RegisterComm:
         registers (the B splat path pads a single f64 to a full register
         via ``lddec``, so callers splat before broadcasting).
         """
-        self._fire()
         src = self.mesh.check(src)
         payload = self._validated(data)
         bc = Broadcast(src, payload)
@@ -145,7 +134,6 @@ class RegisterComm:
 
     def col_broadcast(self, src: Coord, data: np.ndarray) -> None:
         """Broadcast ``data`` from ``src`` to every other CPE in its column."""
-        self._fire()
         src = self.mesh.check(src)
         payload = self._validated(data)
         bc = Broadcast(src, payload)
@@ -163,7 +151,6 @@ class RegisterComm:
         sends within a row/column; the paper's DGEMM uses only
         broadcasts, but the Cannon ablation (A7) needs shifts.
         """
-        self._fire()
         src = self.mesh.check(src)
         dst = self.mesh.check(Coord(src.row, dst_col))
         if dst == src:
@@ -177,7 +164,6 @@ class RegisterComm:
 
     def send_col(self, src: Coord, dst_row: int, data: np.ndarray) -> None:
         """Point-to-point send to one CPE in the same column."""
-        self._fire()
         src = self.mesh.check(src)
         dst = self.mesh.check(Coord(dst_row, src.col))
         if dst == src:
@@ -234,13 +220,13 @@ class RegisterComm:
     def flush(self) -> int:
         """Discard every undelivered broadcast; returns how many.
 
-        Recovery hygiene, not protocol: an aborted run (an injected
-        fault, an isolated item failure) can die between a broadcast
-        and its drain, and the leftovers would trip the *next* run's
-        barrier checks.  Stats are untouched — the flushed data really
-        was sent.  Production code paths never need this; the
-        bulk-synchronous protocol drains its own buffers
-        (:meth:`assert_drained` enforces it).
+        Recovery hygiene, not protocol: an aborted run (an isolated
+        item failure) can die between a broadcast and its drain, and
+        the leftovers would trip the *next* run's barrier checks.
+        Stats are untouched — the flushed data really was sent.
+        Production code paths never need this; the bulk-synchronous
+        protocol drains its own buffers (:meth:`assert_drained`
+        enforces it).
         """
         dropped = 0
         for buf in (*self._row_buf.values(), *self._col_buf.values()):

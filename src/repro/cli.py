@@ -7,8 +7,6 @@ Installed as ``repro-dgemm``::
     repro-dgemm --m 512 --n 512 --k 1536 --gantt
     repro-dgemm schedule --items 16 --cgs 4
     repro-dgemm trace --items 8 --cgs 4 --out trace.json --report
-    repro-dgemm chaos --items 12 --fault dma.get:nth=3 --fault cg:nth=1
-    repro-dgemm chaos --smoke
     repro-dgemm serve --requests 32 --concurrency 32
     repro-dgemm serve --smoke --metrics-out scrape.prom
     repro-dgemm metrics --items 8 --out scrape1.prom --out2 scrape2.prom
@@ -24,11 +22,7 @@ makespan vs. the serial single-CG time, and the load-balance
 efficiency.  The ``trace`` subcommand runs a traced session batch and
 exports the span tree as a Chrome trace (load it at ui.perfetto.dev)
 or JSONL, reconciling span counter deltas against the session totals
-before it reports success.  The ``chaos`` subcommand runs the same
-batch twice — fault-free, then with the requested faults armed — and
-verifies the resilience contract: every recovered item is
-*bit-identical* to the fault-free run, and every non-recovered item
-carries a structured error instead of a wrong answer.  The ``serve``
+before it reports success.  The ``serve``
 subcommand stands up the asyncio serving tier, drives it with the
 seeded load generator, then verifies the serving contract: zero
 dropped responses, same-bin coalescing (strictly fewer dispatched
@@ -57,18 +51,15 @@ from repro.core.reference import contract_violation, reference_dgemm
 from repro.core.variants import VARIANTS
 from repro.errors import ReproError
 from repro.perf.estimator import Estimator
-from repro.resil import FAULT_SITES
 from repro.workloads.matrices import gemm_operands
 
 __all__ = [
-    "build_chaos_parser",
     "build_metrics_parser",
     "build_parser",
     "build_schedule_parser",
     "build_serve_parser",
     "build_trace_parser",
     "main",
-    "parse_fault_spec",
 ]
 
 
@@ -272,200 +263,6 @@ def _run_trace(argv: list[str]) -> int:
     if args.report:
         print()
         print(phase_report(tracer.spans))
-    return 0
-
-
-def parse_fault_spec(text: str):
-    """Parse a ``--fault`` argument into a :class:`repro.resil.FaultSpec`.
-
-    Syntax: ``site[:key=value]*`` with keys ``nth``, ``p`` (alias
-    ``prob``/``probability``), ``cg``, ``phase``, ``max`` (alias
-    ``max_fires``); a bare site defaults to ``nth=1`` (fault the first
-    eligible call).  Examples::
-
-        dma.get:nth=3          compute:p=0.05:max=2
-        cg:nth=1:cg=2          regcomm:p=1.0:phase=kernel
-    """
-    from repro.errors import ConfigError
-    from repro.resil import FaultSpec
-
-    parts = [p.strip() for p in str(text).split(":")]
-    site, kwargs = parts[0], {}
-    for part in parts[1:]:
-        key, sep, value = part.partition("=")
-        key = key.strip().lower()
-        if not sep:
-            raise ConfigError(f"fault option {part!r} is not key=value")
-        if key in ("p", "prob", "probability"):
-            kwargs["probability"] = float(value)
-        elif key == "nth":
-            kwargs["nth"] = int(value)
-        elif key == "cg":
-            kwargs["cg"] = int(value)
-        elif key == "phase":
-            kwargs["phase"] = value.strip()
-        elif key in ("max", "max_fires"):
-            kwargs["max_fires"] = int(value)
-        else:
-            raise ConfigError(f"unknown fault option {key!r} in {text!r}")
-    if "probability" not in kwargs and "nth" not in kwargs:
-        kwargs["nth"] = 1
-    return FaultSpec(site, **kwargs)
-
-
-def build_chaos_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="repro-dgemm chaos",
-        description="Chaos-test the Session/scheduler stack: inject "
-                    "faults into a batch and verify bit-exact recovery",
-    )
-    parser.add_argument("--items", type=int, default=12,
-                        help="number of batch items (default 12)")
-    parser.add_argument("--cgs", type=int, default=4,
-                        help="pool size, 1..4 core groups (default 4)")
-    parser.add_argument(
-        "--variant", default="SCHED", choices=sorted(VARIANTS),
-        type=lambda s: s.upper(), help="implementation (paper Sec V)",
-    )
-    parser.add_argument(
-        "--preset", choices=["small", "paper"], default="small",
-        help="blocking parameters: scaled-down (default) or the paper's",
-    )
-    parser.add_argument("--seed", type=int, default=0,
-                        help="workload seed (default 0)")
-    parser.add_argument("--fault-seed", type=int, default=0,
-                        help="injector seed for probability triggers")
-    parser.add_argument(
-        "--fault", action="append", default=[], metavar="SPEC",
-        help="armed fault, repeatable: site[:nth=N][:p=P][:cg=G]"
-             "[:phase=NAME][:max=M]; bare site means nth=1 "
-             f"(sites: {', '.join(FAULT_SITES)})",
-    )
-    parser.add_argument("--retries", type=int, default=2,
-                        help="max retries per faulted item (default 2)")
-    parser.add_argument("--no-fallback", action="store_true",
-                        help="disable the engine-degradation rung")
-    parser.add_argument("--strict", action="store_true",
-                        help="also fail when any item exhausts the ladder "
-                             "(default only fails on a wrong answer)")
-    parser.add_argument("--smoke", action="store_true",
-                        help="fixed recoverable fault schedule across "
-                             "every site (6 items, 2 CGs) for CI; "
-                             "implies --strict")
-    return parser
-
-
-def _run_chaos(argv: list[str]) -> int:
-    from repro.core.session import Session
-    from repro.resil import FaultInjector, FaultSpec, RetryPolicy
-    from repro.workloads.matrices import mixed_batch
-
-    args = build_chaos_parser().parse_args(argv)
-    if args.smoke:
-        args.items, args.cgs, args.preset, args.strict = 6, 2, "small", True
-        # the one-shot specs can all land on one item's retry chain
-        # (each retry trips the next armed spec), so the budget must
-        # cover the full schedule for the run to be recoverable.
-        args.retries = max(args.retries, 6)
-        if not args.fault:
-            args.fault = [
-                "memory.store:nth=2",
-                "dma.get:nth=2",
-                "dma.put:nth=1",
-                "regcomm:nth=3",
-                "compute:nth=2",
-                "cg:nth=1",
-            ]
-    if not args.fault:
-        print("error: no --fault specs armed (or use --smoke)",
-              file=sys.stderr)
-        return 2
-    params = _params_for(args)
-    policy = RetryPolicy(max_retries=args.retries) if args.retries else None
-    fallback = None if args.no_fallback else "auto"
-    try:
-        specs = [parse_fault_spec(text) for text in args.fault]
-        items = mixed_batch(args.items, params=params, seed=args.seed)
-
-        # fault-free reference run: same workload, same engines, no
-        # injector — the bit-exactness baseline.
-        with Session(variant=args.variant, params=params,
-                     n_core_groups=args.cgs) as session:
-            baseline = session.batch(items)
-        if not baseline.ok:
-            print("error: fault-free baseline run failed", file=sys.stderr)
-            return 2
-
-        injector = FaultInjector(specs, seed=args.fault_seed)
-        with Session(variant=args.variant, params=params,
-                     n_core_groups=args.cgs, injector=injector,
-                     retry_policy=policy,
-                     fallback_engine=fallback) as session:
-            result = session.batch(items)
-            resil = session.resil_stats()
-    except ReproError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-
-    # items recovered on the fallback engine ran different (equally
-    # correct) arithmetic, so they match the baseline to 1e-12 rather
-    # than bit-for-bit; everything else must be bit-identical.
-    fellback = {
-        r.index for r in result.fault_reports
-        if r.recovered and r.fallback_engine
-    }
-    mismatched = []
-    for i, out in enumerate(result.outputs):
-        if out is None:
-            continue
-        ref = baseline.outputs[i]
-        same = (np.allclose(out, ref, rtol=1e-12, atol=1e-9)
-                if i in fellback else np.array_equal(out, ref))
-        if not same:
-            mismatched.append(i)
-    injection = resil.get("injection", {})
-    print(f"injected {injection.get('injected', 0)} fault(s) over "
-          f"{injection.get('calls', 0)} fire-point calls "
-          f"({len(specs)} spec(s), seed {args.fault_seed})")
-    for report in result.fault_reports:
-        if report.recovered:
-            outcome = "recovered"
-            if report.index in mismatched:
-                outcome = "RECOVERED WITH WRONG ANSWER"
-        else:
-            outcome = f"exhausted ({report.error_kind})"
-        extras = [f"attempts={report.attempts}"]
-        if report.retries:
-            extras.append(f"retries={report.retries}")
-        if report.fallback_engine:
-            extras.append(f"fallback={report.fallback_engine}")
-        if report.quarantined_cgs:
-            extras.append(f"quarantined={list(report.quarantined_cgs)}")
-        print(f"  item {report.index:3d}  {report.site or '-':<13} "
-              f"{' '.join(extras)}  -> {outcome}")
-    if result.quarantined:
-        print(f"quarantined CGs {list(result.quarantined)}; "
-              f"{result.healthy_core_groups} healthy; load-balance "
-              f"efficiency {100 * result.load_balance_efficiency:.1f}% "
-              "(healthy CGs only)")
-    recovered = len(result.recovered)
-    exhausted = len(result.fault_reports) - recovered
-    print(f"{recovered} recovered / {exhausted} exhausted of "
-          f"{len(result.fault_reports)} disturbed item(s); "
-          f"{resil['retries']} retries, {resil['fallbacks']} fallback(s), "
-          f"{resil['respilled']} respill(s), "
-          f"{resil['backoff_seconds'] * 1e6:.2f} us modeled backoff")
-    if mismatched:
-        print(f"error: item(s) {mismatched} recovered with outputs that "
-              "differ from the fault-free run", file=sys.stderr)
-        return 1
-    print("every recovered item matches the fault-free run "
-          + ("(bit-identical; fallback items to rtol=1e-12)"
-             if fellback else "(bit-identical)"))
-    if exhausted and args.strict:
-        print(f"error: --strict and {exhausted} item(s) exhausted the "
-              "recovery ladder", file=sys.stderr)
-        return 1
     return 0
 
 
@@ -854,8 +651,6 @@ def main(argv: list[str] | None = None) -> int:
         return _run_schedule(argv[1:])
     if argv and argv[0] == "trace":
         return _run_trace(argv[1:])
-    if argv and argv[0] == "chaos":
-        return _run_chaos(argv[1:])
     if argv and argv[0] == "serve":
         return _run_serve(argv[1:])
     if argv and argv[0] == "metrics":

@@ -41,7 +41,6 @@ from repro.obs.registry import (
     plan_cache_meter,
 )
 from repro.obs.tracer import ensure_tracer
-from repro.resil.faults import fault_phase
 
 __all__ = ["dgemm"]
 
@@ -189,23 +188,19 @@ def dgemm(
             flops=2 * m * n * k,
         ):
             meter = cg_meter(cg)
-            injector = cg.injector
             # BLAS: alpha == 0 never reads A or B, so an Inf there
             # cannot leak; zeros keep the slots, shapes and stats.
-            with tracer.span("stage_A", cat="stage", meter=meter), \
-                    fault_phase(injector, "stage_A"):
+            with tracer.span("stage_A", cat="stage", meter=meter):
                 ha = (
                     ctx.stage("A", a, rows=pm, cols=pk)
                     if alpha != 0 else ctx.stage_zeros("A", pm, pk)
                 )
-            with tracer.span("stage_B", cat="stage", meter=meter), \
-                    fault_phase(injector, "stage_B"):
+            with tracer.span("stage_B", cat="stage", meter=meter):
                 hb = (
                     ctx.stage("B", b, rows=pk, cols=pn)
                     if alpha != 0 else ctx.stage_zeros("B", pk, pn)
                 )
-            with tracer.span("stage_C", cat="stage", meter=meter), \
-                    fault_phase(injector, "stage_C"):
+            with tracer.span("stage_C", cat="stage", meter=meter):
                 # BLAS: beta == 0 never reads C, so a NaN there cannot leak
                 hc = (
                     ctx.stage("C", c, rows=pm, cols=pn)
@@ -214,8 +209,7 @@ def dgemm(
                 )
             eng.run(impl, cg, ha, hb, hc, alpha=alpha, beta=beta,
                     params=params, tracer=tracer, plan_cache=pc)
-            with tracer.span("store_C", cat="stage", meter=meter), \
-                    fault_phase(injector, "store_C"):
+            with tracer.span("store_C", cat="stage", meter=meter):
                 result = np.array(cg.memory.array(hc)[:m, :n], order="F",
                                   copy=True)
 

@@ -8,7 +8,6 @@ from repro.core.engine.base import Engine
 from repro.core.params import BlockingParams
 from repro.obs.registry import cg_meter
 from repro.obs.tracer import ensure_tracer
-from repro.resil.faults import fault_phase
 
 __all__ = ["DeviceEngine"]
 
@@ -50,7 +49,5 @@ class DeviceEngine(Engine):
             variant=getattr(getattr(impl, "traits", None), "name",
                             type(impl).__name__),
             engine=self.name,
-        ), fault_phase(cg.injector, "kernel"):
-            if cg.injector is not None:
-                cg.injector.fire("compute", cg=cg.cg_index)
+        ):
             impl.run(cg, a, b, c, alpha=alpha, beta=beta, params=params)

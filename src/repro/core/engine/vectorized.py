@@ -66,22 +66,8 @@ from repro.core.sharing import Scheme
 from repro.core.variants.base import check_gemm_shapes
 from repro.obs.registry import cg_meter
 from repro.obs.tracer import ensure_tracer
-from repro.resil.faults import fault_phase
 
 __all__ = ["VectorizedEngine", "StepwiseEngine", "TileStacks"]
-
-
-def _fire(cg: CoreGroup, site: str) -> None:
-    """Chaos fire point for the analytically-booked transfer sites.
-
-    The vectorized engine never calls the per-CPE device methods, so
-    the ``dma.*``/``regcomm`` fire points instrumented there are
-    re-issued here at the equivalent block-transfer granularity — one
-    call per block transfer group, before the tallies it represents.
-    """
-    injector = cg.injector
-    if injector is not None:
-        injector.fire(site, cg=cg.cg_index)
 
 
 class TileStacks:
@@ -204,9 +190,7 @@ class VectorizedEngine(Engine):
             for l in range(grid_k):
                 lb = slice(l * b_k, min((l + 1) * b_k, k))
                 with tracer.span("strip_mult", cat="kernel", meter=meter,
-                                 j=j, l=l), fault_phase(cg.injector, "kernel"):
-                    _fire(cg, "compute")
-                    _fire(cg, "dma.get")
+                                 j=j, l=l):
                     if l == 0 and beta != 1.0:
                         c_v[:, jb] *= beta
                     np.matmul(b_v[lb, jb].T, a_v[:, lb].T, out=res_j)
@@ -215,10 +199,8 @@ class VectorizedEngine(Engine):
                     c_v[:, jb] += res_j.T
                     mapping.tally_load_b(cg)
                     for _ in range(grid_m):
-                        _fire(cg, "dma.get")
                         mapping.tally_load_a(cg)
                         mapping.tally_load_c(cg)
-                        _fire(cg, "dma.put")
                         mapping.tally_store_c(cg)
                         self._tally_sharing(cg, impl.scheme, params)
 
@@ -231,7 +213,6 @@ class VectorizedEngine(Engine):
         receives (every CPE not on an owner line pops each operand).
         Which network carries which operand is the scheme's transpose.
         """
-        _fire(cg, "regcomm")
         a_nbytes = params.p_m * params.p_k * 8
         b_nbytes = params.p_k * params.p_n * 8
         n_bcasts = GRID * GRID  # 8 owners x 8 steps
@@ -273,14 +254,11 @@ class VectorizedEngine(Engine):
         c_v = cg.memory.array(c).reshape(GRID, panel_m, GRID, panel_n)
         n_kk = k // t_k
         with tracer.span("kernel", cat="kernel", meter=cg_meter(cg),
-                         variant=impl.traits.name, engine=self.name), \
-                fault_phase(cg.injector, "kernel"):
+                         variant=impl.traits.name, engine=self.name):
             for ti in range(panel_m // t_m):
                 rows = slice(ti * t_m, (ti + 1) * t_m)
                 for tj in range(panel_n // t_n):
                     cols = slice(tj * t_n, (tj + 1) * t_n)
-                    _fire(cg, "compute")
-                    _fire(cg, "dma.get")
                     c_region = c_v[:, rows, :, cols]
                     c_stack = c_region.transpose(0, 2, 1, 3).copy()
                     if beta != 1.0:
@@ -294,7 +272,6 @@ class VectorizedEngine(Engine):
                             c_stack += prod
                         else:
                             c_stack += alpha * prod
-                    _fire(cg, "dma.put")
                     c_region[:] = c_stack.transpose(0, 2, 1, 3)
                     stats.tally(DMAMode.PE, DMADirection.GET,
                                 t_m * t_n * 8, t_m * t_n * 8 // tb, n_cpes)
@@ -343,14 +320,11 @@ class StepwiseEngine(VectorizedEngine):
         for j in range(grid_n):
             for l in range(grid_k):
                 with tracer.span("strip_mult", cat="kernel", meter=meter,
-                                 j=j, l=l), fault_phase(cg.injector, "kernel"):
-                    _fire(cg, "compute")
-                    _fire(cg, "dma.get")
+                                 j=j, l=l):
                     plan.load_b(b_v, l, j, stacks.b)
                     mapping.tally_load_b(cg)
                     beta_now = beta if l == 0 else 1.0
                     for i in range(grid_m):
-                        _fire(cg, "dma.get")
                         plan.load_a(a_v, i, l, stacks.a)
                         mapping.tally_load_a(cg)
                         plan.load_c(c_v, i, j, stacks.c)
@@ -359,7 +333,6 @@ class StepwiseEngine(VectorizedEngine):
                             stacks.c *= beta_now
                         self._strip_multiply(
                             cg, plan, a4, b4, c4, prod4, alpha, params)
-                        _fire(cg, "dma.put")
                         plan.store_c(c_v, i, j, stacks.c)
                         mapping.tally_store_c(cg)
 

@@ -28,7 +28,7 @@ the session opened.
 from __future__ import annotations
 
 import threading
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -36,7 +36,6 @@ from repro.errors import ConfigError, UnsupportedShapeError
 from repro.api import (
     DEFAULT_SUBMIT_OPTIONS,
     ConvRequest,
-    GemmRequest,
     LuRequest,
     Request,
     RequestError,
@@ -56,8 +55,6 @@ from repro.multi.processor import SW26010Processor
 from repro.multi.scheduler import CGScheduler, ScheduleResult
 from repro.obs.tracer import ensure_tracer
 from repro.perf.calibration import Calibration, DEFAULT_CALIBRATION
-from repro.resil.faults import FaultInjector
-from repro.resil.policy import DEFAULT_RETRY_POLICY, RetryPolicy
 from repro.utils.stats import StatsProtocol
 
 __all__ = ["Session", "SessionStats"]
@@ -105,17 +102,9 @@ class Session:
     default ``None`` is the no-op tracer (<=2% overhead budget on the
     untraced path).
 
-    Resilience is on by default for batches: ``retry_policy`` (two
-    bit-exact retries of transiently faulted items) and
-    ``fallback_engine="auto"`` (a failed vectorized item re-runs once
-    on the checked ``device`` engine, unless it failed with a
-    ``MemoryError``, which no engine avoids) cost nothing on clean
-    runs.  Pass ``injector=`` (a :class:`repro.resil.FaultInjector`)
-    to chaos-test: it is wired through every CG's devices, batch items
-    recover per the ladder in :mod:`repro.resil`, and
-    :meth:`resil_stats` / ``result.fault_reports`` expose what
-    happened.  Scalar :meth:`dgemm` calls are *not* retried — a fault
-    there propagates to the caller.
+    A failed batch item is isolated as an
+    :class:`~repro.multi.scheduler.ItemError`; a failed scalar
+    :meth:`dgemm` call raises to the caller.
     """
 
     def __init__(
@@ -131,9 +120,6 @@ class Session:
         pad: bool = True,
         check: bool = False,
         tracer=None,
-        injector: FaultInjector | None = None,
-        retry_policy: RetryPolicy | None = DEFAULT_RETRY_POLICY,
-        fallback_engine: str | None = "auto",
     ) -> None:
         self.tracer = ensure_tracer(tracer)
         self.variant = str(variant).upper()
@@ -143,10 +129,6 @@ class Session:
         self.pad = pad
         self.check = check
         self.processor = processor or SW26010Processor(spec)
-        self.injector = injector
-        if fallback_engine == "auto":
-            # degrade to the checked device model, unless already on it.
-            fallback_engine = "device" if self.engine != "device" else None
         self.scheduler = CGScheduler(
             self.processor,
             n_core_groups=n_core_groups,
@@ -157,9 +139,6 @@ class Session:
             pad=pad,
             check=check,
             tracer=self.tracer,
-            injector=injector,
-            retry_policy=retry_policy,
-            fallback_engine=fallback_engine,
         )
         #: the scheduler's pool-wide plan cache, shared by scalar calls
         #: too — one compiled plan serves both entry points.
@@ -314,9 +293,7 @@ class Session:
         accounting are bit-identical to the default serial dispatch.
 
         ``options=`` (a :class:`~repro.api.SubmitOptions`) applies
-        per-batch execution overrides: engine, result checking, and the
-        retry budget (``max_retries`` rebinds the session's retry
-        policy for this batch only — ``0`` disables retrying).  The
+        per-batch execution overrides: engine and result checking.  The
         serving tier coalesces same-option requests so every dispatched
         batch has one uniform ``options``.
 
@@ -329,10 +306,6 @@ class Session:
         self._require_open()
         items = list(items)
         opts = options or DEFAULT_SUBMIT_OPTIONS
-        retry_policy = None
-        if opts.max_retries is not None:
-            base = self.scheduler.retry_policy or DEFAULT_RETRY_POLICY
-            retry_policy = replace(base, max_retries=opts.max_retries)
         with self._stats_lock:
             batch_no = self._batches
             self._batches += 1
@@ -345,7 +318,6 @@ class Session:
                 parallel=parallel,
                 engine=opts.engine,
                 check=opts.check,
-                retry_policy=retry_policy,
                 blocking=blocking,
             )
         with self._stats_lock:
@@ -369,10 +341,9 @@ class Session:
         :class:`~repro.api.GemmRequest`/:class:`~repro.api.ConvRequest`
         /:class:`~repro.api.LuRequest` and returns a structured
         :class:`~repro.api.RequestResult` — value, this request's own
-        traffic delta, fault reports from the resilience ladder, and a
-        :class:`~repro.api.RequestError` instead of an exception when
-        the request is malformed, names an unknown engine, or exhausts
-        its retry budget.
+        traffic delta, and a :class:`~repro.api.RequestError` instead
+        of an exception when the request is malformed, names an unknown
+        engine, or fails to execute.
         (Session-level misuse — submitting on a closed session — still
         raises.)
 
@@ -407,7 +378,6 @@ class Session:
             return RequestResult(
                 error=RequestError(kind=err.kind, message=err.message),
                 traffic=traffic,
-                fault_reports=result.fault_reports,
                 bin=bin_label,
             )
         value = result.outputs[0]
@@ -416,7 +386,6 @@ class Session:
         return RequestResult(
             value=value,
             traffic=traffic,
-            fault_reports=result.fault_reports,
             bin=bin_label,
         )
 
@@ -454,15 +423,19 @@ class Session:
         return RequestResult(value=value, traffic=delta, bin=bin_label)
 
     def resil_stats(self) -> dict:
-        """Cumulative resilience counters (see
-        :meth:`~repro.multi.scheduler.CGScheduler.resil_stats`)."""
-        return self.scheduler.resil_stats()
+        """Always ``{"retries": 0, "fallbacks": 0}``: nothing retries.
+
+        Kept only because the external benchmark harness
+        (``perfbench/``) still reads these two keys; it goes once that
+        harness stops reading them.
+        """
+        return {"retries": 0, "fallbacks": 0}
 
     def metrics_registry(self):
         """This session's counters as one sampler-ready registry.
 
         The scheduler's registry (per-CG device counters, NoC, plan
-        cache, resilience) plus the cumulative session accounting
+        cache) plus the cumulative session accounting
         under ``session.*`` (``session.traffic.dma_bytes``, ...).
         Attach a :class:`~repro.obs.series.MetricsSampler` to stream
         the whole address space as time series; because

@@ -25,8 +25,6 @@ __all__ = [
     "UnsupportedShapeError",
     "MappingError",
     "SharingError",
-    "FaultInjectedError",
-    "QuarantineError",
 ]
 
 
@@ -102,30 +100,3 @@ class MappingError(ReproError, RuntimeError):
 
 class SharingError(ReproError, RuntimeError):
     """Collective data-sharing roles are inconsistent for a step."""
-
-
-class FaultInjectedError(ReproError, RuntimeError):
-    """A deliberately injected transient fault (chaos testing).
-
-    Raised by :class:`repro.resil.FaultInjector` at an armed fault site
-    (``dma.get``, ``dma.put``, ``regcomm``, ``memory.store``,
-    ``compute``, ``cg``).  The resilience layer treats this — and only
-    this — as *transient*: a retry re-runs the whole item from freshly
-    restaged operands, so recovery is bit-exact.
-    """
-
-    def __init__(self, site: str, *, cg: int | None = None, phase: str | None = None):
-        self.site = site
-        self.cg = cg
-        self.phase = phase
-        where = f" on CG{cg}" if cg is not None else ""
-        during = f" during {phase}" if phase else ""
-        super().__init__(f"injected fault at {site}{where}{during}")
-
-
-class QuarantineError(ReproError, RuntimeError):
-    """No healthy core group remains to run an item on.
-
-    Raised (or recorded as a per-item error, under failure isolation)
-    when whole-CG faults have quarantined the entire scheduler pool.
-    """

@@ -24,16 +24,6 @@ class SW26010Processor:
             )
         self._cgs = [CoreGroup(spec) for _ in range(self.N_CORE_GROUPS)]
 
-    def attach_injector(self, injector) -> None:
-        """Wire a :class:`~repro.resil.FaultInjector` through every CG.
-
-        Each core group's fault sites fire tagged with its index, so
-        one injector can target the whole chip or, via per-spec ``cg``
-        filters, a single group.  Pass ``None`` to detach everywhere.
-        """
-        for index, cg in enumerate(self._cgs):
-            cg.attach_injector(injector, cg_index=index)
-
     def cg(self, index: int) -> CoreGroup:
         if not 0 <= index < self.N_CORE_GROUPS:
             raise MeshError(f"CG index {index} outside [0, {self.N_CORE_GROUPS})")

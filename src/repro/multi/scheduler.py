@@ -19,19 +19,11 @@ single-CG kernel into a chip-level throughput engine:
   least-loaded CG when staying would worsen the makespan by more than
   the item's own cost, re-homing the bin so the cache warms up there;
 - **per-item failure isolation** — an item that raises is recorded as
-  an :class:`ItemError` and its CG's context stays usable; the other
-  items and CGs are unaffected;
-- **resilience** — with a :class:`~repro.resil.FaultInjector` and a
-  :class:`~repro.resil.RetryPolicy` wired in, a transiently faulted
-  item retries from freshly restaged operands (bit-exact recovery,
-  deterministic backoff charged in modeled seconds), degrades once to
-  the ``fallback_engine`` when retries exhaust, and a whole-CG fault
-  (site ``"cg"``) quarantines the group and respills its queue to the
-  least-loaded healthy CG; every disturbed item carries a
-  :class:`~repro.resil.FaultReport` in ``result.fault_reports``;
+  an :class:`ItemError`, its CG's transient device state is reset and
+  its context stays usable; the other items and CGs are unaffected;
 - **aggregated accounting** — :class:`ScheduleResult` reports per-CG
   traffic deltas, the modeled makespan vs. the serial single-CG time,
-  and the load-balance efficiency over the *healthy* CGs.
+  and the load-balance efficiency.
 
 Every CG is driven through its own long-lived ``ExecutionContext``,
 entered for the duration of one :meth:`CGScheduler.run` — so after a
@@ -47,45 +39,27 @@ worker thread from a pool the scheduler owns.  The heavy work per item
 — the fused engine's panel ``np.matmul`` calls and the staging copies —
 releases the GIL, so a 4-CG batch genuinely overlaps on a multi-core
 host while the Python coordination glue stays thin.  Thread correctness
-rests on a sharding discipline rather than a big lock:
+rests on a sharding discipline rather than a lock: each CG's queue is
+fixed at plan time and walked only by that CG's worker, so every
+``ExecutionContext`` has a single writer (span-metered context deltas
+stay exact), and every item's output, error and traffic land in that
+item's own result slot.
 
-- ``counts`` / ``failures`` / ``run_seconds`` and each CG's
-  ``ExecutionContext`` are **sharded per CG**: only the worker that
-  owns a core group mutates its slots, so per-CG accounting needs no
-  lock and span-metered context deltas stay exact;
-- the cross-CG structures — the quarantine set, respill target
-  selection over the shared load vector, the ``unplaced`` tally — are
-  guarded by one **accounting lock**; :class:`~repro.resil.RecoveryStats`
-  mutations take a **resilience lock**; the shared
-  :class:`~repro.resil.FaultInjector` and the modeled-seconds cache
-  carry their own locks;
-- a quarantined CG's worker turns into a *respiller*: items left on its
-  queue are re-homed (under the accounting lock) to the least-loaded
-  healthy CG's queue and executed by that CG's own worker, so the
-  single-writer discipline survives failover.
-
-Serial mode remains the default and is bit-identical to previous
-releases — the ladder stepper runs the exact same operation sequence,
-just driven by an inline loop instead of worker queues.
+Serial mode remains the default and runs the same per-item step, just
+driven by an inline loop in input order instead of worker queues, so
+its outputs and accounting are bit-identical to a parallel run's.
 """
 
 from __future__ import annotations
 
-import collections
 import contextlib
 import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
-import numpy as np
 
-from repro.errors import (
-    ConfigError,
-    FaultInjectedError,
-    QuarantineError,
-    UnsupportedShapeError,
-)
+from repro.errors import ConfigError, UnsupportedShapeError
 from repro.api import GemmRequest
 from repro.arch.config import SW26010Spec, DEFAULT_SPEC
 from repro.core.api import dgemm
@@ -99,8 +73,6 @@ from repro.obs.registry import MetricsRegistry, context_meter
 from repro.obs.tracer import ensure_tracer
 from repro.perf.calibration import Calibration, DEFAULT_CALIBRATION
 from repro.perf.estimator import Estimator
-from repro.resil.faults import FaultInjector
-from repro.resil.policy import FaultReport, RecoveryStats, RetryPolicy
 
 __all__ = [
     "CGScheduler",
@@ -201,8 +173,7 @@ class CGTraffic:
     core_group: int
     items: int
     failures: int
-    #: modeled seconds of the work run here (every attempt dispatched
-    #: to this CG, plus retry backoff charged against it).
+    #: modeled seconds of the work dispatched to this CG.
     modeled_seconds: float
     #: staging/DMA/regcomm deltas of this CG's context over the run.
     stats: ContextStats
@@ -217,21 +188,8 @@ class ScheduleResult:
     ``dma_bytes``/``dma_transactions``/``regcomm_bytes`` read it.
     ``flops`` counts the logical ``2*m*n*k`` of successfully executed
     items only, ``padded_flops`` the work of their padded block grid.
-
-    Timing properties are computed from the *runtime* per-CG seconds in
-    ``per_cg`` (which include retry backoff and respilled work), not
-    the plan's predictions — the two coincide exactly on a fault-free
-    run.  ``load_balance_efficiency`` divides by the healthy CG count:
-    a pool that lost a CG to quarantine is not penalized for the work
-    the dead CG could not have done.
-
-    ``unplaced`` lists the items no CG could accept (every group
-    quarantined before they dispatched).  They appear in ``errors``
-    with a :class:`~repro.errors.QuarantineError`, but are *not*
-    charged to any CG's ``items``/``failures`` — an item that never
-    executed anywhere must not skew :class:`CGTraffic` or the
-    load-balance figures of the group that happened to be its last
-    planned home.
+    Timing properties are the plan's: every item runs exactly once, on
+    the CG the plan gave it.
     """
 
     #: per-item results in input order; ``None`` where the item failed.
@@ -242,21 +200,13 @@ class ScheduleResult:
     #: summed staging/DMA/regcomm deltas across the pool's contexts.
     traffic: ContextStats
     flops: int
-    padded_flops: int = 0
-    #: one report per fault-disturbed item (empty on a clean run).
-    fault_reports: tuple[FaultReport, ...] = ()
-    #: CGs quarantined by whole-CG faults during this run.
-    quarantined: tuple[int, ...] = ()
-    #: items (by index) that no healthy CG could accept — counted here,
-    #: never in any CG's traffic.
-    unplaced: tuple[int, ...] = ()
-    #: per-item staging/DMA/regcomm deltas, in input order (every
-    #: attempt the item made, on whichever CGs it touched).  Exact, not
-    #: approximate: each CG's context is mutated only by the worker
-    #: running an item's attempt, so attempt-scoped snapshots partition
-    #: the CG's delta — summing ``item_traffic`` reproduces ``traffic``
-    #: bit-exactly.  Empty tuple on results from older call sites.
-    item_traffic: tuple[ContextStats, ...] = ()
+    padded_flops: int
+    #: per-item staging/DMA/regcomm deltas, in input order (failed
+    #: items included).  Exact, not approximate: each CG's context is
+    #: mutated only by the worker running an item there, so
+    #: item-scoped snapshots partition the CG's delta — summing
+    #: ``item_traffic`` reproduces ``traffic`` bit-exactly.
+    item_traffic: tuple[ContextStats, ...]
 
     @property
     def ok(self) -> bool:
@@ -279,21 +229,9 @@ class ScheduleResult:
         return len(self.per_cg)
 
     @property
-    def healthy_core_groups(self) -> int:
-        """CGs still accepting work at the end of the run."""
-        return self.n_core_groups - len(self.quarantined)
-
-    @property
-    def recovered(self) -> tuple[FaultReport, ...]:
-        """The fault reports whose items still produced a correct output."""
-        return tuple(r for r in self.fault_reports if r.recovered)
-
-    @property
     def makespan_seconds(self) -> float:
-        """Runtime makespan: the most-loaded CG's accumulated seconds."""
-        if not self.per_cg:
-            return self.plan.makespan_seconds
-        return max(t.modeled_seconds for t in self.per_cg)
+        """Modeled makespan: the most-loaded CG's total."""
+        return self.plan.makespan_seconds
 
     @property
     def serial_seconds(self) -> float:
@@ -301,14 +239,12 @@ class ScheduleResult:
 
     @property
     def modeled_speedup(self) -> float:
-        makespan = self.makespan_seconds
-        return self.serial_seconds / makespan if makespan else 1.0
+        return self.plan.modeled_speedup
 
     @property
     def load_balance_efficiency(self) -> float:
-        """``speedup / healthy CGs`` — 1.0 is a perfect healthy split."""
-        healthy = self.healthy_core_groups
-        return self.modeled_speedup / healthy if healthy else 0.0
+        """``speedup / n_cgs`` — 1.0 is a perfect split."""
+        return self.plan.load_balance_efficiency
 
     @property
     def padding_overhead(self) -> float:
@@ -317,68 +253,6 @@ class ScheduleResult:
 
     def __len__(self) -> int:
         return len(self.outputs)
-
-
-class _ItemTask:
-    """One batch item's mutable trip through the recovery ladder.
-
-    Owning the ladder state (retries burned, faults seen, current home)
-    lets an item cross threads on respill without losing its history:
-    the quarantined CG's worker re-enqueues the *task*, and the healthy
-    CG's worker resumes exactly where the ladder left off.
-    """
-
-    __slots__ = (
-        "idx", "item", "seconds", "home", "engine", "params",
-        "retries", "attempts", "backoff", "first_site", "q_here",
-        "fallback_used", "traffic",
-    )
-
-    def __init__(
-        self, idx: int, item: GemmRequest, home: int, seconds: float,
-        engine: str, params: BlockingParams,
-    ) -> None:
-        self.idx = idx
-        self.item = item
-        self.seconds = seconds
-        self.home = home
-        self.engine = engine
-        #: this item's blocking parameters (a per-item ``blocking=``
-        #: override, or the scheduler default).
-        self.params = params
-        self.retries = 0
-        self.attempts = 0
-        self.backoff = 0.0
-        self.first_site: str | None = None
-        self.q_here: list[int] = []
-        self.fallback_used: str | None = None
-        #: this item's accumulated context delta across every attempt.
-        self.traffic = ContextStats.zero()
-
-    def report(self, recovered: bool, exc: BaseException | None = None) -> FaultReport:
-        return FaultReport(
-            index=self.idx,
-            site=self.first_site,
-            attempts=self.attempts,
-            retries=self.retries,
-            backoff_seconds=self.backoff,
-            fallback_engine=self.fallback_used,
-            quarantined_cgs=tuple(self.q_here),
-            core_group=self.home,
-            recovered=recovered,
-            error_kind=type(exc).__name__ if exc is not None else None,
-            error_message=str(exc) if exc is not None else None,
-        )
-
-    @property
-    def disturbed(self) -> bool:
-        return bool(
-            self.first_site or self.retries or self.fallback_used or self.q_here
-        )
-
-
-#: outcome kinds returned by ``CGScheduler._run_item``.
-_OK, _ERROR, _UNPLACED, _RESPILL = "ok", "error", "unplaced", "respill"
 
 
 class CGScheduler:
@@ -400,16 +274,6 @@ class CGScheduler:
     in-flight call raises :class:`~repro.errors.ConfigError` loudly
     instead of corrupting state.
 
-    Resilience is opt-in: pass ``injector=`` (wired through every CG's
-    devices here), ``retry_policy=`` to retry transiently faulted items
-    with deterministic modeled backoff, and ``fallback_engine=`` to
-    re-run an item once on a different engine after retries exhaust.
-    Whole-CG faults (site ``"cg"``, fired at dispatch) quarantine the
-    group for the rest of the run and respill its queue to the
-    least-loaded healthy CG.  Cumulative counters live in
-    :meth:`resil_stats`; per-item outcomes in
-    :attr:`ScheduleResult.fault_reports`.
-
     Call :meth:`close` (or use the scheduler as a context manager) to
     release the worker pool; a scheduler that never ran in parallel
     holds no threads.
@@ -428,9 +292,6 @@ class CGScheduler:
         pad: bool = True,
         check: bool = False,
         tracer=None,
-        injector: FaultInjector | None = None,
-        retry_policy: RetryPolicy | None = None,
-        fallback_engine: str | None = None,
         plan_cache: PlanCache | None = None,
     ) -> None:
         self.processor = processor or SW26010Processor(spec)
@@ -447,14 +308,6 @@ class CGScheduler:
         self.params = params or get_variant(self.variant).default_params()
         self.pad = pad
         self.check = check
-        self.injector = injector
-        if injector is not None:
-            self.processor.attach_injector(injector)
-        self.retry_policy = retry_policy
-        self.fallback_engine = (
-            check_engine(fallback_engine) if fallback_engine else None
-        )
-        self.resil = RecoveryStats()
         #: compiled index plans, one cache for the whole pool: plans are
         #: immutable after build, so every CG worker thread reads the
         #: same plan object for a repeated shape — one build per
@@ -473,11 +326,6 @@ class CGScheduler:
         # -- thread coordination (see module docstring) ----------------
         #: non-reentrancy guard: held for the duration of one run().
         self._run_guard = threading.Lock()
-        #: guards cross-CG accounting: quarantine set, respill target
-        #: selection over the load vector, the unplaced tally.
-        self._account_lock = threading.Lock()
-        #: guards every RecoveryStats mutation.
-        self._resil_lock = threading.Lock()
         #: guards the modeled-seconds estimate cache.
         self._cache_lock = threading.Lock()
         #: serializes close() against itself (idempotency under
@@ -675,17 +523,15 @@ class CGScheduler:
         parallel: bool = False,
         engine: str | None = None,
         check: bool | None = None,
-        retry_policy: RetryPolicy | None = None,
         blocking: BlockingParams | Sequence[BlockingParams | None] | None = None,
     ) -> ScheduleResult:
         """Execute a batch across the pool.
 
-        With ``isolate_failures`` (the default), an item that fails —
-        after the resilience ladder, when one is configured — is
+        With ``isolate_failures`` (the default), an item that fails is
         recorded in ``result.errors``: its slot in ``outputs`` is
-        ``None``, its CG's context stays usable, and the rest of the
-        batch proceeds.  With ``isolate_failures=False`` the first
-        unrecoverable failure propagates.
+        ``None``, its CG's transient device state is reset and its
+        context stays usable, and the rest of the batch proceeds.  With
+        ``isolate_failures=False`` the first failure propagates.
 
         Every item is validated before anything is staged
         (:func:`validate_items`): a malformed item raises, naming its
@@ -702,13 +548,12 @@ class CGScheduler:
 
         Either way, every CG's staged handles are freed when the run
         exits, so each ``MainMemory.used_bytes`` returns to its pre-run
-        baseline — failed attempts and retries included.
+        baseline — failed items included.
 
-        ``engine=``/``check=``/``retry_policy=`` override the
-        scheduler's configuration *for this run only* — the hook
-        :class:`~repro.api.SubmitOptions` maps onto, so a serving batch
-        can carry its own engine choice and retry budget without
-        rebuilding the pool.
+        ``engine=``/``check=`` override the scheduler's configuration
+        *for this run only* — the hook :class:`~repro.api.SubmitOptions`
+        maps onto, so a serving batch can carry its own engine choice
+        without rebuilding the pool.
 
         ``blocking=`` supplies per-item :class:`BlockingParams`: a
         single instance applies to every item; a sequence (``None``
@@ -732,8 +577,6 @@ class CGScheduler:
                 items, isolate_failures, parallel,
                 engine=engine,
                 check=self.check if check is None else bool(check),
-                policy=retry_policy if retry_policy is not None
-                else self.retry_policy,
                 blocking=blocking,
             )
         finally:
@@ -741,91 +584,81 @@ class CGScheduler:
 
     def _run(
         self, items: list, isolate_failures: bool, parallel: bool,
-        *, engine: str, check: bool, policy: RetryPolicy | None,
-        blocking=None,
+        *, engine: str, check: bool, blocking=None,
     ) -> ScheduleResult:
         shapes = validate_items(items)
         params_list = self.resolve_blocking(shapes, blocking)
         plan = self.plan_shapes(shapes, params_list=params_list)
+        # one slot per item, each written only by the worker running it
         outputs: list = [None] * len(items)
-        errors: list[ItemError] = []
-        reports: list[FaultReport] = []
-        unplaced: list[int] = []
-        counts = [0] * self.n_core_groups
-        failures = [0] * self.n_core_groups
-        run_seconds = [0.0] * self.n_core_groups
-        quarantined: set[int] = set()
-        flops = [0, 0]  # logical, padded
-        results_lock = threading.Lock()
+        errors: list[ItemError | None] = [None] * len(items)
+        item_traffic: list[ContextStats] = [ContextStats.zero()] * len(items)
         tracer = self.tracer
         # the calling thread's innermost span (session.batch) adopts the
         # worker threads' dispatch subtrees, so the trace stays one tree.
         parent = tracer.current()
-        item_traffic: list[ContextStats] = [
-            ContextStats.zero() for _ in items
-        ]
-        tasks = [
-            _ItemTask(idx, item, plan.assignments[idx],
-                      plan.item_seconds[idx], engine, params_list[idx])
-            for idx, item in enumerate(items)
-        ]
 
-        def finish(task: _ItemTask, outcome: tuple) -> None:
-            """Record one terminal outcome (thread-safe)."""
-            kind = outcome[0]
-            with results_lock:
-                # attributed even on failure: a failed attempt moved
-                # real bytes, and bit-exact reconciliation (sum of
-                # item_traffic == traffic) must account for them.
-                item_traffic[task.idx] = task.traffic
-                if kind == _OK:
-                    _, out, report = outcome
-                    outputs[task.idx] = out
-                    if report is not None:
-                        reports.append(report)
-                    m, n, k = shapes[task.idx]
-                    flops[0] += 2 * m * n * k
-                    pm, pn, pk = (
-                        task.params.pad_shape(m, n, k)
-                        if self.pad else (m, n, k)
+        def run_item(idx: int) -> None:
+            item, home = items[idx], plan.assignments[idx]
+            ctx = self._contexts[home]
+            # item-scoped traffic attribution: the running worker is the
+            # context's only writer, so the before/after delta is
+            # exactly what this item moved, on success or failure.
+            start = ctx.stats()
+            try:
+                # the dispatch span pins its subtree to track
+                # ``home + 1`` (track 0 is the host), so each CG
+                # renders as its own row in the Chrome trace.
+                with tracer.span(
+                    "cg_dispatch", cat="dispatch",
+                    meter=context_meter(ctx),
+                    track=home + 1, parent=parent,
+                    item=idx, cg=home,
+                    modeled_seconds=plan.item_seconds[idx], engine=engine,
+                ):
+                    outputs[idx] = dgemm(
+                        item.a, item.b, item.c,
+                        alpha=item.alpha, beta=item.beta,
+                        transa=item.transa, transb=item.transb,
+                        variant=self.variant, engine=engine,
+                        params=params_list[idx],
+                        context=ctx, pad=self.pad,
+                        check=check, tracer=tracer,
+                        plan_cache=self.plan_cache,
                     )
-                    flops[1] += 2 * pm * pn * pk
-                elif kind == _ERROR:
-                    _, report, error = outcome
-                    if report is not None:
-                        reports.append(report)
-                    errors.append(error)
-                else:  # _UNPLACED
-                    _, report, error = outcome
-                    unplaced.append(task.idx)
-                    reports.append(report)
-                    errors.append(error)
+            except Exception as exc:
+                # a failed item can die mid-protocol; wipe the CG's
+                # transient device state (CPE LDM/registers, undelivered
+                # broadcasts) so the next item does not inherit it.
+                ctx.core_group.reset_transient_state()
+                if not isolate_failures:
+                    raise
+                errors[idx] = ItemError(idx, home, type(exc).__name__, str(exc))
+            item_traffic[idx] = ctx.stats().since(start)
 
         with contextlib.ExitStack() as stack:
             for ctx in self._contexts:
                 stack.enter_context(ctx)
             starts = [ctx.stats() for ctx in self._contexts]
-            args = (quarantined, run_seconds, counts, failures,
-                    isolate_failures, tracer, parent, check, policy)
             if parallel and self.n_core_groups > 1 and len(items) > 1:
-                self._execute_parallel(tasks, finish, args)
+                queues: list[list[int]] = [[] for _ in self._contexts]
+                for idx, home in enumerate(plan.assignments):
+                    queues[home].append(idx)
+                self._run_queues(queues, run_item)
             else:
-                for task in tasks:
-                    while True:
-                        outcome = self._run_item(task, *args)
-                        if outcome[0] != _RESPILL:
-                            break
-                    finish(task, outcome)
+                for idx in range(len(items)):
+                    run_item(idx)
             deltas = [
                 ctx.stats().since(start)
                 for ctx, start in zip(self._contexts, starts)
             ]
+        failed = [err for err in errors if err is not None]
         per_cg = tuple(
             CGTraffic(
                 core_group=g,
-                items=counts[g],
-                failures=failures[g],
-                modeled_seconds=run_seconds[g],
+                items=plan.assignments.count(g),
+                failures=sum(err.core_group == g for err in failed),
+                modeled_seconds=plan.cg_seconds[g],
                 stats=deltas[g],
             )
             for g in range(self.n_core_groups)
@@ -833,287 +666,61 @@ class CGScheduler:
         total = ContextStats.zero()
         for delta in deltas:
             total = total.plus(delta)
-        errors.sort(key=lambda e: e.index)
-        reports.sort(key=lambda r: r.index)
+        flops = padded_flops = 0
+        for idx, (m, n, k) in enumerate(shapes):
+            if errors[idx] is None:
+                pm, pn, pk = (
+                    params_list[idx].pad_shape(m, n, k)
+                    if self.pad else (m, n, k)
+                )
+                flops += 2 * m * n * k
+                padded_flops += 2 * pm * pn * pk
         return ScheduleResult(
             outputs=tuple(outputs),
-            errors=tuple(errors),
+            errors=tuple(failed),
             per_cg=per_cg,
             plan=plan,
             traffic=total,
-            flops=flops[0],
-            padded_flops=flops[1],
-            fault_reports=tuple(reports),
-            quarantined=tuple(sorted(quarantined)),
-            unplaced=tuple(sorted(unplaced)),
+            flops=flops,
+            padded_flops=padded_flops,
             item_traffic=tuple(item_traffic),
         )
 
-    def _execute_parallel(self, tasks, finish, args) -> None:
-        """Drive per-CG worker threads over per-CG item queues.
+    def _run_queues(self, queues: list[list[int]], run_item) -> None:
+        """Walk each CG's fixed item queue on that CG's worker thread.
 
-        Termination: ``pending`` counts items not yet terminal; it only
-        reaches zero when nothing can be respilled anymore, at which
-        point every waiting worker wakes up, finds its queue empty, and
-        returns.  A worker whose CG was quarantined keeps draining its
-        queue — each pop respills to a healthy CG's queue — so no item
-        is ever stranded.  An exception escaping the ladder (the
-        ``isolate_failures=False`` contract) aborts the run: it is
-        captured, every worker drains out, and the first one re-raises
-        on the calling thread.
+        An exception escaping ``run_item`` (the
+        ``isolate_failures=False`` contract) aborts the run: every
+        worker stops before its next item, and the first failure
+        re-raises on the calling thread.
         """
-        pool = self.n_core_groups
-        cond = threading.Condition()
-        queues = [collections.deque() for _ in range(pool)]
-        for task in tasks:
-            queues[task.home].append(task)
-        pending = [len(tasks)]
         aborts: list[BaseException] = []
 
-        def worker(g: int) -> None:
-            while True:
-                with cond:
-                    while not queues[g] and pending[0] > 0 and not aborts:
-                        cond.wait()
-                    if aborts or not queues[g]:
-                        return
-                    task = queues[g].popleft()
-                try:
-                    outcome = self._run_item(task, *args)
-                except BaseException as exc:
-                    with cond:
-                        aborts.append(exc)
-                        cond.notify_all()
+        def worker(queue: list[int]) -> None:
+            for idx in queue:
+                if aborts:
                     return
-                if outcome[0] == _RESPILL:
-                    with cond:
-                        queues[task.home].append(task)
-                        cond.notify_all()
-                    continue
-                finish(task, outcome)
-                with cond:
-                    pending[0] -= 1
-                    if pending[0] == 0:
-                        cond.notify_all()
+                try:
+                    run_item(idx)
+                except BaseException as exc:
+                    aborts.append(exc)
+                    return
 
-        futures = [self._worker_pool().submit(worker, g) for g in range(pool)]
+        pool = self._worker_pool()
+        futures = [pool.submit(worker, queue) for queue in queues if queue]
         for future in futures:
             future.result()  # surfaces worker-plumbing bugs loudly
         if aborts:
             raise aborts[0]
-
-    def _respill(
-        self, idx: int, src: int, quarantined: set, run_seconds: list, tracer,
-        parent,
-    ) -> int | None:
-        """Re-home item ``idx`` from a quarantined CG, or ``None`` if
-        no healthy CG remains.  Target selection runs under the
-        accounting lock so concurrent respills see a consistent load
-        vector."""
-        with self._account_lock:
-            healthy = [
-                g for g in range(self.n_core_groups) if g not in quarantined
-            ]
-            if not healthy:
-                return None
-            dst = min(healthy, key=run_seconds.__getitem__)
-        with self._resil_lock:
-            self.resil.respilled += 1
-        # pinned to the source CG's track: each track then has a single
-        # writer thread, keeping parallel traces strictly nested per track.
-        with tracer.span(
-            "resil.respill", cat="resil", parent=parent, track=src + 1,
-            item=idx, src=src, dst=dst,
-        ):
-            pass
-        return dst
-
-    def _run_item(
-        self,
-        task: _ItemTask,
-        quarantined: set,
-        run_seconds: list,
-        counts: list,
-        failures: list,
-        isolate_failures: bool,
-        tracer,
-        parent,
-        check: bool,
-        policy: RetryPolicy | None,
-    ) -> tuple:
-        """Advance one item through the recovery ladder on its home CG.
-
-        Returns a terminal outcome tuple — ``("ok", output, report)``,
-        ``("error", report, item_error)``, ``("unplaced", report,
-        item_error)`` — or ``("respill",)`` after re-homing ``task`` to
-        a healthy CG (``task.home`` already updated); the caller decides
-        whether to continue inline (serial) or re-enqueue the task on
-        the new home's worker (parallel).  Retries and engine fallback
-        stay on the current home inside this call.
-
-        Accounting discipline: ``counts``/``failures``/``run_seconds``
-        slots are only ever touched for ``task.home`` — the calling
-        worker owns that CG — while cross-CG state goes through the
-        scheduler's locks.  ``parent`` is the calling thread's batch
-        span, adopted by spans opened on worker threads.
-        ``check``/``policy`` are this run's effective values (the
-        scheduler's own, unless :meth:`run` was given overrides).
-        """
-        injector = self.injector
-
-        while True:
-            home = task.home
-            if home in quarantined:
-                new_home = self._respill(
-                    task.idx, home, quarantined, run_seconds, tracer, parent
-                )
-                if new_home is None:
-                    exc = QuarantineError(
-                        f"item {task.idx}: all {self.n_core_groups} core "
-                        "groups quarantined"
-                    )
-                    with self._resil_lock:
-                        self.resil.exhausted += 1
-                    if not isolate_failures:
-                        raise exc
-                    return _UNPLACED, task.report(False, exc), ItemError(
-                        task.idx, home, type(exc).__name__, str(exc)
-                    )
-                task.home = new_home
-                return (_RESPILL,)
-            if injector is not None:
-                try:
-                    injector.fire("cg", cg=home)
-                except FaultInjectedError as exc:
-                    if task.first_site is None:
-                        task.first_site = exc.site
-                    with self._resil_lock:
-                        self.resil.record_fault(exc.site)
-                        self.resil.quarantines += 1
-                    with self._account_lock:
-                        quarantined.add(home)
-                    task.q_here.append(home)
-                    with tracer.span(
-                        "resil.quarantine", cat="resil", parent=parent,
-                        track=home + 1,
-                        item=task.idx, cg=home,
-                    ):
-                        pass
-                    continue
-            task.attempts += 1
-            run_seconds[home] += task.seconds
-            # attempt-scoped traffic attribution: this worker is the
-            # context's only writer, so the before/after delta is
-            # exactly what this attempt moved — charged to the item on
-            # both the success and the failure path.
-            attempt_start = self._contexts[home].stats()
-            try:
-                # the dispatch span pins its subtree to track
-                # ``home + 1`` (track 0 is the host), so each CG
-                # renders as its own row in the Chrome trace.
-                with tracer.span(
-                    "cg_dispatch", cat="dispatch",
-                    meter=context_meter(self._contexts[home]),
-                    track=home + 1, parent=parent,
-                    item=task.idx, cg=home,
-                    modeled_seconds=task.seconds, engine=task.engine,
-                ):
-                    out = dgemm(
-                        task.item.a, task.item.b, task.item.c,
-                        alpha=task.item.alpha, beta=task.item.beta,
-                        transa=task.item.transa, transb=task.item.transb,
-                        variant=self.variant, engine=task.engine,
-                        params=task.params,
-                        context=self._contexts[home], pad=self.pad,
-                        check=check, tracer=tracer,
-                        plan_cache=self.plan_cache,
-                    )
-            except Exception as exc:
-                task.traffic = task.traffic.plus(
-                    self._contexts[home].stats().since(attempt_start)
-                )
-                # an aborted attempt can die mid-protocol; wipe the
-                # CG's transient device state (CPE LDM/registers,
-                # undelivered broadcasts) so neither a retry nor the
-                # next item inherits the wreckage.
-                self._contexts[home].core_group.reset_transient_state()
-                if isinstance(exc, FaultInjectedError):
-                    if task.first_site is None:
-                        task.first_site = exc.site
-                    with self._resil_lock:
-                        self.resil.record_fault(exc.site)
-                    with tracer.span(
-                        "resil.fault", cat="resil", parent=parent,
-                        track=home + 1,
-                        item=task.idx, cg=home, site=exc.site,
-                    ):
-                        pass
-                if policy is not None and policy.should_retry(exc, task.retries):
-                    task.retries += 1
-                    pause = policy.backoff_for(task.retries)
-                    task.backoff += pause
-                    run_seconds[home] += pause
-                    with self._resil_lock:
-                        self.resil.retries += 1
-                        self.resil.backoff_seconds += pause
-                    with tracer.span(
-                        "resil.retry", cat="resil", parent=parent,
-                        track=home + 1,
-                        item=task.idx, cg=home,
-                        retry=task.retries, backoff_seconds=pause,
-                    ):
-                        pass
-                    continue
-                # a ``MemoryError`` (staging past the CG's main memory,
-                # or an LDM overflow) fails the same way on every
-                # engine, so it skips the fallback rung.
-                if (
-                    self.fallback_engine is not None
-                    and task.fallback_used is None
-                    and task.engine != self.fallback_engine
-                    and not isinstance(exc, MemoryError)
-                ):
-                    task.fallback_used = self.fallback_engine
-                    task.engine = self.fallback_engine
-                    with self._resil_lock:
-                        self.resil.fallbacks += 1
-                    with tracer.span(
-                        "resil.fallback", cat="resil", parent=parent,
-                        track=home + 1,
-                        item=task.idx, cg=home, engine=task.engine,
-                    ):
-                        pass
-                    continue
-                # ladder exhausted (or no ladder configured)
-                counts[home] += 1
-                failures[home] += 1
-                if task.disturbed:
-                    with self._resil_lock:
-                        self.resil.exhausted += 1
-                if not isolate_failures:
-                    raise
-                return _ERROR, (
-                    task.report(False, exc) if task.disturbed else None
-                ), ItemError(task.idx, home, type(exc).__name__, str(exc))
-            task.traffic = task.traffic.plus(
-                self._contexts[home].stats().since(attempt_start)
-            )
-            counts[home] += 1
-            if not task.disturbed:
-                return _OK, out, None
-            with self._resil_lock:
-                self.resil.recovered += 1
-            return _OK, out, task.report(True)
 
     def metrics_registry(self) -> MetricsRegistry:
         """The scheduler's counters as one sampler-ready registry.
 
         Namespaces: every pool CG's device counters (``cg0.dma.*``,
         ``cg0.regcomm.*``, ``cg0.memory.*``, ...), the NoC's
-        (``noc.*``), the pool-wide plan cache (``plan.cache.*``) and
-        the recovery ladder (``resil.*``).  Attach a
-        :class:`~repro.obs.series.MetricsSampler` to stream them as
-        time series; every source read here is either a plain counter
+        (``noc.*``) and the pool-wide plan cache (``plan.cache.*``).
+        Attach a :class:`~repro.obs.series.MetricsSampler` to stream
+        them as time series; every source read here is either a plain counter
         read under the GIL or an internally lock-held snapshot, so
         sampling is safe while a parallel run mutates the counters.
         """
@@ -1121,26 +728,7 @@ class CGScheduler:
         registry.register(
             "plan.cache", lambda: self.plan_cache.stats().as_dict()
         )
-        registry.register("resil", self.resil_stats)
         return registry
-
-    def resil_stats(self) -> dict:
-        """Cumulative resilience counters (the ``resil.*`` namespace).
-
-        Merges the scheduler's :class:`~repro.resil.RecoveryStats` with
-        the attached injector's
-        :class:`~repro.resil.InjectionStats` (under ``"injection"``),
-        ready for :meth:`repro.obs.MetricsRegistry.register` as a dict
-        source.
-
-        Both reads are lock-held snapshots, so metering resilience
-        counters while a parallel run mutates them is safe.
-        """
-        with self._resil_lock:
-            data = self.resil.as_dict()
-        if self.injector is not None:
-            data["injection"] = self.injector.stats_snapshot()
-        return data
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (

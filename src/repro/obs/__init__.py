@@ -50,7 +50,6 @@ from repro.obs.registry import (
     context_meter,
     flatten,
     processor_meter,
-    resil_meter,
     session_meter,
     snapshot_core_group,
 )
@@ -86,7 +85,6 @@ __all__ = [
     "phase_report",
     "processor_meter",
     "render_openmetrics",
-    "resil_meter",
     "session_meter",
     "snapshot_core_group",
     "write_chrome_trace",

@@ -48,7 +48,6 @@ COUNTER_LEAVES = frozenset(
     {
         "admitted",
         "allocations",
-        "backoff_seconds",
         "batched_requests",
         "batches",
         "builds",
@@ -68,13 +67,11 @@ COUNTER_LEAVES = frozenset(
         "evictions",
         "failed",
         "failures",
-        "fallbacks",
         "flops",
         "frees",
         "gets",
         "hits",
         "in_place_stores",
-        "injected",
         "items",
         "messages",
         "misses",
@@ -83,13 +80,9 @@ COUNTER_LEAVES = frozenset(
         "padded_flops",
         "plan_hits",
         "puts",
-        "quarantines",
         "receives",
-        "recovered",
         "regcomm_bytes",
         "rejected",
-        "respilled",
-        "retries",
         "row_broadcasts",
         "row_items",
         "samples",

@@ -33,7 +33,6 @@ __all__ = [
     "flatten",
     "plan_cache_meter",
     "processor_meter",
-    "resil_meter",
     "session_meter",
     "snapshot_core_group",
 ]
@@ -238,19 +237,3 @@ def combine_meters(*meters: Callable[[], dict]) -> Callable[[], dict]:
         return out
 
     return merged
-
-
-def resil_meter(scheduler: Any) -> Callable[[], dict]:
-    """Span meter over a scheduler's resilience counters (``resil.*``).
-
-    Covers recovery-ladder counts (``resil.recovered``,
-    ``resil.retries``, ``resil.quarantines``, ...) and, when an
-    injector is attached, its injection totals
-    (``resil.injection.injected``, ``resil.injection.by_site.*``).
-
-    ``resil_stats`` reads are lock-held snapshots, so this meter is
-    safe to sample while a parallel run's workers bump the counters.
-    The per-context and per-device meters need no locks: each is read
-    only inside spans on the one thread that owns that CG.
-    """
-    return lambda: flatten("resil", scheduler.resil_stats())

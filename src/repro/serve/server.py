@@ -20,9 +20,9 @@ with an async request surface.  The pipeline per request:
    ``Session.batch(parallel=True)``; LU requests ride the same FIFO as
    singleton groups through ``Session.submit``;
 5. **respond** — every rider of the batch gets its own
-   :class:`~repro.api.RequestResult` with per-request traffic, fault
-   reports, and queue/service/total timing; successes are written back
-   to the cache and the SLO ledger.
+   :class:`~repro.api.RequestResult` with per-request traffic and
+   queue/service/total timing; successes are written back to the
+   cache and the SLO ledger.
 
 Telemetry honours the tracer's reconciliation contract: the executor
 thread opens one ``serve.batch`` span per dispatch and, still inside
@@ -296,7 +296,7 @@ class ReproServer:
 
         Never raises for request-level failure — malformed shapes,
         operands too large for one CG's main memory, an unknown
-        engine, backpressure, retry exhaustion and shutdown all
+        engine, backpressure, a failed execution and shutdown all
         come back as a :class:`~repro.api.RequestResult` carrying a
         typed :class:`~repro.api.RequestError`.  (Submitting on a
         server that was never started still raises: that is caller
@@ -533,16 +533,12 @@ class ReproServer:
         results: list[RequestResult] = []
         for i, pending in enumerate(group):
             traffic = batch.item_traffic[i]
-            reports = tuple(
-                r for r in batch.fault_reports if r.index == i
-            )
             err = errors.get(i)
             if err is not None:
                 results.append(
                     RequestResult(
                         error=RequestError(kind=err.kind, message=err.message),
                         traffic=traffic,
-                        fault_reports=reports,
                         bin=pending.bin_label,
                     )
                 )
@@ -554,7 +550,6 @@ class ReproServer:
                 RequestResult(
                     value=value,
                     traffic=traffic,
-                    fault_reports=reports,
                     bin=pending.bin_label,
                 )
             )
@@ -592,7 +587,7 @@ class ReproServer:
         that reconcile bit-exactly with ``session.traffic.*``.
 
         Session-level namespaces (``cg0.dma.*``, ``plan.cache.*``,
-        ``resil.*``, ``session.*``) are *not* registered here — pass a
+        ``session.*``) are *not* registered here — pass a
         ``Session.metrics_registry()`` in (what :meth:`metrics_registry`
         does) to get both address spaces without collisions.
         """
@@ -609,8 +604,8 @@ class ReproServer:
     def metrics_registry(self) -> MetricsRegistry:
         """The server's full counter address space (built once).
 
-        Composes the session's registry (device, NoC, plan-cache,
-        resilience and session accounting) with the serve-local
+        Composes the session's registry (device, NoC, plan-cache and
+        session accounting) with the serve-local
         sources of :meth:`register_metrics`.  This is the registry the
         ``/metrics`` endpoint reads and a caller's sampler attaches to.
         """

@@ -108,20 +108,10 @@ class TestBatch:
             np.testing.assert_allclose(result.outputs[0],
                                        request.a @ request.b, atol=1e-9)
 
-    def test_memory_error_skips_engine_fallback(self, small_memory_spec,
-                                                unstageable):
-        # staging fails the same way on every engine, so re-running the
-        # item on the device fallback would only repeat the failure
-        with Session(params=PARAMS, spec=small_memory_spec) as s:
-            result = s.batch([unstageable])
-            assert [e.kind for e in result.errors] == ["MemoryError"]
-            assert result.fault_reports == ()
-            assert s.resil_stats()["fallbacks"] == 0
-
 
 class TestUnknownEngine:
-    """Unknown engine names fail where they are given; the device
-    fallback must not turn them into a recovered fault."""
+    """Unknown engine names fail where they are given, before any item
+    runs."""
 
     def test_batch_raises_before_any_item_runs(self):
         with Session(params=PARAMS) as s:
@@ -129,7 +119,6 @@ class TestUnknownEngine:
                 s.batch(mixed_batch(2, params=PARAMS, seed=9),
                         options=SubmitOptions(engine="bogus"))
             assert s.stats().items == 0
-            assert s.resil_stats()["fallbacks"] == 0
 
     def test_submit_returns_config_error(self):
         with Session(params=PARAMS) as s:
@@ -139,7 +128,6 @@ class TestUnknownEngine:
             assert not result.ok
             assert result.error.kind == "ConfigError"
             assert s.stats().batches == 0
-            assert s.resil_stats()["fallbacks"] == 0
 
     def test_session_engine_checked_at_construction(self):
         with pytest.raises(ConfigError, match="unknown engine"):

@@ -16,7 +16,6 @@ from repro.core.params import BlockingParams
 from repro.core.reference import reference_dgemm
 from repro.core.session import Session
 from repro.errors import ConfigError
-from repro.resil import FaultInjector, FaultSpec
 from repro.workloads.matrices import gemm_operands, mixed_batch
 
 PARAMS = BlockingParams.small(double_buffered=True)
@@ -47,22 +46,6 @@ class TestSubmitGemm:
             result = s.submit([np.eye(4), np.eye(4)])
             assert not result.ok
             assert result.error.kind == "ConfigError"
-
-    def test_zero_retry_budget_surfaces_exhaustion(self):
-        injector = FaultInjector(
-            [FaultSpec("compute", probability=1.0)], seed=0
-        )
-        with Session(
-            params=PARAMS, n_core_groups=1, injector=injector,
-            fallback_engine=None,
-        ) as s:
-            a, b, _ = gemm_operands(64, 64, 64, seed=1)
-            result = s.submit(
-                GemmRequest(a=a, b=b), options=SubmitOptions(max_retries=0)
-            )
-            assert not result.ok
-            assert result.fault_reports
-            assert result.fault_reports[0].retries == 0
 
 
 class TestSubmitConvAndLu:

@@ -1,12 +1,13 @@
 """Concurrency suite for ``CGScheduler.run(parallel=True)``.
 
 The contract under test: parallel dispatch is an *implementation*
-detail — outputs, accounting, resilience behavior and span-counter
+detail — outputs, accounting, failure isolation and span-counter
 reconciliation are indistinguishable from serial mode, and the
 coordination layer neither corrupts shared state nor lets two runs
 overlap on one scheduler.
 """
 
+import sys
 import threading
 
 import numpy as np
@@ -14,10 +15,10 @@ import pytest
 
 from repro.core.params import BlockingParams
 from repro.core.session import Session
-from repro.errors import ConfigError, QuarantineError
+from repro.errors import ConfigError
+from repro.multi import scheduler as scheduler_module
 from repro.multi.scheduler import CGScheduler
 from repro.obs import SpanTracer
-from repro.resil import FaultInjector, FaultSpec, RetryPolicy
 from repro.workloads.matrices import mixed_batch
 
 PARAMS = BlockingParams.small(double_buffered=True)
@@ -57,6 +58,29 @@ class TestParallelEquivalence:
             assert ts.stats.as_dict() == tp.stats.as_dict()
         assert sum(t.items for t in par.per_cg) == len(items)
 
+    def test_forced_thread_switches_lose_no_result(
+        self, small_memory_spec, unstageable
+    ):
+        """Four workers on fewer cores, switching every microsecond:
+        no per-item result slot may lose an update."""
+        items = mixed_batch(16, params=PARAMS, seed=21)
+        items[9] = unstageable
+        with build_scheduler(spec=small_memory_spec) as sched:
+            serial = sched.run(items)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with build_scheduler(spec=small_memory_spec) as sched:
+                par = sched.run(items, parallel=True)
+        finally:
+            sys.setswitchinterval(interval)
+        assert [e.index for e in par.errors] == [9]
+        assert par.errors == serial.errors
+        assert par.item_traffic == serial.item_traffic
+        for i, (ref, out) in enumerate(zip(serial.outputs, par.outputs)):
+            if i != 9:
+                assert np.array_equal(ref, out), i
+
     def test_single_cg_pool_falls_back_to_serial_loop(self):
         items = mixed_batch(4, params=PARAMS, seed=1)
         with build_scheduler(n_core_groups=1) as sched:
@@ -66,33 +90,37 @@ class TestParallelEquivalence:
 
 
 class TestParallelSession:
-    def test_session_batch_parallel_with_faults_and_tracing(self):
-        """The satellite stress case: 4 CGs, mixed shapes, an active
-        injector, tracing on — outputs bit-identical to serial, span
-        deltas reconcile bit-exactly with ``Session.stats()``."""
+    def test_session_batch_parallel_with_faults_and_tracing(
+        self, small_memory_spec, unstageable
+    ):
+        """The stress case: 4 CGs, mixed shapes, one item that fails
+        staging, tracing on — outputs, errors and traffic identical to
+        serial, span deltas reconcile bit-exactly with
+        ``Session.stats()``, the failed item's bytes included."""
         items = mixed_batch(12, params=PARAMS, seed=11)
-        with Session(params=PARAMS, n_core_groups=4) as s:
+        items[5] = unstageable
+        with Session(params=PARAMS, n_core_groups=4,
+                     spec=small_memory_spec) as s:
             reference = s.batch(items)
-        assert reference.ok
+        assert [(e.index, e.kind) for e in reference.errors] == [
+            (5, "MemoryError")
+        ]
 
         tracer = SpanTracer()
-        injector = FaultInjector([
-            FaultSpec("dma.get", nth=2),
-            FaultSpec("regcomm", nth=5),
-            FaultSpec("cg", nth=1, cg=3),
-        ])
         with Session(
-            params=PARAMS, n_core_groups=4, tracer=tracer, injector=injector,
+            params=PARAMS, n_core_groups=4, spec=small_memory_spec,
+            tracer=tracer,
         ) as s:
             result = s.batch(items, parallel=True)
             totals = s.stats().traffic.as_dict()
 
-        assert result.ok, result.errors
-        for ref, out in zip(reference.outputs, result.outputs):
-            assert np.array_equal(ref, out)
-        assert result.quarantined == (3,)
-        assert result.fault_reports  # the disturbed items reported in
-        assert all(r.recovered for r in result.fault_reports)
+        assert result.errors == reference.errors
+        assert result.outputs[5] is None
+        for i, (ref, out) in enumerate(zip(reference.outputs, result.outputs)):
+            if i != 5:
+                assert np.array_equal(ref, out), i
+        assert result.traffic.as_dict() == reference.traffic.as_dict()
+        assert result.item_traffic == reference.item_traffic
 
         # bit-exact attribution: summing every dgemm span's counter
         # deltas reproduces the session's cumulative traffic
@@ -140,22 +168,23 @@ class TestReentrancyGuard:
             # guard released cleanly: the scheduler still works
             assert sched.run(items).ok
 
-    def test_overlapping_run_from_second_thread_raises(self):
-        """Deterministic overlap: a hooked injector parks the first run
+    def test_overlapping_run_from_second_thread_raises(self, monkeypatch):
+        """Deterministic overlap: a hooked ``dgemm`` parks the first run
         mid-flight while a second thread calls ``run`` on the same
         scheduler — which must fail loudly, not corrupt the contexts."""
         started = threading.Event()
         release = threading.Event()
+        real_dgemm = scheduler_module.dgemm
 
-        class Parking(FaultInjector):
-            def fire(self, site, *, cg=None):
-                if site == "cg" and not started.is_set():
-                    started.set()
-                    release.wait(timeout=30)
-                super().fire(site, cg=cg)
+        def parking_dgemm(*args, **kwargs):
+            if not started.is_set():
+                started.set()
+                release.wait(timeout=30)
+            return real_dgemm(*args, **kwargs)
 
+        monkeypatch.setattr(scheduler_module, "dgemm", parking_dgemm)
         items = mixed_batch(4, params=PARAMS, seed=5)
-        with build_scheduler(injector=Parking()) as sched:
+        with build_scheduler() as sched:
             errors = []
             results = []
 
@@ -175,91 +204,22 @@ class TestReentrancyGuard:
 
 
 class TestParallelResilience:
-    def test_quarantine_respills_across_worker_threads(self):
-        items = mixed_batch(8, params=PARAMS, seed=9)
-        with Session(params=PARAMS, n_core_groups=4) as s:
-            reference = s.batch(items)
-        injector = FaultInjector([FaultSpec("cg", nth=1, cg=2)])
-        with Session(params=PARAMS, n_core_groups=4, injector=injector) as s:
-            result = s.batch(items, parallel=True)
-        assert result.ok
-        assert result.quarantined == (2,)
-        for ref, out in zip(reference.outputs, result.outputs):
-            assert np.array_equal(ref, out)
-        # the dead CG executed nothing; its queue landed elsewhere
-        assert result.per_cg[2].items == 0
-        assert sum(t.items for t in result.per_cg) == len(items)
-        assert result.healthy_core_groups == 3
+    """Failure handling across worker threads."""
 
-    @pytest.mark.parametrize("parallel", [False, True])
-    def test_all_quarantined_items_are_unplaced(self, parallel):
-        items = mixed_batch(5, params=PARAMS, seed=4)
-        injector = FaultInjector([FaultSpec("cg", probability=1.0)])
-        with build_scheduler(n_core_groups=2, injector=injector) as sched:
-            result = sched.run(items, parallel=parallel)
-        assert not result.ok
-        assert result.unplaced == tuple(range(len(items)))
-        assert all(out is None for out in result.outputs)
-        assert all(e.kind == "QuarantineError" for e in result.errors)
-        # an item that never executed is charged to no CG
-        assert all(t.items == 0 and t.failures == 0 for t in result.per_cg)
-        assert result.healthy_core_groups == 0
-
-    @pytest.mark.parametrize("parallel", [False, True])
-    def test_all_quarantined_raises_without_isolation(self, parallel):
-        items = mixed_batch(3, params=PARAMS, seed=4)
-        injector = FaultInjector([FaultSpec("cg", probability=1.0)])
-        with build_scheduler(n_core_groups=2, injector=injector) as sched:
-            with pytest.raises(QuarantineError):
-                sched.run(items, parallel=parallel, isolate_failures=False)
-        # the abort tore down cleanly: a fresh run on the same
-        # scheduler works once the injector is disarmed
-        with build_scheduler(n_core_groups=2) as sched:
-            assert sched.run(items, parallel=parallel).ok
-
-    def test_parallel_abort_propagates_first_failure(self):
+    def test_parallel_abort_propagates_first_failure(
+        self, small_memory_spec, unstageable
+    ):
         items = mixed_batch(6, params=PARAMS, seed=8)
-        injector = FaultInjector([FaultSpec("compute", nth=1)])
-        with build_scheduler(injector=injector) as sched:
-            with pytest.raises(Exception, match="compute"):
+        items[3] = unstageable
+        with build_scheduler(spec=small_memory_spec) as sched:
+            with pytest.raises(MemoryError, match="main memory exhausted"):
                 sched.run(items, parallel=True, isolate_failures=False)
-
-    def test_stress_probability_faults_never_corrupt(self):
-        """Larger parallel batch under probabilistic chaos: every item
-        either recovers bit-exactly or fails structurally — silent
-        corruption is the one forbidden state.
-
-        Reference and chaos run use the same engine (no fallback): a
-        fallback would re-run disturbed items on a *different* engine,
-        whose results match to tolerance rather than bit-for-bit."""
-        items = mixed_batch(16, params=PARAMS, seed=13)
-        with build_scheduler() as ref_sched:
-            reference = ref_sched.run(items)
-        assert reference.ok
-        injector = FaultInjector(
-            [
-                FaultSpec("dma.get", probability=0.05),
-                FaultSpec("compute", probability=0.05),
-                FaultSpec("cg", probability=0.02),
-            ],
-            seed=99,
-        )
-        with build_scheduler(
-            injector=injector, retry_policy=RetryPolicy(),
-        ) as sched:
-            result = sched.run(items, parallel=True)
-        failed = {e.index for e in result.errors}
-        for i, out in enumerate(result.outputs):
-            if i in failed:
-                assert out is None
-            else:
-                assert np.array_equal(out, reference.outputs[i])
-        assert sum(t.items for t in result.per_cg) + len(result.unplaced) == len(
-            items
-        )
-        assert sum(t.failures for t in result.per_cg) + len(
-            result.unplaced
-        ) == len(result.errors)
+            # the abort released the run guard and every staged byte
+            assert all(
+                sched.processor.cg(g).memory.used_bytes == 0
+                for g in range(4)
+            )
+            assert sched.run(items[:3], parallel=True).ok
 
 
 class TestSchedulerLifecycle:

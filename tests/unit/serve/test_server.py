@@ -15,8 +15,7 @@ from repro.core.params import BlockingParams
 from repro.core.reference import reference_dgemm
 from repro.core.session import Session
 from repro.errors import ConfigError
-from repro.obs import MetricsSampler, SpanTracer
-from repro.resil import FaultInjector, FaultSpec
+from repro.obs import MetricsSampler
 from repro.serve import LoadGenerator, ReproServer, ServeConfig
 from repro.workloads.matrices import gemm_operands
 
@@ -103,7 +102,7 @@ class TestRequestPath:
 
     def test_unknown_engine_is_invalid_not_recovered(self):
         """A typo in ``SubmitOptions.engine`` is refused at admission;
-        it never dispatches and never counts as a recovered fault."""
+        it never dispatches."""
         async def scenario():
             async with make_server() as server:
                 a, b, _ = gemm_operands(32, 16, 16, seed=0)
@@ -115,7 +114,6 @@ class TestRequestPath:
                 assert result.error.kind == "ConfigError"
                 assert "unknown engine" in result.error.message
                 assert server.stats()["batches"] == 0
-                assert server.session.resil_stats()["fallbacks"] == 0
 
         run(scenario())
 
@@ -123,8 +121,7 @@ class TestRequestPath:
         self, small_memory_spec, unstageable
     ):
         """A request whose operands can never fit in one CG's main
-        memory is invalid: refused before it is hashed or dispatched,
-        never retried on another engine."""
+        memory is invalid: refused before it is hashed or dispatched."""
         async def scenario():
             async with make_server(spec=small_memory_spec) as server:
                 result = await server.submit(unstageable)
@@ -134,7 +131,6 @@ class TestRequestPath:
                 assert not result.error.retryable
                 assert server.stats()["batches"] == 0
                 assert server.stats()["failed"] == 1
-                assert server.session.resil_stats()["fallbacks"] == 0
 
         run(scenario())
 
@@ -266,31 +262,6 @@ class TestBackpressure:
                     assert r.error.retryable
                     assert "retry" in r.error.message
                 assert server.stats()["rejected"] == len(rejected)
-
-        run(scenario())
-
-
-class TestRetryBudget:
-    def test_exhaustion_surfaces_fault_reports(self):
-        async def scenario():
-            injector = FaultInjector(
-                [FaultSpec("compute", probability=1.0)], seed=0
-            )
-            session = Session(
-                params=PARAMS, n_core_groups=1, injector=injector,
-                fallback_engine=None, tracer=SpanTracer(),
-            )
-            config = ServeConfig(window_seconds=0.0, cache_entries=0)
-            async with ReproServer(session=session, config=config) as server:
-                a, b, _ = gemm_operands(64, 64, 64, seed=6)
-                result = await server.submit(
-                    GemmRequest(a=a, b=b),
-                    options=SubmitOptions(max_retries=0),
-                )
-                assert not result.ok
-                assert result.fault_reports
-                assert result.fault_reports[0].retries == 0
-            session.close()
 
         run(scenario())
 

@@ -214,16 +214,10 @@ class TestConvRequest:
 class TestSubmitOptions:
     def test_defaults_defer_to_session(self):
         opts = SubmitOptions()
-        assert (opts.engine, opts.check, opts.max_retries) == (
-            None, None, None,
-        )
+        assert (opts.engine, opts.check) == (None, None)
 
     def test_engine_is_normalized(self):
         assert SubmitOptions(engine="Device").engine == "device"
-
-    def test_negative_retries_rejected(self):
-        with pytest.raises(ConfigError, match="max_retries"):
-            SubmitOptions(max_retries=-1)
 
     def test_hashable_for_coalescing(self):
         assert hash(SubmitOptions(engine="device")) == hash(

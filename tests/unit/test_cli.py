@@ -5,14 +5,12 @@ import json
 import pytest
 
 from repro.cli import (
-    build_chaos_parser,
     build_metrics_parser,
     build_parser,
     build_schedule_parser,
     build_serve_parser,
     build_trace_parser,
     main,
-    parse_fault_spec,
 )
 
 
@@ -131,68 +129,6 @@ class TestTrace:
                      "--out", str(out)]) == 0
         stdout = capsys.readouterr().out
         assert "phase" in stdout and "flop/B" in stdout
-
-
-class TestChaos:
-    def test_parser_defaults(self):
-        args = build_chaos_parser().parse_args([])
-        assert args.items == 12
-        assert args.cgs == 4
-        assert args.retries == 2
-        assert args.fault == []
-        assert not args.strict
-
-    def test_parse_fault_spec(self):
-        spec = parse_fault_spec("dma.get:nth=3")
-        assert spec.site == "dma.get" and spec.nth == 3
-        spec = parse_fault_spec("compute:p=0.05:max=2")
-        assert spec.probability == 0.05 and spec.max_fires == 2
-        spec = parse_fault_spec("cg:nth=1:cg=2")
-        assert spec.cg == 2
-        spec = parse_fault_spec("regcomm:p=1.0:phase=kernel")
-        assert spec.phase == "kernel"
-        # a bare site defaults to first-call
-        assert parse_fault_spec("dma.put").nth == 1
-
-    def test_parse_fault_spec_rejects_junk(self):
-        from repro.errors import ConfigError
-
-        with pytest.raises(ConfigError):
-            parse_fault_spec("dma.get:speed=11")
-        with pytest.raises(ConfigError):
-            parse_fault_spec("dma.get:nth")
-        with pytest.raises(ConfigError):
-            parse_fault_spec("warp.core:nth=1")
-
-    def test_smoke_recovers_bit_exactly(self, capsys):
-        assert main(["chaos", "--smoke"]) == 0
-        out = capsys.readouterr().out
-        assert "matches the fault-free run" in out
-        assert "injected" in out
-
-    def test_single_fault_recovers(self, capsys):
-        assert main(["chaos", "--items", "4", "--cgs", "2",
-                     "--fault", "dma.get:nth=2"]) == 0
-        out = capsys.readouterr().out
-        assert "recovered" in out
-
-    def test_no_faults_is_an_error(self, capsys):
-        assert main(["chaos"]) == 2
-        assert "no --fault" in capsys.readouterr().err
-
-    def test_strict_fails_on_exhaustion(self, capsys):
-        # persistent compute faults with no retries and no fallback
-        # exhaust the ladder -> strict exit 1, structured reporting
-        assert main(["chaos", "--items", "4", "--cgs", "2", "--strict",
-                     "--retries", "0", "--no-fallback",
-                     "--fault", "compute:p=1.0:max=2"]) == 1
-        captured = capsys.readouterr()
-        assert "exhausted" in captured.out
-        assert "error:" in captured.err
-
-    def test_bad_fault_spec_returns_error_code(self, capsys):
-        assert main(["chaos", "--fault", "nope:nth=1"]) == 2
-        assert "error:" in capsys.readouterr().err
 
 
 class TestServe:

@@ -13,16 +13,11 @@ verifies the guarantees the ExecutionContext refactor made contractual:
 4. the multi-CG pool (CGScheduler / dgemm_multi_cg / Session) returns
    **every** core group's used_bytes to its pre-run baseline — with and
    without a failing item in the batch,
-5. fault-injected runs (retries, engine fallback, CG quarantine,
-   exhausted items) leak nothing either: every failed or re-run
-   attempt restages from the host arrays and frees on exit, so the
-   byte budgets return to baseline however the recovery ladder ends.
-
-6. the execution-plan cache keeps its resident bytes within the
+5. the execution-plan cache keeps its resident bytes within the
    LDM-derived budget while in use (evicting LRU signatures when a
    tiny budget forces it) and drains to zero plans / zero bytes on
    ``Session.close()`` / ``CGScheduler.close()``,
-7. padding lives in the model: a padded odd-shape dgemm on a fresh
+6. padding lives in the model: a padded odd-shape dgemm on a fresh
    CoreGroup peaks at the logical footprint on the fused
    ``vectorized`` engine and at the padded footprint on ``device`` and
    ``stepwise``, whose per-CPE tiles read the zeros; a padded
@@ -228,31 +223,6 @@ def main() -> int:
     drained = tiny.stats()
     check(drained.plans == 0 and drained.bytes == 0,
           "CGScheduler.close() drained the starved cache too")
-
-    print("fault-injected pool runs restore every CG's baseline:")
-    from repro.resil import FaultInjector, FaultSpec, RetryPolicy
-
-    chaos_items = mixed_batch(6, params=PARAMS, seed=4)
-    injector = FaultInjector(
-        [FaultSpec("dma.get", nth=2), FaultSpec("memory.store", nth=5),
-         FaultSpec("cg", nth=1, cg=1)]
-    )
-    with Session(processor=proc, params=PARAMS, injector=injector) as s:
-        result = s.batch(chaos_items)
-    check(result.ok and len(result.recovered) >= 1,
-          "faulted items recovered through the retry/quarantine ladder")
-    check([proc.cg(g).memory.used_bytes for g in range(4)] == baselines,
-          "all four CG byte budgets back to baseline after recovery")
-
-    injector = FaultInjector([FaultSpec("compute", probability=1.0)])
-    with Session(processor=proc, params=PARAMS, injector=injector,
-                 retry_policy=RetryPolicy(max_retries=1),
-                 fallback_engine=None) as s:
-        result = s.batch(chaos_items)
-    check(len(result.errors) == len(chaos_items),
-          "persistent fault exhausts every item's ladder")
-    check([proc.cg(g).memory.used_bytes for g in range(4)] == baselines,
-          "all four CG byte budgets back to baseline after exhaustion")
 
     if _failures:
         print(f"\n{len(_failures)} invariant violation(s)")
