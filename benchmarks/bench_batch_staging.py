@@ -2,9 +2,9 @@
 
 Not a paper artifact — this measures the *library*: what the scoped
 ``ExecutionContext`` buys on a same-shape batch. A warm context restages
-every operand in place (one host-side copy each, zero fresh
-allocations), where per-call contexts re-allocate all three slots every
-item. The printed counter table is the evidence; the timing shows the
+every operand in place (zero fresh allocations in the model; these
+Fortran-ordered operands are bound, not copied), where per-call
+contexts re-allocate all three slots every item. The printed counter table is the evidence; the timing shows the
 allocation churn is also measurable wall-clock.
 """
 

@@ -30,6 +30,12 @@ Runnable standalone::
     PYTHONPATH=src python benchmarks/bench_engine.py --smoke \
         --baseline BENCH_engine.json --max-regression 0.25
 
+The smoke run pins host BLAS to one thread before numpy loads, as
+``bench_scheduler`` and ``bench_telemetry`` do (and
+``benchmarks/conftest.py`` under pytest): on a 2-core host a second
+BLAS thread contends with the timed engine and spreads its ratios.
+Full mode keeps the host's default threading.
+
 The ``--baseline`` flag turns the smoke run into a performance
 *regression* gate: the p50 speedup of each smoke case is compared
 against the ``smoke`` section of the committed trajectory file, and the
@@ -44,8 +50,13 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 import time
+
+if __name__ == "__main__" and "--smoke" in sys.argv:
+    for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+        os.environ[_var] = "1"
 
 import numpy as np
 

@@ -7,12 +7,17 @@ instead of silently "working" in the simulation, plus a high-water
 mark (:attr:`MainMemory.peak_bytes`) so workloads can audit their
 resident footprint.
 
-Staging cost matters to the batched hot path, so :meth:`MainMemory.store`
-guarantees at most **one** host-side allocation-and-copy per call, and
-overwriting an existing name with a same-target-shape array rewrites
-the resident allocation in place — no reallocation, no budget churn.
-:class:`MemoryStats` counts both paths so callers (and the regression
-tests) can assert the copy discipline.
+A matrix gets here one of two ways.  :meth:`MainMemory.store` copies
+it (once, zero-padding when the target region is larger), and
+overwriting a name with a same-target-shape array rewrites the
+resident allocation in place.  :meth:`MainMemory.bind` registers a
+caller's Fortran-ordered float64 array as the resident matrix itself,
+with no copy.  The budget, :attr:`~MainMemory.used_bytes`,
+:attr:`~MainMemory.peak_bytes` and :class:`MemoryStats` describe the
+modelled memory, so both ways count alike: a bound matrix occupies its
+bytes as a copy would.  A bound array is never written by ``store``;
+restaging its name allocates fresh host memory instead, so an array
+that was handed back to a caller is never overwritten.
 """
 
 from __future__ import annotations
@@ -50,12 +55,16 @@ class MatrixHandle:
 
 @dataclass
 class MemoryStats(StatsProtocol):
-    """Host-side staging counters (DMA traffic is counted elsewhere).
+    """Staging counters of the modelled memory (DMA traffic is counted
+    elsewhere).
 
-    ``allocations`` is the number of new backing arrays created — each
-    one costs a full-matrix host copy; ``in_place_stores`` counts calls
-    served by rewriting an existing allocation, the cheap path batch
-    staging is built on.
+    ``stores`` counts :meth:`MainMemory.store` and
+    :meth:`MainMemory.bind` calls; ``allocations`` the new regions the
+    model allocates; ``in_place_stores`` the calls that restage an
+    existing same-shape region, the path batch staging is built on.
+    These are model facts, not host copies: a bound operand costs the
+    host no copy, and restaging over a bound array allocates fresh host
+    memory while still counting as in place.
     """
 
     stores: int = 0
@@ -74,6 +83,8 @@ class MainMemory:
     def __init__(self, spec: SW26010Spec = DEFAULT_SPEC) -> None:
         self.spec = spec
         self._arrays: dict[str, np.ndarray] = {}
+        #: names whose array belongs to a caller (see :meth:`bind`).
+        self._bound: set[str] = set()
         self._used_bytes = 0
         self._peak_bytes = 0
         self.stats = MemoryStats()
@@ -99,14 +110,15 @@ class MainMemory:
         rows: int | None = None,
         cols: int | None = None,
     ) -> MatrixHandle:
-        """Stage ``array`` into main memory under ``name``.
+        """Copy ``array`` into main memory under ``name``.
 
         The resident matrix is column-major float64, matching the
         paper's storage convention.  Overwriting an existing name with a
         same-target-shape array reuses the allocation, rewriting it in
-        place; any other call creates exactly one new backing array (a
-        single host-side copy — never the ``asfortranarray`` +
-        ``copy`` double copy).
+        place, unless that array is bound (:meth:`bind`): then a fresh
+        array takes its place, still counted as an in-place store.  Any
+        other call creates exactly one new backing array (a single
+        copy — never the ``asfortranarray`` + ``copy`` double copy).
 
         ``rows``/``cols`` stage into a larger zero-padded target region,
         with ``array`` in the top-left corner: the ``pad=True`` path of
@@ -133,6 +145,13 @@ class MainMemory:
         self.stats.stores += 1
         old = self._arrays.get(name)
         if old is not None and old.shape == (t_rows, t_cols):
+            if name in self._bound:
+                # never write into a caller's array: the model still
+                # rewrites this region in place, the host reallocates
+                self._arrays[name] = self._fresh(array, t_rows, t_cols)
+                self._bound.discard(name)
+                self.stats.in_place_stores += 1
+                return MatrixHandle(name, t_rows, t_cols)
             # documented fast path: rewrite the allocation in place
             if array is None:
                 old[...] = 0.0
@@ -144,25 +163,65 @@ class MainMemory:
                 old[:r, c:] = 0.0
             self.stats.in_place_stores += 1
             return MatrixHandle(name, t_rows, t_cols)
-        nbytes = t_rows * t_cols * 8
+        self._admit(name, t_rows, t_cols,
+                    lambda: self._fresh(array, t_rows, t_cols))
+        self._bound.discard(name)
+        return MatrixHandle(name, t_rows, t_cols)
+
+    def bind(self, name: str, array: np.ndarray) -> MatrixHandle:
+        """Make ``array`` itself the resident matrix ``name``: no copy.
+
+        ``array`` must be a 2-D, Fortran-contiguous float64 array; it
+        is accounted exactly as :meth:`store` would account a copy of
+        it (same budget check and :class:`MemoryStats` counts).
+        Engines read and write it in place, so the caller decides what
+        they may do through its ``writeable`` flag: staged inputs are
+        bound as read-only views, so a stray write raises.
+        """
+        if (array.ndim != 2 or array.dtype != np.float64
+                or not array.flags.f_contiguous):
+            raise ConfigError(
+                "only a 2-D Fortran-contiguous float64 array can be bound"
+            )
+        self.stats.stores += 1
+        old = self._arrays.get(name)
+        if old is not None and old.shape == array.shape:
+            self._arrays[name] = array
+            self.stats.in_place_stores += 1
+        else:
+            self._admit(name, *array.shape, lambda: array)
+        self._bound.add(name)
+        return MatrixHandle(name, *array.shape)
+
+    def _admit(self, name: str, rows: int, cols: int, make) -> None:
+        """Book a new ``rows x cols`` region for ``name``, holding ``make()``.
+
+        The budget is checked before ``make`` runs, so a refused operand
+        never costs the host its bytes.
+        """
+        nbytes = rows * cols * 8
+        old = self._arrays.get(name)
         freed = old.nbytes if old is not None else 0
         if nbytes > self.free_bytes + freed:
             raise MemoryError(
                 f"main memory exhausted: need {nbytes} B, "
                 f"free {self.free_bytes + freed} B"
             )
-        if array is not None and (r, c) == (t_rows, t_cols):
-            arr = np.array(array, dtype=np.float64, order="F", copy=True)
-        else:
-            arr = np.zeros((t_rows, t_cols), dtype=np.float64, order="F")
-            if array is not None:
-                arr[:r, :c] = array
-        self._arrays[name] = arr
+        self._arrays[name] = make()
         self._used_bytes += nbytes - freed
         if self._used_bytes > self._peak_bytes:
             self._peak_bytes = self._used_bytes
         self.stats.allocations += 1
-        return MatrixHandle(name, t_rows, t_cols)
+
+    @staticmethod
+    def _fresh(array: np.ndarray | None, rows: int, cols: int) -> np.ndarray:
+        """A new Fortran-ordered ``rows x cols`` copy of ``array``, zero-padded."""
+        if array is not None and array.shape == (rows, cols):
+            return np.array(array, dtype=np.float64, order="F", copy=True)
+        arr = np.zeros((rows, cols), dtype=np.float64, order="F")
+        if array is not None:
+            arr[:array.shape[0], :array.shape[1]] = array
+        return arr
 
     def allocate(self, name: str, rows: int, cols: int) -> MatrixHandle:
         """Allocate a zeroed matrix (no input copy at all)."""
@@ -172,6 +231,7 @@ class MainMemory:
         arr = self._arrays.pop(name, None)
         if arr is None:
             raise KeyError(f"no matrix named {name!r} in main memory")
+        self._bound.discard(name)
         self._used_bytes -= arr.nbytes
         self.stats.frees += 1
 

@@ -2,17 +2,26 @@
 
 ``dgemm`` wraps the whole device pipeline: stage operands into the core
 group's main memory, run the chosen variant's functional execution, and
-read the result back.  It mirrors the BLAS contract (non-transposed,
+hand the result back.  It mirrors the BLAS contract (non-transposed,
 column-major, f64) with the paper's shape restriction — dimensions must
 be multiples of the CG block factors — relaxed by ``pad=True``.
 
 Staging goes through a scoped :class:`~repro.core.context.ExecutionContext`:
 operands get context-unique handle names (so concurrent calls sharing a
-core group cannot clobber each other), each operand costs at most one
-host-side copy, and every staged handle is freed when the scope exits —
-including when a variant raises — so ``MainMemory.used_bytes`` always
-returns to its pre-call baseline.  Pass ``context=`` to share staging
-plans across calls (the batched hot path).
+core group cannot clobber each other), and every staged handle is freed
+when the scope exits — including when a variant raises — so
+``MainMemory.used_bytes`` always returns to its pre-call baseline.  Pass
+``context=`` to share staging plans across calls (the batched hot path).
+
+The host copies only what the model cannot use in place.  A and B
+that are Fortran-ordered float64 at their staged shape are bound as
+read-only views of the caller's arrays; others are copied once.  C is
+staged as the array ``dgemm`` returns (zeros, or one copy of the
+caller's C), so the engine accumulates into the result and nothing is
+copied out.  Only host-padded staging copies C in and the result out.
+The staging counters (:class:`~repro.core.context.ContextStats`,
+:class:`~repro.arch.memory.MemoryStats`) are facts of the modelled
+memory and read the same whichever way an operand is staged.
 
 Padding is a fact of the modeled device.  The engine decides how much
 of it the host holds (:meth:`~repro.core.engine.Engine.needs_padded_staging`):
@@ -70,7 +79,11 @@ def dgemm(
     Parameters
     ----------
     a, b, c:
-        f64 matrices (any memory order; staged column-major).  ``c``
+        f64 matrices (any memory order; staged column-major).  They are
+        never written.  Fortran-ordered ``a`` and ``b`` are read in
+        place while the call runs, so a caller mutating them from
+        another thread during the call races with the kernel, as with
+        any BLAS.  ``c``
         may be omitted when ``beta == 0``; with ``beta == 0`` it is
         never read (only its shape is checked), and with ``alpha == 0``
         neither are ``a`` and ``b``, as in reference BLAS.  A zero
@@ -141,7 +154,8 @@ def dgemm(
     Returns
     -------
     numpy.ndarray
-        the m x n result, column-major.
+        the m x n result, column-major: a new array, owned by the
+        caller; later calls on the same context never write it.
     """
     request = as_gemm_request(
         a, b, c, alpha=alpha, beta=beta, transa=transa, transb=transb
@@ -200,18 +214,25 @@ def dgemm(
                     ctx.stage("B", b, rows=pk, cols=pn)
                     if alpha != 0 else ctx.stage_zeros("B", pk, pn)
                 )
+            # BLAS: beta == 0 never reads C, so a NaN there cannot leak
+            read_c = c is not None and beta != 0
+            host_padded = (pm, pn) != (m, n)
             with tracer.span("stage_C", cat="stage", meter=meter):
-                # BLAS: beta == 0 never reads C, so a NaN there cannot leak
-                hc = (
-                    ctx.stage("C", c, rows=pm, cols=pn)
-                    if c is not None and beta != 0
-                    else ctx.stage_zeros("C", pm, pn)
-                )
+                if host_padded:
+                    hc = (ctx.stage("C", c, rows=pm, cols=pn) if read_c
+                          else ctx.stage_zeros("C", pm, pn))
+                else:
+                    # the engine accumulates into the array returned
+                    result = (np.array(c, order="F", copy=True) if read_c
+                              else np.zeros((m, n), order="F"))
+                    hc = ctx.bind("C", result)
             eng.run(impl, cg, ha, hb, hc, alpha=alpha, beta=beta,
                     params=params, tracer=tracer, plan_cache=pc)
+            # the span stays on every call, so traces keep one shape
             with tracer.span("store_C", cat="stage", meter=meter):
-                result = np.array(cg.memory.array(hc)[:m, :n], order="F",
-                                  copy=True)
+                if host_padded:
+                    result = np.array(cg.memory.array(hc)[:m, :n],
+                                      order="F", copy=True)
 
     if check:
         base = c if c is not None else np.zeros((m, n), dtype=np.float64, order="F")

@@ -16,8 +16,13 @@ contract as a first-class object with a safe lifecycle:
 - **staging-plan cache** — plans are keyed on ``(slot, rows, cols)``
   (dtype and order are fixed by the model: f64, column-major; the
   blocking parameters enter through the padded target shape), so a
-  batch of same-shape multiplies rewrites resident allocations in
-  place instead of reallocating and copying per item;
+  batch of same-shape multiplies restages resident regions in place
+  instead of reallocating per item;
+- **zero-copy staging** — an operand that is already float64,
+  Fortran-contiguous and at its staged shape is bound into main memory
+  as a read-only view of the caller's array instead of being copied;
+  the counters, which describe the modelled memory, read the same
+  either way;
 - **per-context stat deltas** — DMA, register-communication and
   staging counters are exposed relative to the context's baseline, so
   batch accounting needs no manual snapshot bookkeeping.
@@ -61,9 +66,10 @@ class ContextStats(StatsProtocol):
     regcomm_bytes: int
     #: operands staged through this context.
     staged: int
-    #: stagings served by the plan cache (in-place rewrite, no copy churn).
+    #: stagings served by the plan cache (an in-place restage).
     plan_hits: int
-    #: new main-memory allocations (one full host copy each).
+    #: new main-memory regions the model allocated.  A model fact, not
+    #: a host copy: a bound operand counts as a copied one would.
     allocations: int
 
     def since(self, earlier: "ContextStats") -> "ContextStats":
@@ -191,11 +197,16 @@ class ExecutionContext:
         rows: int | None = None,
         cols: int | None = None,
     ) -> MatrixHandle:
-        """Stage ``array`` under this context's ``slot`` (e.g. ``"A"``).
+        """Stage input operand ``array`` under this context's ``slot``.
 
-        ``rows``/``cols`` grow the target region with zero padding.  A
-        same-``(slot, shape)`` restage rewrites the resident allocation
-        in place — at most one host-side copy per operand either way.
+        ``rows``/``cols`` grow the target region with zero padding.  An
+        operand that is float64, Fortran-contiguous and already at the
+        target shape is bound as a read-only view of ``array``
+        (:meth:`MainMemory.bind <repro.arch.memory.MainMemory.bind>`):
+        no copy, and an engine write to it raises.  Any other operand
+        (another dtype or layout, a broadcast, or padded here) is copied
+        once.  A same-``(slot, shape)`` restage counts as a plan hit and
+        an in-place store either way.
         """
         array = np.asarray(array)
         if array.ndim != 2:
@@ -203,14 +214,29 @@ class ExecutionContext:
         r, c = array.shape
         t_rows = r if rows is None else int(rows)
         t_cols = c if cols is None else int(cols)
+        if (array.dtype == np.float64 and array.flags.f_contiguous
+                and (r, c) == (t_rows, t_cols)):
+            view = array.view()
+            view.flags.writeable = False
+            return self._stage(slot, view, t_rows, t_cols, bind=True)
         return self._stage(slot, array, t_rows, t_cols)
 
+    def bind(self, slot: str, array: np.ndarray) -> MatrixHandle:
+        """Stage ``array`` itself, writeable, as ``slot``'s matrix.
+
+        The output path: :func:`~repro.core.api.dgemm` binds the result
+        array it will return as C, and the engine accumulates into it.
+        ``array`` must be 2-D, Fortran-contiguous float64.
+        """
+        return self._stage(slot, array, *array.shape, bind=True)
+
     def stage_zeros(self, slot: str, rows: int, cols: int) -> MatrixHandle:
-        """Stage a zeroed ``rows x cols`` matrix (no host copy at all)."""
+        """Stage a zeroed ``rows x cols`` matrix (no input copy)."""
         return self._stage(slot, None, rows, cols)
 
     def _stage(
-        self, slot: str, array: np.ndarray | None, rows: int, cols: int
+        self, slot: str, array: np.ndarray | None, rows: int, cols: int,
+        bind: bool = False,
     ) -> MatrixHandle:
         if not self._entered:
             raise ConfigError(
@@ -233,7 +259,8 @@ class ExecutionContext:
             self._plans.move_to_end(key)
             self._plan_hits += 1
         allocations_before = memory.stats.allocations
-        handle = memory.store(name, array, rows=rows, cols=cols)
+        handle = (memory.bind(name, array) if bind
+                  else memory.store(name, array, rows=rows, cols=cols))
         self._staged += 1
         self._allocations += memory.stats.allocations - allocations_before
         if key not in self._plans:

@@ -170,7 +170,9 @@ class VectorizedEngine(Engine):
         is executed directly on strided views of the operands in main
         memory.  The product lands in a transposed scratch (computed as
         ``B^T A^T``) so both the matmul output and the C accumulation
-        run over column-major-aligned memory.
+        run over column-major-aligned memory.  With ``beta == 0`` the
+        first k-panel assigns ``C = alpha*A*B`` instead of scaling C
+        by 0 and accumulating, so C is never read, as in reference BLAS.
 
         ``shape`` is the logical ``(m, n, k)`` and ``grid`` the padded
         block grid: edge panels are clipped to the logical extents,
@@ -191,12 +193,15 @@ class VectorizedEngine(Engine):
                 lb = slice(l * b_k, min((l + 1) * b_k, k))
                 with tracer.span("strip_mult", cat="kernel", meter=meter,
                                  j=j, l=l):
-                    if l == 0 and beta != 1.0:
-                        c_v[:, jb] *= beta
                     np.matmul(b_v[lb, jb].T, a_v[:, lb].T, out=res_j)
                     if alpha != 1.0:
                         res_j *= alpha
-                    c_v[:, jb] += res_j.T
+                    if l == 0 and beta == 0.0:
+                        c_v[:, jb] = res_j.T  # BLAS: C is never read
+                    else:
+                        if l == 0 and beta != 1.0:
+                            c_v[:, jb] *= beta
+                        c_v[:, jb] += res_j.T
                     mapping.tally_load_b(cg)
                     for _ in range(grid_m):
                         mapping.tally_load_a(cg)

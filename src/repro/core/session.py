@@ -76,7 +76,8 @@ class SessionStats(StatsProtocol):
     batches: int
     #: batch items executed (successes + failures).
     items: int
-    #: batch items that raised (isolated per-item failures).
+    #: batch items that raised (isolated or not) and scalar calls
+    #: that raised.
     failures: int
     #: logical flops of successful work, ``2*m*n*k`` per multiply.
     flops: int
@@ -104,7 +105,8 @@ class Session:
 
     A failed batch item is isolated as an
     :class:`~repro.multi.scheduler.ItemError`; a failed scalar
-    :meth:`dgemm` call raises to the caller.
+    :meth:`dgemm` call raises to the caller.  Both count in
+    :meth:`stats`, with the traffic they moved before failing.
     """
 
     def __init__(
@@ -249,17 +251,24 @@ class Session:
         pad = self.pad if pad is None else pad
         ctx = self._scalar_context()
         before = ctx.stats()
-        out = _dgemm(
-            a, b, c,
-            alpha=alpha, beta=beta, transa=transa, transb=transb,
-            variant=self.variant,
-            engine=engine or self.engine,
-            params=params, context=ctx,
-            pad=pad,
-            check=self.check if check is None else check,
-            tracer=self.tracer,
-            plan_cache=self.plan_cache,
-        )
+        try:
+            out = _dgemm(
+                a, b, c,
+                alpha=alpha, beta=beta, transa=transa, transb=transb,
+                variant=self.variant,
+                engine=engine or self.engine,
+                params=params, context=ctx,
+                pad=pad,
+                check=self.check if check is None else check,
+                tracer=self.tracer,
+                plan_cache=self.plan_cache,
+            )
+        except Exception:
+            # the traffic a failed call moved is still the session's
+            with self._stats_lock:
+                self._traffic = self._traffic.plus(ctx.stats().since(before))
+                self._failures += 1
+            raise
         pm, pn, pk = params.pad_shape(m, n, k) if pad else (m, n, k)
         with self._stats_lock:
             self._traffic = self._traffic.plus(ctx.stats().since(before))
@@ -285,7 +294,8 @@ class Session:
         :class:`~repro.multi.scheduler.ScheduleResult`.  By default
         item failures are isolated — inspect ``result.errors``; pass
         ``isolate_failures=False`` to raise the first failure, as a
-        loop of ``dgemm`` calls would.
+        loop of ``dgemm`` calls would.  Either way :meth:`stats` counts
+        the failure and the traffic of every item that ran.
 
         ``parallel=True`` runs each CG's queue on its own worker thread
         (see :meth:`CGScheduler.run
@@ -309,24 +319,36 @@ class Session:
         with self._stats_lock:
             batch_no = self._batches
             self._batches += 1
-        with self.tracer.span(
-            "session.batch", cat="session", items=len(items), batch=batch_no,
-        ):
-            result = self.scheduler.run(
-                items,
-                isolate_failures=isolate_failures,
-                parallel=parallel,
-                engine=opts.engine,
-                check=opts.check,
-                blocking=blocking,
-            )
+        try:
+            with self.tracer.span(
+                "session.batch", cat="session", items=len(items),
+                batch=batch_no,
+            ):
+                result = self.scheduler.run(
+                    items,
+                    isolate_failures=isolate_failures,
+                    parallel=parallel,
+                    engine=opts.engine,
+                    check=opts.check,
+                    blocking=blocking,
+                )
+        except Exception as exc:
+            # an aborted run still moved traffic (validation errors
+            # raise before anything runs and carry no result)
+            partial = getattr(exc, "schedule_result", None)
+            if partial is not None:
+                self._fold(partial)
+            raise
+        self._fold(result)
+        return result
+
+    def _fold(self, result: ScheduleResult) -> None:
         with self._stats_lock:
-            self._items += len(result)
+            self._items += sum(cg.items for cg in result.per_cg)
             self._failures += len(result.errors)
             self._flops += result.flops
             self._padded_flops += result.padded_flops
             self._traffic = self._traffic.plus(result.traffic)
-        return result
 
     def submit(
         self,

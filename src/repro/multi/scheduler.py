@@ -11,8 +11,8 @@ single-CG kernel into a chip-level throughput engine:
 - **shape-aware binning** — items of the same (padded) shape are routed
   to the same CG, so that CG's
   :class:`~repro.core.context.ExecutionContext` keeps serving them from
-  its LRU staging-plan cache (in-place restage, one host copy per
-  operand, zero fresh allocations);
+  its LRU staging-plan cache (in-place restage, zero fresh
+  allocations);
 - **least-modeled-load dispatch** — a shape's first appearance lands on
   the CG with the least accumulated modeled time (via
   :class:`~repro.perf.estimator.Estimator`), and a bin spills to the
@@ -36,7 +36,7 @@ Parallel dispatch
 
 ``run(items, parallel=True)`` executes each CG's item queue on its own
 worker thread from a pool the scheduler owns.  The heavy work per item
-— the fused engine's panel ``np.matmul`` calls and the staging copies —
+— the fused engine's panel ``np.matmul`` calls and any staging copies —
 releases the GIL, so a 4-CG batch genuinely overlaps on a multi-core
 host while the Python coordination glue stays thin.  Thread correctness
 rests on a sharding discipline rather than a lock: each CG's queue is
@@ -171,6 +171,7 @@ class CGTraffic:
     """One CG's share of a pool run."""
 
     core_group: int
+    #: items that ran on this CG, failed ones included.
     items: int
     failures: int
     #: modeled seconds of the work dispatched to this CG.
@@ -531,7 +532,10 @@ class CGScheduler:
         recorded in ``result.errors``: its slot in ``outputs`` is
         ``None``, its CG's transient device state is reset and its
         context stays usable, and the rest of the batch proceeds.  With
-        ``isolate_failures=False`` the first failure propagates.
+        ``isolate_failures=False`` the first failure propagates, and
+        the :class:`ScheduleResult` of what ran until then rides on it
+        as ``exc.schedule_result`` (``None`` outputs for items that
+        failed or never ran), so its traffic can still be accounted.
 
         Every item is validated before anything is staged
         (:func:`validate_items`): a malformed item raises, naming its
@@ -631,32 +635,51 @@ class CGScheduler:
                 # transient device state (CPE LDM/registers, undelivered
                 # broadcasts) so the next item does not inherit it.
                 ctx.core_group.reset_transient_state()
+                errors[idx] = ItemError(idx, home, type(exc).__name__, str(exc))
                 if not isolate_failures:
                     raise
-                errors[idx] = ItemError(idx, home, type(exc).__name__, str(exc))
-            item_traffic[idx] = ctx.stats().since(start)
+            finally:
+                item_traffic[idx] = ctx.stats().since(start)
 
         with contextlib.ExitStack() as stack:
             for ctx in self._contexts:
                 stack.enter_context(ctx)
             starts = [ctx.stats() for ctx in self._contexts]
-            if parallel and self.n_core_groups > 1 and len(items) > 1:
-                queues: list[list[int]] = [[] for _ in self._contexts]
-                for idx, home in enumerate(plan.assignments):
-                    queues[home].append(idx)
-                self._run_queues(queues, run_item)
-            else:
-                for idx in range(len(items)):
-                    run_item(idx)
-            deltas = [
-                ctx.stats().since(start)
-                for ctx, start in zip(self._contexts, starts)
-            ]
+            try:
+                if parallel and self.n_core_groups > 1 and len(items) > 1:
+                    queues: list[list[int]] = [[] for _ in self._contexts]
+                    for idx, home in enumerate(plan.assignments):
+                        queues[home].append(idx)
+                    self._run_queues(queues, run_item)
+                else:
+                    for idx in range(len(items)):
+                        run_item(idx)
+            except Exception as exc:
+                # what the run did up to the failure, for the caller's
+                # accounting (Session.batch folds it)
+                exc.schedule_result = self._result(
+                    plan, shapes, params_list, starts, outputs, errors,
+                    item_traffic)
+                raise
+            return self._result(plan, shapes, params_list, starts, outputs,
+                                errors, item_traffic)
+
+    def _result(self, plan, shapes, params_list, starts, outputs, errors,
+                item_traffic) -> ScheduleResult:
+        """Fold a run's per-item slots and per-CG deltas since ``starts``."""
+        deltas = [
+            ctx.stats().since(start)
+            for ctx, start in zip(self._contexts, starts)
+        ]
         failed = [err for err in errors if err is not None]
+        # an item ran when it left an output or an error; an aborted
+        # run leaves neither for the items it never reached
+        ran = [home for home, out, err in zip(plan.assignments, outputs, errors)
+               if out is not None or err is not None]
         per_cg = tuple(
             CGTraffic(
                 core_group=g,
-                items=plan.assignments.count(g),
+                items=ran.count(g),
                 failures=sum(err.core_group == g for err in failed),
                 modeled_seconds=plan.cg_seconds[g],
                 stats=deltas[g],
@@ -668,7 +691,7 @@ class CGScheduler:
             total = total.plus(delta)
         flops = padded_flops = 0
         for idx, (m, n, k) in enumerate(shapes):
-            if errors[idx] is None:
+            if outputs[idx] is not None:
                 pm, pn, pk = (
                     params_list[idx].pad_shape(m, n, k)
                     if self.pad else (m, n, k)

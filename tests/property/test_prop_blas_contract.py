@@ -10,7 +10,9 @@ random} at ``BlockingParams.small``, and asserts
   special-value draws place them in A, B and C), every other entry
   componentwise within ``k*eps*(|alpha|*|A||B| + |beta|*|C|)``;
 - the DMA and register-communication counters are identical across
-  the three engines, field by field.
+  the three engines, field by field;
+- the caller's A, B and C are bitwise unchanged: Fortran-ordered
+  operands are read in place, never written.
 
 Zero-size draws (``m``, ``n`` or ``k`` = 0) cross the entry points
 ``dgemm`` (each engine), ``Session.dgemm``, ``Session.batch`` and
@@ -48,9 +50,12 @@ def _params_for(variant):
 def _run(engine, variant, params, a, b, c, alpha, beta, transa, transb, pad):
     """One dgemm on a fresh device; returns (result, traffic counters)."""
     cg = CoreGroup()
+    before = [x.tobytes() for x in (a, b, c)]
     out = dgemm(a, b, c, alpha=alpha, beta=beta, transa=transa,
                 transb=transb, variant=variant, engine=engine,
                 params=params, core_group=cg, pad=pad)
+    assert [x.tobytes() for x in (a, b, c)] == before, engine
+    assert all(x.flags.writeable for x in (a, b, c)), engine
     return out, (cg.dma.stats.as_dict(), cg.regcomm.stats.as_dict())
 
 

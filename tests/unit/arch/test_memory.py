@@ -135,3 +135,68 @@ class TestAlignment:
         h = mem.store("A", np.zeros((12, 4)))  # 96 B columns
         with pytest.raises(AlignmentError):
             mem.check_dma_alignment(h, 1)
+
+
+class TestBind:
+    """A bound array is the resident matrix itself, accounted as a copy."""
+
+    def test_bind_makes_no_copy(self, mem):
+        src = np.asfortranarray(np.ones((16, 8)))
+        h = mem.bind("A", src)
+        assert h == MatrixHandle("A", 16, 8)
+        assert mem.array(h) is src
+
+    def test_bind_accounts_like_store(self, mem):
+        other = MainMemory()
+        src = np.asfortranarray(np.ones((16, 8)))
+        mem.bind("A", src)
+        other.store("A", src)
+        assert mem.used_bytes == other.used_bytes == src.nbytes
+        assert mem.peak_bytes == other.peak_bytes
+        assert mem.stats == other.stats
+        mem.bind("A", src.copy(order="F"))  # same-shape restage
+        other.store("A", src)
+        assert mem.stats == other.stats
+        assert mem.stats.in_place_stores == 1
+        mem.free("A")
+        assert mem.used_bytes == 0
+
+    def test_bind_refused_by_the_budget(self):
+        mem = MainMemory(SW26010Spec(main_memory_bytes=1024))
+        with pytest.raises(MemoryError):
+            mem.bind("A", np.asfortranarray(np.ones((64, 64))))
+        assert mem.used_bytes == 0 and mem.handles() == []
+        assert mem.stats.allocations == 0
+
+    @pytest.mark.parametrize("array", [
+        np.ones((8, 8)),                           # C-ordered
+        np.asfortranarray(np.ones((8, 8), dtype=np.float32)),
+        np.asfortranarray(np.ones((8, 8)))[::2],   # strided
+        np.ones(8),
+    ], ids=["c-order", "float32", "strided", "1-d"])
+    def test_bind_rejects_what_the_model_cannot_hold(self, mem, array):
+        with pytest.raises(ConfigError):
+            mem.bind("A", array)
+        assert mem.stats.stores == 0
+
+    def test_store_never_writes_a_bound_array(self, mem):
+        src = np.asfortranarray(np.full((16, 8), 3.0))
+        mem.bind("A", src)
+        mem.store("A", np.ones((16, 8)))
+        assert np.all(src == 3.0)
+        assert mem.array("A") is not src and np.all(mem.array("A") == 1.0)
+        assert mem.stats.allocations == 1 and mem.stats.in_place_stores == 1
+        assert mem.used_bytes == src.nbytes
+        # the fresh array is owned again: the next restage is in place
+        backing = mem.array("A")
+        mem.store("A", np.zeros((16, 8)))
+        assert mem.array("A") is backing
+
+    def test_zero_and_padded_stores_never_write_a_bound_array(self, mem):
+        src = np.asfortranarray(np.full((16, 8), 3.0))
+        mem.bind("C", src)
+        mem.allocate("C", 16, 8)
+        mem.bind("C", src)
+        mem.store("C", np.ones((5, 5)), rows=16, cols=8)
+        assert np.all(src == 3.0)
+        assert mem.array("C").sum() == 25.0

@@ -6,6 +6,7 @@ import pytest
 from repro.arch.core_group import CoreGroup
 from repro.core.api import dgemm
 from repro.core.context import ContextStats, ExecutionContext
+from repro.core.engine import get_engine
 from repro.core.params import BlockingParams
 from repro.errors import ConfigError
 from repro.workloads.matrices import gemm_operands
@@ -180,3 +181,119 @@ class TestAccounting:
             assert ctx.baseline_bytes == 16 * 16 * 8
             ctx.stage("A", np.ones((8, 8)))
         assert cg.memory.used_bytes == 16 * 16 * 8
+
+
+def _spying(engine: str):
+    """An instance of ``engine`` that keeps the arrays it last ran on."""
+
+    class Spy(type(get_engine(engine))):
+        def run(self, impl, cg, a, b, c, *args, **kwargs):
+            self.seen = {name: cg.memory.array(h)
+                         for name, h in zip("abc", (a, b, c))}
+            return super().run(impl, cg, a, b, c, *args, **kwargs)
+
+    return Spy()
+
+
+class TestZeroCopyStaging:
+    """Fortran-ordered float64 inputs at their staged shape are bound as
+    read-only views; everything else is copied once."""
+
+    def test_qualifying_operand_is_bound_read_only(self, cg):
+        a = np.asfortranarray(np.ones((16, 8)))
+        with ExecutionContext(cg) as ctx:
+            resident = cg.memory.array(ctx.stage("A", a))
+            assert np.shares_memory(resident, a)
+            assert not resident.flags.writeable
+            with pytest.raises(ValueError):
+                resident[0, 0] = 2.0
+        assert a.flags.writeable and np.all(a == 1.0)
+        assert cg.memory.used_bytes == 0
+
+    @pytest.mark.parametrize("make", [
+        lambda: np.ones((16, 8)),
+        lambda: np.asfortranarray(np.ones((16, 8), dtype=np.int64)),
+        lambda: np.broadcast_to(1.0, (16, 8)),
+        lambda: np.asfortranarray(np.ones((8, 16))).T,
+    ], ids=["c-order", "integer", "broadcast", "transposed-into-c-order"])
+    def test_other_operands_are_copied(self, cg, make):
+        a = make()
+        with ExecutionContext(cg) as ctx:
+            resident = cg.memory.array(ctx.stage("A", a))
+            assert not np.shares_memory(resident, a)
+            assert resident.flags.f_contiguous and resident.dtype == np.float64
+            assert np.array_equal(resident, a)
+
+    def test_padded_operand_is_copied(self, cg):
+        a = np.asfortranarray(np.ones((16, 8)))
+        with ExecutionContext(cg) as ctx:
+            resident = cg.memory.array(ctx.stage("A", a, rows=32, cols=8))
+            assert not np.shares_memory(resident, a)
+            assert resident.sum() == a.sum()
+
+    def test_counters_read_as_for_copies(self, cg):
+        f_order = [np.asfortranarray(np.full((16, 8), x)) for x in (1.0, 2.0)]
+        copy_cg = CoreGroup()
+        with ExecutionContext(cg) as bound, ExecutionContext(copy_cg) as copied:
+            for a in f_order:
+                bound.stage("A", a)
+                copied.stage("A", np.ascontiguousarray(a))
+            assert bound.stats() == copied.stats()
+            assert cg.memory.stats == copy_cg.memory.stats
+            assert cg.memory.peak_bytes == copy_cg.memory.peak_bytes
+
+    def test_bind_stages_the_array_itself_writeable(self, cg):
+        out = np.zeros((16, 8), order="F")
+        with ExecutionContext(cg) as ctx:
+            h = ctx.bind("C", out)
+            assert cg.memory.array(h) is out
+            assert ctx.stats().allocations == 1
+
+    @pytest.mark.parametrize("engine", ["vectorized", "device"])
+    def test_engine_reads_the_callers_operands_in_place(self, cg, engine):
+        spy = _spying(engine)
+        a, b, c = gemm_operands(PARAMS.b_m, PARAMS.b_n, PARAMS.b_k, seed=4)
+        out = dgemm(a, b, c, beta=1.0, params=PARAMS, core_group=cg,
+                    engine=spy)
+        for name, operand in (("a", a), ("b", b)):
+            assert np.shares_memory(spy.seen[name], operand), name
+            assert not spy.seen[name].flags.writeable, name
+        assert not np.shares_memory(spy.seen["c"], c)
+        assert spy.seen["c"] is out  # the result is the staged C
+        np.testing.assert_allclose(out, a @ b + c, rtol=1e-12, atol=1e-9)
+
+    @pytest.mark.parametrize("engine", ["vectorized", "device"])
+    def test_transposed_and_padded_operands_are_copied(self, cg, engine):
+        spy = _spying(engine)
+        # Fortran-ordered and transposed: C-ordered once transposed
+        at, b, _ = gemm_operands(PARAMS.b_k, PARAMS.b_n, PARAMS.b_m, seed=5)
+        dgemm(at, b, transa="T", params=PARAMS, core_group=cg, engine=spy)
+        assert not np.shares_memory(spy.seen["a"], at)
+        assert np.shares_memory(spy.seen["b"], b)
+        # an odd shape: device pads A and B on the host, vectorized not
+        a, b, _ = gemm_operands(PARAMS.b_m - 3, PARAMS.b_n, PARAMS.b_k - 5,
+                                seed=6)
+        dgemm(a, b, params=PARAMS, core_group=cg, engine=spy, pad=True)
+        bound = engine == "vectorized"
+        assert np.shares_memory(spy.seen["a"], a) == bound
+        assert np.shares_memory(spy.seen["b"], b) == bound
+
+    def test_result_survives_a_padded_call_staging_its_shape(self, cg):
+        """An exact-shape result is bound as C; a later padded call
+        staging the same C shape allocates fresh memory instead of
+        writing into it."""
+        a, b, _ = gemm_operands(PARAMS.b_m, PARAMS.b_n, PARAMS.b_k, seed=7)
+        a2, b2, c2 = gemm_operands(PARAMS.b_m - 3, PARAMS.b_n - 2,
+                                   PARAMS.b_k, seed=8)
+        operands = [x.copy() for x in (a, b, a2, b2, c2)]
+        with ExecutionContext(cg) as ctx:
+            first = dgemm(a, b, params=PARAMS, context=ctx, engine="device")
+            kept = first.copy()
+            second = dgemm(a2, b2, c2, beta=1.0, params=PARAMS, context=ctx,
+                           engine="device", pad=True)
+            assert ctx.stats().plan_hits == 3  # the same A, B and C keys
+        assert np.array_equal(first, kept)
+        for before, after in zip(operands, (a, b, a2, b2, c2)):
+            assert np.array_equal(before, after)
+        np.testing.assert_allclose(second, a2 @ b2 + c2, rtol=1e-12,
+                                   atol=1e-9)

@@ -3,10 +3,15 @@
 import numpy as np
 import pytest
 
+import asyncio
+
 from repro import GemmRequest, Session, SubmitOptions
+from repro.core.api import dgemm
 from repro.core.params import BlockingParams
 from repro.errors import ConfigError
 from repro.multi import SW26010Processor
+from repro.obs import SpanTracer
+from repro.serve import ReproServer
 from repro.workloads.matrices import gemm_operands, mixed_batch
 
 PARAMS = BlockingParams.small(double_buffered=True)
@@ -158,3 +163,124 @@ class TestStats:
             s.dgemm(rng.standard_normal((k, m)),
                     rng.standard_normal((k, n)), transa="T")
             assert s.stats().flops == 2 * m * n * k
+
+
+def _assert_spans_reconcile(tracer, stats):
+    """Summed ``dgemm`` span deltas equal the session's traffic."""
+    deltas = tracer.counter_totals("dgemm")
+    for field, total in stats.traffic.as_dict().items():
+        assert deltas.get(f"ctx.{field}", 0) == total, field
+
+
+class TestFailureAccounting:
+    """A raising call still folds the traffic it moved into stats()."""
+
+    @pytest.mark.parametrize("parallel", [False, True])
+    def test_raising_batch_counts_its_traffic_and_failure(
+        self, small_memory_spec, unstageable, parallel
+    ):
+        tracer = SpanTracer()
+        items = mixed_batch(4, params=PARAMS, seed=5)
+        items[2] = unstageable
+        with Session(params=PARAMS, n_core_groups=2, spec=small_memory_spec,
+                     tracer=tracer) as s:
+            with pytest.raises(MemoryError) as info:
+                s.batch(items, isolate_failures=False, parallel=parallel)
+            stats = s.stats()
+        partial = info.value.schedule_result
+        assert [e.index for e in partial.errors] == [2]
+        assert stats.batches == 1 and stats.failures == 1
+        ran = sum(out is not None for out in partial.outputs) + 1
+        assert stats.items == ran == sum(cg.items for cg in partial.per_cg)
+        assert ran >= 3
+        assert stats.traffic == partial.traffic
+        assert stats.traffic.dma_bytes > 0 and stats.traffic.staged > 0
+        _assert_spans_reconcile(tracer, stats)
+
+    def test_raising_scalar_call_counts_its_traffic_and_failure(
+        self, small_memory_spec, unstageable, monkeypatch
+    ):
+        tracer = SpanTracer()
+        with Session(params=PARAMS, spec=small_memory_spec,
+                     tracer=tracer) as s:
+            # refused while staging B: A was staged
+            with pytest.raises(MemoryError):
+                s.dgemm(unstageable.a, unstageable.b)
+            assert s.stats().traffic.staged == 1
+            # refused by the result check: the kernel ran
+            monkeypatch.setattr("repro.core.api.contract_violation",
+                                lambda *args: "rejected")
+            a, b, _ = gemm_operands(PARAMS.b_m, PARAMS.b_n, PARAMS.b_k)
+            with pytest.raises(AssertionError, match="rejected"):
+                s.dgemm(a, b, check=True)
+            stats = s.stats()
+        assert stats.calls == 0 and stats.failures == 2
+        assert stats.traffic.dma_bytes > 0
+        _assert_spans_reconcile(tracer, stats)
+
+
+def _operands(seed):
+    a, b, c = gemm_operands(PARAMS.b_m, PARAMS.b_n, PARAMS.b_k, seed=seed)
+    return a, b, c, [x.copy(order="K") for x in (a, b, c)]
+
+
+def _assert_unchanged(operands, copies):
+    for name, now, before in zip("abc", operands, copies):
+        assert now.tobytes() == before.tobytes(), name
+        assert now.flags.writeable, name
+
+
+class TestZeroCopyContract:
+    """Inputs are read in place but never written; results are never
+    overwritten by a later call on the same context."""
+
+    def test_session_dgemm_leaves_operands_unchanged(self):
+        a, b, c, copies = _operands(11)
+        with Session(params=PARAMS) as s:
+            s.dgemm(a, b, c, alpha=-1.0, beta=1.0)
+            s.dgemm(a, b, c, beta=0.0)
+        _assert_unchanged((a, b, c), copies)
+
+    @pytest.mark.parametrize("parallel", [False, True])
+    def test_session_batch_leaves_operands_unchanged(self, parallel):
+        operands = [_operands(seed) for seed in range(12, 16)]
+        items = [GemmRequest(a, b, c, alpha=2.0, beta=-1.0)
+                 for a, b, c, _ in operands]
+        with Session(params=PARAMS, n_core_groups=2) as s:
+            result = s.batch(items, parallel=parallel)
+        assert result.ok
+        for a, b, c, copies in operands:
+            _assert_unchanged((a, b, c), copies)
+
+    def test_server_round_trip_leaves_operands_unchanged(self):
+        a, b, c, copies = _operands(16)
+
+        async def scenario():
+            async with ReproServer(params=PARAMS, n_core_groups=2) as server:
+                return await server.submit(GemmRequest(a, b, c, beta=1.0))
+
+        result = asyncio.run(scenario())
+        assert result.ok
+        np.testing.assert_allclose(result.value, a @ b + c, atol=1e-9)
+        _assert_unchanged((a, b, c), copies)
+
+    def test_result_survives_the_next_same_shape_call(self):
+        a, b, c, _ = _operands(17)
+        a2, b2, c2, _ = _operands(18)
+        with Session(params=PARAMS) as s:
+            first = s.dgemm(a, b, c, beta=1.0)
+            kept = first.copy()
+            second = s.dgemm(a2, b2, c2, beta=1.0)
+            assert s.stats().traffic.plan_hits == 3
+        assert first.tobytes() == kept.tobytes()
+        assert not np.shares_memory(first, second)
+
+    def test_batch_results_survive_the_items_after_them(self):
+        operands = [_operands(seed)[:3] for seed in range(19, 23)]
+        items = [GemmRequest(a, b) for a, b, _ in operands]
+        with Session(params=PARAMS, n_core_groups=1) as s:
+            result = s.batch(items)
+            assert s.stats().traffic.allocations == 3
+        for item, out in zip(items, result.outputs):
+            alone = dgemm(item.a, item.b, params=PARAMS)
+            assert out.tobytes() == alone.tobytes()

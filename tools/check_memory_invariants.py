@@ -21,7 +21,11 @@ verifies the guarantees the ExecutionContext refactor made contractual:
    CoreGroup peaks at the logical footprint on the fused
    ``vectorized`` engine and at the padded footprint on ``device`` and
    ``stepwise``, whose per-CPE tiles read the zeros; a padded
-   ``dgemm_multi_cg`` peaks at the logical footprint on every CG.
+   ``dgemm_multi_cg`` peaks at the logical footprint on every CG,
+7. staging binds instead of copying: on Fortran-ordered float64
+   operands the engine reads A and B as read-only views of the
+   caller's arrays, ``peak_bytes`` still equals the staged footprint,
+   and the caller's A, B and C are unchanged.
 
 The single-CG checks run under **all three execution engines** (device,
 vectorized and stepwise): the lifecycle guarantees must hold
@@ -43,6 +47,7 @@ from repro.arch.config import DEFAULT_SPEC
 from repro.arch.core_group import CoreGroup
 from repro.api import GemmRequest
 from repro.core.api import dgemm
+from repro.core.engine import get_engine
 from repro.core.params import BlockingParams
 from repro.core.session import Session
 from repro.multi.dgemm4 import dgemm_multi_cg
@@ -67,6 +72,17 @@ def check(condition: bool, message: str) -> None:
     print(f"  [{status}] {message}")
     if not condition:
         _failures.append(message)
+
+
+def spying(engine: str):
+    """An instance of ``engine`` that keeps the A and B arrays it ran on."""
+
+    class Spy(type(get_engine(engine))):
+        def run(self, impl, cg, a, b, c, *args, **kwargs):
+            self.seen = (cg.memory.array(a), cg.memory.array(b))
+            return super().run(impl, cg, a, b, c, *args, **kwargs)
+
+    return Spy()
 
 
 def main() -> int:
@@ -103,6 +119,30 @@ def main() -> int:
         check(fresh.memory.peak_bytes == want,
               f"staging peaks at the {what} footprint "
               f"(got {fresh.memory.peak_bytes} B, want {want} B)")
+
+        print(f"Fortran-ordered operands are bound, not copied "
+              f"[{engine} engine]:")
+        a3, b3, c3 = gemm_operands(2 * PARAMS.b_m, PARAMS.b_n,
+                                   2 * PARAMS.b_k, seed=4)
+        before = [x.copy(order="F") for x in (a3, b3, c3)]
+        spy = spying(engine)
+        fresh = CoreGroup()
+        out = dgemm(a3, b3, c3, beta=1.0, params=PARAMS, core_group=fresh,
+                    engine=spy)
+        check(np.shares_memory(spy.seen[0], a3)
+              and np.shares_memory(spy.seen[1], b3),
+              "the engine read A and B in the caller's memory")
+        check(not any(x.flags.writeable for x in spy.seen),
+              "bound A and B are read-only")
+        m, n, k = 2 * PARAMS.b_m, PARAMS.b_n, 2 * PARAMS.b_k
+        want = 8 * (m * k + k * n + m * n)
+        check(fresh.memory.peak_bytes == want,
+              f"peak_bytes is the staged footprint "
+              f"(got {fresh.memory.peak_bytes} B, want {want} B)")
+        check(all(np.array_equal(x, y) for x, y in zip((a3, b3, c3), before)),
+              "the caller's A, B and C are unchanged")
+        check(np.allclose(out, a3 @ b3 + c3, rtol=1e-11, atol=1e-8),
+              "result matches numpy")
 
         print(f"same-shape batch reuses staging allocations [{engine} engine]:")
         items = [
