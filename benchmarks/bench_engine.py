@@ -19,9 +19,18 @@ close).
 
 Timings cover ``engine.run`` on pre-staged operands — the execution
 engine itself, excluding the engine-independent host staging copies.
+The two engines of a record are timed in interleaved pairs, each
+engine on its own CG with its operands staged once, so host drift
+lands on both sides of a pair instead of between two blocks of reps.
+A pair is one device run and one warm fast run: an untimed fast run
+goes first.  A fast run right after the device engine's mostly
+refills caches, so its time follows the host's memory traffic more
+than the engine; on a 2-core host such cold ratios spread 0.68-0.99x
+of the smoke baseline over 50 runs, warm ones 0.95-1.47x over 100.
 Every repetition's wall-clock is kept; records report the best-of-reps
-headline number plus a min/p50/p95/mean summary so the trajectory file
-captures run-to-run jitter, not just the fastest sample.
+headline number, a min/p50/p95/mean summary per engine and the
+per-pair speedups, so the trajectory file captures run-to-run jitter,
+not just the fastest sample.
 
 Runnable standalone::
 
@@ -37,18 +46,20 @@ BLAS thread contends with the timed engine and spreads its ratios.
 Full mode keeps the host's default threading.
 
 The ``--baseline`` flag turns the smoke run into a performance
-*regression* gate: the p50 speedup of each smoke case is compared
-against the ``smoke`` section of the committed trajectory file, and the
-run fails if any case lost more than ``--max-regression`` (a fraction;
-0.25 means "a quarter of the baseline speedup").  A baseline without a
-``smoke`` section downgrades the gate to a warning so the first run on
-a fresh baseline never hard-fails; ``--write-baseline`` refreshes the
-section in place.
+*regression* gate: the median per-pair speedup of each smoke case is
+compared against the ``smoke`` section of the committed trajectory
+file, and the run fails if any case lost more than
+``--max-regression`` (a fraction; 0.25 means "a quarter of the
+baseline speedup").  A baseline without a ``smoke`` section
+downgrades the gate to a warning so the first run on a fresh baseline
+never hard-fails; ``--write-baseline`` refreshes the section in
+place.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import os
 import sys
@@ -86,6 +97,9 @@ SCHED_SPEEDUP_FLOOR = 10.0
 #: the acceptance bar: warm-plan stepwise must beat the device engine
 #: by this factor at 768^3.
 STEPWISE_PLAN_SPEEDUP_FLOOR = 2.0
+#: interleaved device/fast pairs per smoke case; the gate reads their
+#: median ratio.
+SMOKE_PAIRS = 15
 
 
 def _stats_snapshot(cg: CoreGroup) -> dict:
@@ -126,65 +140,93 @@ def _operands(shape: tuple[int, int, int]):
             rng.standard_normal((m, n)))
 
 
-def _run_engine(
-    variant: str,
-    engine_name,
-    shape: tuple[int, int, int],
-    params: BlockingParams | None,
-    reps: int,
-    plan_cache: PlanCache | None = None,
-) -> tuple[np.ndarray, dict, list[float]]:
-    """Return (result, stats, per-rep seconds) for one engine run.
+class _Staged:
+    """One engine on its own CG, with the seeded operands staged once.
 
-    The first repetition runs on the freshly staged C and provides the
-    verified result and statistics; later repetitions only refine the
-    timing (they accumulate into C, which does not affect wall-clock).
-    ``engine_name`` may be a registry name or an engine instance;
-    ``plan_cache`` is handed to plan-aware engines, so with a shared
-    cache the first repetition is the cold (plan-building) sample and
-    every later repetition is warm.
+    Each call runs the engine once and returns its wall-clock seconds.
+    The first run works on the freshly staged C and provides the
+    verified result and statistics; later runs only time (they
+    accumulate into C, which does not affect wall-clock).  ``engine``
+    may be a registry name or an engine instance; ``plan_cache`` is
+    handed to plan-aware engines.  The staging context lives as long
+    as ``stack``.
     """
-    impl = get_variant(variant)
-    params = params or impl.default_params()
-    m, n, k = shape
-    a, b, c = _operands(shape)
-    eng = get_engine(engine_name)
-    cg = CoreGroup()
-    with ExecutionContext.scoped(None, cg, cg.spec) as ctx, ctx.executing():
-        ha = ctx.stage("A", a, rows=m, cols=k)
-        hb = ctx.stage("B", b, rows=k, cols=n)
-        hc = ctx.stage("C", c, rows=m, cols=n)
-        samples: list[float] = []
-        result = None
-        stats = None
-        for rep in range(reps):
-            t0 = time.perf_counter()
-            eng.run(impl, cg, ha, hb, hc, alpha=1.0, beta=1.0, params=params,
-                    plan_cache=plan_cache)
-            samples.append(time.perf_counter() - t0)
-            if rep == 0:
-                result = np.array(cg.memory.array(hc), order="F", copy=True)
-                stats = _stats_snapshot(cg)
-    return result, stats, samples
+
+    def __init__(
+        self,
+        stack: contextlib.ExitStack,
+        variant: str,
+        engine,
+        shape: tuple[int, int, int],
+        params: BlockingParams | None,
+        plan_cache: PlanCache | None = None,
+    ) -> None:
+        self.impl = get_variant(variant)
+        self.params = params or self.impl.default_params()
+        self.engine = get_engine(engine)
+        self.plan_cache = plan_cache
+        m, n, k = shape
+        a, b, c = _operands(shape)
+        self.cg = CoreGroup()
+        ctx = stack.enter_context(
+            ExecutionContext.scoped(None, self.cg, self.cg.spec))
+        stack.enter_context(ctx.executing())
+        self.handles = (ctx.stage("A", a, rows=m, cols=k),
+                        ctx.stage("B", b, rows=k, cols=n),
+                        ctx.stage("C", c, rows=m, cols=n))
+        self.result: np.ndarray | None = None
+        self.stats: dict | None = None
+
+    def __call__(self) -> float:
+        t0 = time.perf_counter()
+        self.engine.run(self.impl, self.cg, *self.handles, alpha=1.0,
+                        beta=1.0, params=self.params,
+                        plan_cache=self.plan_cache)
+        seconds = time.perf_counter() - t0
+        if self.result is None:
+            self.result = np.array(self.cg.memory.array(self.handles[2]),
+                                   order="F", copy=True)
+            self.stats = _stats_snapshot(self.cg)
+        return seconds
+
+
+def _time_pairs(
+    device: _Staged, fast: _Staged, pairs: int
+) -> tuple[list[float], list[float]]:
+    """Time ``pairs`` (device, warm fast) pairs back to back.
+
+    Each pair runs the device engine, then the fast engine twice and
+    keeps the second, warm run; the first is untimed.
+    """
+    device_s: list[float] = []
+    fast_s: list[float] = []
+    for _ in range(pairs):
+        device_s.append(device())
+        fast()
+        fast_s.append(fast())
+    return device_s, fast_s
 
 
 def bench_variant(
     variant: str,
     shape: tuple[int, int, int],
     params: BlockingParams | None = None,
-    device_reps: int = 1,
-    vectorized_reps: int = 3,
+    pairs: int = 3,
 ) -> tuple[dict, list[str]]:
     """Measure and verify one variant; return (record, failures).
 
-    The headline ``*_seconds``/``speedup`` numbers use the best-of-reps
-    sample; the ``*_timing`` summaries expose the full distribution.
+    Device and vectorized run in ``pairs`` interleaved pairs.  The
+    headline ``*_seconds``/``speedup`` numbers use the best-of-reps
+    sample; the ``*_timing`` summaries expose the full distribution,
+    and ``pair_speedups`` the device/vectorized ratio of each pair.
     """
     m, n, k = shape
-    dev_out, dev_stats, dev_samples = _run_engine(
-        variant, "device", shape, params, device_reps)
-    vec_out, vec_stats, vec_samples = _run_engine(
-        variant, "vectorized", shape, params, vectorized_reps)
+    with contextlib.ExitStack() as stack:
+        device = _Staged(stack, variant, "device", shape, params)
+        vectorized = _Staged(stack, variant, "vectorized", shape, params)
+        dev_samples, vec_samples = _time_pairs(device, vectorized, pairs)
+    dev_out, dev_stats = device.result, device.stats
+    vec_out, vec_stats = vectorized.result, vectorized.stats
     dev_s = min(dev_samples)
     vec_s = min(vec_samples)
 
@@ -210,6 +252,7 @@ def bench_variant(
         "device_timing": _timing_summary(dev_samples),
         "vectorized_timing": _timing_summary(vec_samples),
         "speedup": dev_s / vec_s,
+        "pair_speedups": [d / v for d, v in zip(dev_samples, vec_samples)],
         "device_gflops": 2 * m * n * k / dev_s / 1e9,
         "vectorized_gflops": 2 * m * n * k / vec_s / 1e9,
         "dma_gb_moved": dma_bytes / 1e9,
@@ -229,21 +272,23 @@ def bench_stepwise_plan(
     """Device vs plan-compiled stepwise; return (record, failures).
 
     The planned path compiles its owner tables and copy recipes once
-    into the shared :class:`PlanCache`.  Repetition 0 of the planned run
-    is the cold (plan-building) sample; the warm timing summary covers
-    repetitions 1..reps.  Both engines must meet the engine contract
-    against ``reference_dgemm`` (and agree *bitwise* at the 16-deep
-    tiles of ``SMOKE_PARAMS``) with identical traffic statistics, and
-    the cache counters must show exactly one build with a hit on every
-    warm repetition.
+    into the shared :class:`PlanCache`.  Its first run is the cold
+    (plan-building) sample; then device and warm planned runs are timed
+    in ``reps`` interleaved pairs.  Both engines must meet the engine
+    contract against ``reference_dgemm`` (and agree *bitwise* at the
+    16-deep tiles of ``SMOKE_PARAMS``) with identical traffic
+    statistics, and the cache counters must show exactly one build with
+    a hit on every later run.
     """
-    dev_out, dev_stats, dev_samples = _run_engine(
-        variant, "device", shape, params, reps)
     cache = PlanCache()
-    plan_out, plan_stats, plan_samples = _run_engine(
-        variant, StepwiseEngine(), shape, params, reps + 1, plan_cache=cache)
-    cold_s = plan_samples[0]
-    warm_samples = plan_samples[1:]
+    with contextlib.ExitStack() as stack:
+        device = _Staged(stack, variant, "device", shape, params)
+        planned = _Staged(stack, variant, StepwiseEngine(), shape, params,
+                          plan_cache=cache)
+        cold_s = planned()
+        dev_samples, warm_samples = _time_pairs(device, planned, reps)
+    dev_out, dev_stats = device.result, device.stats
+    plan_out, plan_stats = planned.result, planned.stats
 
     failures: list[str] = []
     a, b, c = _operands(shape)
@@ -274,10 +319,10 @@ def bench_stepwise_plan(
             f"{sorted(diff)}"
         )
     counters = cache.stats()
-    if counters.builds != 1 or counters.hits != reps:
+    if counters.builds != 1 or counters.hits != 2 * reps:
         failures.append(
             f"{variant}: plan cache counters off — expected 1 build / "
-            f"{reps} hits, got {counters.builds} / {counters.hits}"
+            f"{2 * reps} hits, got {counters.builds} / {counters.hits}"
         )
 
     m, n, k = shape
@@ -293,10 +338,7 @@ def bench_stepwise_plan(
         "device_timing": _timing_summary(dev_samples),
         "warm_timing": _timing_summary(warm_samples),
         "speedup": dev_s / warm_s,
-        "speedup_p50": (
-            _timing_summary(dev_samples)["p50"]
-            / _timing_summary(warm_samples)["p50"]
-        ),
+        "pair_speedups": [d / w for d, w in zip(dev_samples, warm_samples)],
         "warm_gflops": 2 * m * n * k / warm_s / 1e9,
         "plan_cache": {
             "builds": counters.builds,
@@ -307,6 +349,7 @@ def bench_stepwise_plan(
         "within_contract": all(within.values()),
         "stats_match": plan_stats == dev_stats,
     }
+    record["speedup_p50"] = _p50_speedup(record)
     return record, failures
 
 
@@ -315,8 +358,7 @@ def full(json_path: str) -> int:
     records: dict[str, dict] = {}
     failures: list[str] = []
     for variant, shape in PAPER_SHAPES.items():
-        record, errs = bench_variant(
-            variant, shape, device_reps=3, vectorized_reps=5)
+        record, errs = bench_variant(variant, shape, pairs=5)
         records[variant] = record
         failures.extend(errs)
         vec_t = record["vectorized_timing"]
@@ -431,8 +473,8 @@ def measure_smoke() -> tuple[dict[str, dict], list[str]]:
     failures: list[str] = []
     records: dict[str, dict] = {}
     for variant, shape, params in smoke_cases():
-        record, errs = bench_variant(
-            variant, shape, params, device_reps=3, vectorized_reps=5)
+        record, errs = bench_variant(variant, shape, params,
+                                     pairs=SMOKE_PAIRS)
         failures.extend(errs)
         records[variant] = record
         if record["speedup"] <= 1.0:
@@ -444,7 +486,7 @@ def measure_smoke() -> tuple[dict[str, dict], list[str]]:
     plan_shape = (2 * SMOKE_PARAMS.b_m, 2 * SMOKE_PARAMS.b_n,
                   2 * SMOKE_PARAMS.b_k)
     plan_record, plan_errs = bench_stepwise_plan(
-        plan_shape, SMOKE_PARAMS, reps=5)
+        plan_shape, SMOKE_PARAMS, reps=SMOKE_PAIRS)
     failures.extend(plan_errs)
     records["STEPWISE"] = plan_record
     if plan_record["speedup"] <= 1.0:
@@ -458,21 +500,21 @@ def measure_smoke() -> tuple[dict[str, dict], list[str]]:
 
 
 def _p50_speedup(record: dict) -> float:
-    """The p50-over-p50 speedup of a smoke record over the device engine.
+    """The gated speedup of a record: the median of its per-pair ratios.
 
-    Engine records time the vectorized engine; stepwise records (marked
-    by ``warm_timing``) time the warm planned stepwise engine.
+    Engine records pair device with vectorized runs; stepwise records
+    pair device with warm planned stepwise runs.
     """
-    fast = record.get("warm_timing") or record["vectorized_timing"]
-    return record["device_timing"]["p50"] / fast["p50"]
+    return float(np.median(record["pair_speedups"]))
 
 
 def smoke_section(records: dict[str, dict]) -> dict:
     """The ``smoke`` block of the trajectory file: p50 speedups.
 
-    The gate compares p50-over-p50 rather than best-of-reps speedup —
-    medians are far less sensitive to a single lucky (or preempted)
-    repetition on shared CI runners.
+    The gate compares the median of the per-pair speedups rather than
+    a best-of-reps or p50-over-p50 ratio: a median is far less
+    sensitive to a single lucky (or preempted) repetition on shared CI
+    runners, and a pair's two runs see the same host.
     """
     return {
         "speedup_p50": {v: _p50_speedup(r) for v, r in records.items()},

@@ -42,7 +42,7 @@ import numpy as np
 import pytest
 
 from repro.core.params import BlockingParams
-from repro.obs import MetricsSampler
+from repro.obs import MetricsSampler, SpanTracer
 from repro.serve import LoadGenerator, ReproServer, ServeConfig
 
 PARAMS = BlockingParams.small(double_buffered=True)
@@ -74,8 +74,9 @@ async def _one_wave(sampling: bool, seed: int) -> tuple[float, int]:
     """Serve one wave; returns (wall seconds, sampler sample count)."""
     generator = LoadGenerator(seed=seed, params=PARAMS)
     requests = generator.generate(REQUESTS)
+    # a traced server, so the sampler's reads include span totals
     async with ReproServer(
-        config=CONFIG, params=PARAMS, n_core_groups=2
+        config=CONFIG, params=PARAMS, n_core_groups=2, tracer=SpanTracer()
     ) as server:
         # the sampler's start/stop samples stay outside the timed wave.
         sampler = _sampler(server) if sampling else None

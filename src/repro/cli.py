@@ -363,6 +363,7 @@ def _parse_scrape(text: str) -> dict[str, float]:
 
 
 async def _serve_session(args) -> int:
+    from repro.obs import SpanTracer
     from repro.serve import LoadGenerator, ReproServer, ServeConfig
 
     params = _params_for(args)
@@ -375,9 +376,10 @@ async def _serve_session(args) -> int:
         max_pending=args.pending,
         metrics_port=0 if scraping else None,
     )
+    # the coalescing and reconciliation checks below read spans
     async with ReproServer(
         config=config, variant=args.variant, params=params,
-        n_core_groups=args.cgs, engine=args.engine,
+        n_core_groups=args.cgs, engine=args.engine, tracer=SpanTracer(),
     ) as server:
         generator = LoadGenerator(seed=args.seed, params=params)
         requests = generator.generate(args.requests)

@@ -5,11 +5,19 @@ with an async request surface.  The pipeline per request:
 
 1. **admit** — a malformed request, or one whose operands cannot fit
    in one CG's main memory, is answered as invalid before it is
-   hashed; a closed server or a full in-flight window turns the
-   request away with a *structured* rejection (``RequestError`` with
-   ``retryable=True`` for backpressure), never an exception;
-2. **cache** — the operand cache is probed by content hash; a hit
-   responds immediately with a copied value and zero traffic;
+   hashed; a closed server turns the request away with a
+   *structured* rejection (``RequestError``), never an exception.
+   Otherwise the request's operands go to the hash thread and the
+   request joins its bin at once; only when the in-flight window is
+   full does it wait for its digest, to be answered from the cache
+   or refused with ``retryable=True`` (backpressure);
+2. **cache** — when the digest lands, the operand cache is probed by
+   content hash; a hit responds with a copied value and zero traffic
+   and leaves its bin (a bin it leaves empty has its timer
+   cancelled).  Hashing overlaps the coalescing window the request
+   waits out anyway, and the dispatcher waits for any digest still
+   running before a group executes, so every request checks the
+   cache before it computes;
 3. **bin** — the request joins the open batch for its
    ``(shape_bin, options)`` key; the first arrival arms the coalescing
    window timer, a full bin dispatches early;
@@ -21,8 +29,13 @@ with an async request surface.  The pipeline per request:
    singleton groups through ``Session.submit``;
 5. **respond** — every rider of the batch gets its own
    :class:`~repro.api.RequestResult` with per-request traffic and
-   queue/service/total timing; successes are written back to the
-   cache and the SLO ledger.
+   queue/service/total timing, and the SLO ledger records it.  A
+   success is cached only under the digest it was computed from: its
+   value is copied as the response is delivered, its operands are
+   hashed again, and the copy is stored only if that second digest
+   equals the first.  A caller that writes to its operands before the
+   kernel read them gets the product of what the kernel read, and no
+   later request can hit it.
 
 Telemetry honours the tracer's reconciliation contract: the executor
 thread opens one ``serve.batch`` span per dispatch and, still inside
@@ -33,10 +46,14 @@ are exactly that request's attributed traffic — so
 
 Threading discipline: bins, timers, the cache, the SLO ledger and all
 counters are touched only on the event-loop thread; the executor
-thread touches only the session and the tracer.  A caller may attach
-its own :class:`~repro.obs.series.MetricsSampler` to
-:meth:`metrics_registry`; its thread only *reads* counters (plain
-int/float loads under the GIL).
+thread touches only the session and the tracer; the hash thread only
+reads operands and returns digests.  There is one hash thread, so
+digests land in the order they were asked for: a store's second
+digest lands before the cache check of any request admitted after
+that response.  A caller may attach its own
+:class:`~repro.obs.series.MetricsSampler` to :meth:`metrics_registry`;
+its thread only *reads* counters (plain int/float loads under the
+GIL).
 
 When ``config.metrics_port`` is set, :meth:`start` serves the
 :meth:`openmetrics` exposition over a minimal asyncio HTTP endpoint
@@ -46,6 +63,8 @@ When ``config.metrics_port`` is set, :meth:`start` serves the
 from __future__ import annotations
 
 import asyncio
+import copy
+import functools
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
@@ -69,7 +88,6 @@ from repro.core.session import Session
 from repro.errors import ConfigError, UnsupportedShapeError
 from repro.obs.promexp import render_openmetrics
 from repro.obs.registry import MetricsRegistry, flatten
-from repro.obs.tracer import SpanTracer
 from repro.serve.cache import OperandCache
 from repro.serve.config import ServeConfig
 from repro.serve.slo import BinReport, SLOTracker
@@ -81,12 +99,19 @@ BinKey = tuple[tuple[Any, ...], SubmitOptions]
 
 
 class _Pending:
-    """One admitted request riding toward a dispatched batch."""
+    """One admitted request riding toward a dispatched batch.
+
+    ``digest`` is the running content hash until the cache check has
+    used it; ``cache_key`` is set by that check, and stays ``None``
+    when the cache is off or the hash failed (computed, never stored).
+    """
 
     __slots__ = (
         "request",
         "options",
+        "shape_bin",
         "bin_label",
+        "digest",
         "cache_key",
         "future",
         "admitted_at",
@@ -96,17 +121,22 @@ class _Pending:
         self,
         request: Request,
         options: SubmitOptions,
-        bin_label: str,
-        cache_key: tuple[str, SubmitOptions] | None,
+        shape_bin: tuple[Any, ...],
         future: "asyncio.Future[RequestResult]",
         admitted_at: float,
     ) -> None:
         self.request = request
         self.options = options
-        self.bin_label = bin_label
-        self.cache_key = cache_key
+        self.shape_bin = shape_bin
+        self.bin_label = format_bin(shape_bin)
+        self.digest: "asyncio.Future[str] | None" = None
+        self.cache_key: tuple[str, SubmitOptions] | None = None
         self.future = future
         self.admitted_at = admitted_at
+
+    @property
+    def bin_key(self) -> BinKey:
+        return (self.shape_bin, self.options)
 
 
 def _delta_meter(traffic: ContextStats) -> Callable[[], dict]:
@@ -148,9 +178,11 @@ def _check_fits(shape: tuple[int, int, int], budget: int) -> None:
 
     A, B and C of an ``(m, n, k)`` request take ``8*(m*k + k*n + m*n)``
     bytes once staged as float64.  Checking before :meth:`content_hash
-    <repro.api.GemmRequest.content_hash>` keeps the event loop from
-    materializing an operand (a broadcast view, say) that staging
-    would refuse anyway.
+    <repro.api.GemmRequest.content_hash>` keeps the hash thread from
+    materializing an operand that staging would refuse anyway: an
+    operand that is not float64 and C- or Fortran-contiguous (a
+    broadcast view, say) is hashed through one conversion copy, made
+    on the hash thread, not on the event loop.
 
     The bound is the logical footprint, which is what the default
     ``vectorized`` engine stages: padding stays in its model.  A request
@@ -177,7 +209,10 @@ class ReproServer:
 
     Pass ``session=`` to serve an existing session (the caller keeps
     ownership and closes it); otherwise the server builds its own
-    traced session and closes it on exit.
+    session from the keyword arguments and closes it on exit.  That
+    session is untraced unless ``tracer=`` is among them: a
+    :class:`~repro.obs.tracer.SpanTracer` keeps every span, so a
+    long-running server should attach one only while it is read.
     """
 
     def __init__(
@@ -193,7 +228,6 @@ class ReproServer:
         self.config = config or ServeConfig()
         self._owns_session = session is None
         if session is None:
-            session_kwargs.setdefault("tracer", SpanTracer())
             session = Session(**session_kwargs)
         self.session = session
         self.cache = OperandCache(self.config.cache_entries)
@@ -206,6 +240,9 @@ class ReproServer:
         self._queue: "asyncio.Queue[list[_Pending] | None]" = asyncio.Queue()
         self._dispatcher: asyncio.Task[None] | None = None
         self._executor: ThreadPoolExecutor | None = None
+        self._hasher: ThreadPoolExecutor | None = None
+        #: digests and store checks still running on the hash thread.
+        self._hashing: "set[asyncio.Future[str]]" = set()
         self._loop: asyncio.AbstractEventLoop | None = None
         self._started = False
         self._closed = False
@@ -231,6 +268,11 @@ class ReproServer:
         # core groups, so batches must execute one at a time.
         self._executor = ThreadPoolExecutor(
             max_workers=1, thread_name_prefix="repro-serve"
+        )
+        # one hash thread, so digests land in the order they were asked
+        # for (a store's check before any later admission's probe).
+        self._hasher = ThreadPoolExecutor(
+            max_workers=1, thread_name_prefix="repro-hash"
         )
         self._dispatcher = asyncio.create_task(
             self._dispatch_loop(), name="repro-serve-dispatch"
@@ -267,9 +309,14 @@ class ReproServer:
         if self._dispatcher is not None:
             await self._dispatcher
             self._dispatcher = None
-        if self._executor is not None:
-            self._executor.shutdown(wait=True)
-            self._executor = None
+        # the dispatcher schedules no more stores, and a closed server
+        # hashes no new request: let what is running land first.
+        if self._hashing:
+            await asyncio.wait(list(self._hashing))
+        for executor in (self._executor, self._hasher):
+            if executor is not None:
+                executor.shutdown(wait=True)
+        self._executor = self._hasher = None
         if self._metrics_server is not None:
             self._metrics_server.close()
             await self._metrics_server.wait_closed()
@@ -294,6 +341,13 @@ class ReproServer:
     ) -> RequestResult:
         """Admit one request and await its structured response.
 
+        A valid request joins its bin at once; its operands are hashed
+        on the server's hash thread while it waits out the coalescing
+        window, and a cache hit is answered as soon as its digest lands
+        (see the module docstring).  Only a full in-flight window makes
+        the caller wait for the digest: a hit is still answered, a miss
+        is refused as retryable backpressure.
+
         Never raises for request-level failure — malformed shapes,
         operands too large for one CG's main memory, an unknown
         engine, backpressure, a failed execution and shutdown all
@@ -317,7 +371,7 @@ class ReproServer:
             request = as_request(request)
             shape = request.validate()
             _check_fits(shape, self.session.processor.spec.main_memory_bytes)
-            bin_label = format_bin(request.shape_bin(self.session.params))
+            shape_bin = request.shape_bin(self.session.params)
             flops = _request_flops(request, shape)
             if opts.engine is not None:
                 check_engine(opts.engine)
@@ -333,55 +387,48 @@ class ReproServer:
             self._failed += 1
             return result
 
-        cache_key: tuple[str, SubmitOptions] | None = None
-        if self.config.cache_entries:
-            cache_key = (request.content_hash(), opts)
-            hit, value = self.cache.get(cache_key)
-            if hit:
-                self._cache_hits += 1
-                self._completed += 1
-                total = time.monotonic() - start
-                self.slo.record(
-                    bin_label, total_seconds=total, cache_hit=True
-                )
-                return RequestResult(
-                    value=value,
-                    traffic=ContextStats.zero(),
-                    bin=bin_label,
-                    cache_hit=True,
-                    total_seconds=total,
-                )
-
-        if self._inflight >= self.config.max_pending:
-            return self._refused(
-                "RejectedError",
-                f"admission window is full ({self.config.max_pending} "
-                "requests in flight) — retry later",
-                retryable=True,
-                start=start,
-            )
-
         assert self._loop is not None
         pending = _Pending(
-            request=request,
-            options=opts,
-            bin_label=bin_label,
-            cache_key=cache_key,
-            future=self._loop.create_future(),
-            admitted_at=start,
+            request, opts, shape_bin, self._loop.create_future(), start
         )
-        self._inflight += 1
-        self._admitted += 1
-        self._enqueue(pending)
-        try:
-            result = await pending.future
-        finally:
-            self._inflight -= 1
+        if self.config.cache_entries:
+            pending.digest = self._hash(request)
+            pending.digest.add_done_callback(
+                functools.partial(self._check_cache, pending)
+            )
+        if self._inflight < self.config.max_pending:
+            self._inflight += 1
+            self._admitted += 1
+            self._enqueue(pending)
+            try:
+                result = await pending.future
+            finally:
+                self._inflight -= 1
+        else:
+            # a full window still answers hits before it refuses
+            if pending.digest is not None:
+                await asyncio.wait((pending.digest,))
+            if not pending.future.done():
+                return self._refused(
+                    "RejectedError",
+                    f"admission window is full ({self.config.max_pending} "
+                    "requests in flight) — retry later",
+                    retryable=True,
+                    start=start,
+                )
+            result = pending.future.result()
         result = replace(result, total_seconds=time.monotonic() - start)
+        if result.cache_hit:
+            self._cache_hits += 1
+            self._completed += 1
+            self.slo.record(
+                pending.bin_label,
+                total_seconds=result.total_seconds,
+                cache_hit=True,
+            )
+            return result
         if result.ok:
             self._completed += 1
-            if cache_key is not None:
-                self.cache.put(cache_key, result.value)
         else:
             self._failed += 1
         gflops: float | None = None
@@ -391,7 +438,7 @@ class ReproServer:
         if result.traffic is not None and result.traffic.dma_bytes > 0:
             dma_bytes = float(result.traffic.dma_bytes)
         self.slo.record(
-            result.bin or bin_label,
+            result.bin or pending.bin_label,
             total_seconds=result.total_seconds,
             queue_seconds=result.queue_seconds,
             service_seconds=result.service_seconds,
@@ -411,6 +458,77 @@ class ReproServer:
             total_seconds=time.monotonic() - start,
         )
 
+    # -- the operand cache (event-loop thread; hashing on the hash thread)
+
+    def _hash(self, request: Request) -> "asyncio.Future[str]":
+        """Hash ``request``'s operands on the hash thread."""
+        assert self._loop is not None
+        digest = self._loop.run_in_executor(
+            self._hasher, request.content_hash
+        )
+        self._hashing.add(digest)
+        digest.add_done_callback(self._hashing.discard)
+        return digest
+
+    def _check_cache(
+        self, pending: _Pending, digest: "asyncio.Future[str]"
+    ) -> None:
+        """Probe the cache as ``pending``'s digest lands; answer a hit.
+
+        The probe runs once per request.  A hit leaves its bin, so a
+        bin of hits never dispatches; a failed hash leaves the request
+        without a cache key, to be computed and never stored.
+        """
+        pending.digest = None
+        if digest.cancelled() or digest.exception() is not None:
+            return
+        pending.cache_key = (digest.result(), pending.options)
+        hit, value = self.cache.get(pending.cache_key)
+        if not hit or pending.future.done():
+            return
+        key = pending.bin_key
+        group = self._bins.get(key)
+        if group is not None and pending in group:
+            group.remove(pending)
+            if not group:
+                self._flush_bin(key)  # cancels the timer, sends nothing
+        pending.future.set_result(
+            RequestResult(
+                value=value,
+                traffic=ContextStats.zero(),
+                bin=pending.bin_label,
+                cache_hit=True,
+            )
+        )
+
+    def _store(self, pending: _Pending, value: Any) -> None:
+        """Cache a computed value if its operands still hash to its key.
+
+        Called as the response is delivered: the copy is taken now,
+        since the caller owns ``value`` from here on, and it is stored
+        only once a second digest, taken after the kernel ran, equals
+        the one the request was checked under.
+        """
+        assert pending.cache_key is not None
+        kept = copy.deepcopy(value)
+        after = self._hash(pending.request)
+        after.add_done_callback(
+            functools.partial(self._stored, pending.cache_key, kept)
+        )
+
+    def _stored(
+        self,
+        key: tuple[str, SubmitOptions],
+        value: Any,
+        after: "asyncio.Future[str]",
+    ) -> None:
+        if (
+            not after.cancelled()
+            and after.exception() is None
+            and after.result() == key[0]
+        ):
+            self.cache.put(key, value, copy=False)
+
     # -- binning and coalescing (event-loop thread only) ---------------
 
     def _enqueue(self, pending: _Pending) -> None:
@@ -423,10 +541,7 @@ class ReproServer:
             # scheduler batch; a zero window means coalescing is off.
             self._queue.put_nowait([pending])
             return
-        key: BinKey = (
-            pending.request.shape_bin(self.session.params),
-            pending.options,
-        )
+        key = pending.bin_key
         group = self._bins.setdefault(key, [])
         group.append(pending)
         if len(group) >= self.config.max_batch_size:
@@ -453,6 +568,13 @@ class ReproServer:
             group = await self._queue.get()
             if group is None:
                 return
+            # every rider checks the cache before its group runs
+            hashing = [p.digest for p in group if p.digest is not None]
+            if hashing:
+                await asyncio.wait(hashing)
+            group = [p for p in group if not p.future.done()]
+            if not group:
+                continue
             self._batches += 1
             self._batched_requests += len(group)
             try:
@@ -472,8 +594,11 @@ class ReproServer:
                     for p in group
                 ]
             for pending, result in zip(group, results):
-                if not pending.future.done():
-                    pending.future.set_result(result)
+                if pending.future.done():
+                    continue
+                if result.ok and pending.cache_key is not None:
+                    self._store(pending, result.value)
+                pending.future.set_result(result)
 
     def _execute(self, group: list[_Pending]) -> list[RequestResult]:
         """Run one coalesced group on the session (executor thread)."""

@@ -1,6 +1,8 @@
 """Integration tests for the asyncio serving tier (ReproServer)."""
 
 import asyncio
+import gc
+import sys
 
 import numpy as np
 import pytest
@@ -15,7 +17,7 @@ from repro.core.params import BlockingParams
 from repro.core.reference import reference_dgemm
 from repro.core.session import Session
 from repro.errors import ConfigError
-from repro.obs import MetricsSampler
+from repro.obs import MetricsSampler, SpanTracer
 from repro.serve import LoadGenerator, ReproServer, ServeConfig
 from repro.workloads.matrices import gemm_operands
 
@@ -30,6 +32,12 @@ def make_server(config=None, **session_kwargs):
     session_kwargs.setdefault("params", PARAMS)
     session_kwargs.setdefault("n_core_groups", 2)
     return ReproServer(config=config, **session_kwargs)
+
+
+def fresh_gemm(seed, m=64, n=64, k=64):
+    rng = np.random.default_rng(seed)
+    return GemmRequest(a=rng.standard_normal((m, k)),
+                       b=rng.standard_normal((k, n)))
 
 
 class TestRequestPath:
@@ -167,7 +175,7 @@ class TestCoalescing:
     def test_same_bin_requests_share_dispatches(self):
         async def scenario():
             config = ServeConfig(window_seconds=0.1, max_batch_size=8)
-            async with make_server(config) as server:
+            async with make_server(config, tracer=SpanTracer()) as server:
                 rng = np.random.default_rng(2)
                 requests = [
                     GemmRequest(
@@ -285,6 +293,141 @@ class TestOperandCacheIntegration:
 
         run(scenario())
 
+    def test_result_is_cached_under_the_content_it_was_computed_from(self):
+        """A caller that zeroes A inside the window gets what the kernel
+        read; a later request holding A's original content must not hit
+        that result."""
+        async def scenario():
+            config = ServeConfig(window_seconds=0.3)
+            async with make_server(config) as server:
+                rng = np.random.default_rng(12)
+                a = np.asfortranarray(rng.standard_normal((128, 96)))
+                b = np.asfortranarray(rng.standard_normal((96, 64)))
+                original = a.copy(order="F")
+                racing = asyncio.create_task(
+                    server.submit(GemmRequest(a=a, b=b))
+                )
+                await asyncio.sleep(0.05)  # admitted, not yet dispatched
+                a[:] = 0.0
+                assert (await racing).ok
+                second = await server.submit(
+                    GemmRequest(a=original.copy(order="F"),
+                                b=b.copy(order="F"))
+                )
+                assert second.ok
+                assert not second.cache_hit
+                np.testing.assert_allclose(second.value, original @ b,
+                                           atol=1e-9)
+
+        run(scenario())
+
+    def test_repeat_in_an_open_window_is_answered_before_it_ends(self):
+        """A repeat that opens a 10 s bin is a hit as soon as its digest
+        lands; it leaves the bin and nothing dispatches."""
+        async def scenario():
+            config = ServeConfig(window_seconds=10.0, max_batch_size=2)
+            async with make_server(config) as server:
+                first, other = fresh_gemm(20), fresh_gemm(21)
+                # a full bin dispatches at once and caches both
+                await asyncio.gather(server.submit(first),
+                                     server.submit(other))
+                assert server.stats()["batches"] == 1
+                # answered in under half the window, or wait_for raises
+                repeat = await asyncio.wait_for(server.submit(first), 5.0)
+                assert repeat.ok and repeat.cache_hit
+                stats = server.stats()
+                assert stats["batches"] == 1
+                assert stats["open_bins"] == 0
+                assert stats["cache_hits"] == 1
+
+        run(scenario())
+
+    def test_repeat_without_a_window_is_a_hit(self):
+        async def scenario():
+            config = ServeConfig(window_seconds=0.0)
+            async with make_server(config) as server:
+                request = fresh_gemm(22)
+                first = await server.submit(request)
+                repeat = await server.submit(request)
+                assert first.ok and not first.cache_hit
+                assert repeat.ok and repeat.cache_hit
+                np.testing.assert_array_equal(first.value, repeat.value)
+                assert server.stats()["batches"] == 1
+
+        run(scenario())
+
+    def test_full_window_answers_hits_before_refusing(self):
+        async def scenario():
+            config = ServeConfig(window_seconds=10.0, max_batch_size=2,
+                                 max_pending=2)
+            async with make_server(config) as server:
+                cached = fresh_gemm(23)
+                await asyncio.gather(server.submit(cached),
+                                     server.submit(fresh_gemm(24)))
+                # two requests parked in separate 10 s bins fill the window
+                parked = [
+                    asyncio.create_task(server.submit(fresh_gemm(25))),
+                    asyncio.create_task(
+                        server.submit(fresh_gemm(26, m=256))
+                    ),
+                ]
+                await asyncio.sleep(0)
+                assert server.stats()["inflight"] == 2
+                repeat = await server.submit(cached)
+                assert repeat.ok and repeat.cache_hit
+                refused = await server.submit(fresh_gemm(27))
+                assert refused.rejected and refused.error.retryable
+                await server.stop()
+                assert all(r.ok for r in await asyncio.gather(*parked))
+
+        run(scenario())
+
+    def test_cache_off_hashes_nothing(self, monkeypatch):
+        def no_hashing(request):
+            raise AssertionError("cache_entries=0 must not hash")
+
+        monkeypatch.setattr(GemmRequest, "content_hash", no_hashing)
+
+        async def scenario():
+            config = ServeConfig(cache_entries=0, window_seconds=0.01)
+            async with make_server(config) as server:
+                request = fresh_gemm(28)
+                results = [await server.submit(request) for _ in range(2)]
+                assert all(r.ok and not r.cache_hit for r in results)
+
+        run(scenario())
+
+    def test_concurrent_repeats_are_answered_once_and_right(self):
+        """Stress: more submitters than cores, half of them repeats, with
+        the interpreter switching threads often.  Every request is
+        answered exactly once, by the cache or by a batch, and right."""
+        async def scenario():
+            config = ServeConfig(window_seconds=0.002, max_batch_size=4)
+            async with make_server(config) as server:
+                uniques = [fresh_gemm(40 + i, m=32, n=32, k=32)
+                           for i in range(8)]
+                requests = [uniques[i % 8] for i in range(48)]
+                results = await asyncio.wait_for(
+                    asyncio.gather(*(server.submit(r) for r in requests)),
+                    timeout=120,
+                )
+                for request, result in zip(requests, results):
+                    assert result.ok
+                    np.testing.assert_allclose(
+                        result.value, request.a @ request.b, atol=1e-9
+                    )
+                stats = server.stats()
+                assert (stats["cache_hits"] + stats["batched_requests"]
+                        == len(requests))
+                assert stats["cache"]["hits"] == stats["cache_hits"]
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            run(scenario())
+        finally:
+            sys.setswitchinterval(interval)
+
     def test_different_options_miss(self):
         async def scenario():
             async with make_server() as server:
@@ -304,7 +447,7 @@ class TestReconciliation:
     def test_span_traffic_matches_session_stats_bit_exactly(self):
         async def scenario():
             config = ServeConfig(window_seconds=0.02, max_batch_size=8)
-            async with make_server(config) as server:
+            async with make_server(config, tracer=SpanTracer()) as server:
                 generator = LoadGenerator(seed=9, params=PARAMS)
                 requests = generator.generate(16)
                 results = await generator.run(
@@ -322,6 +465,19 @@ class TestReconciliation:
 
 
 class TestTelemetry:
+    def test_default_server_keeps_no_spans(self):
+        """A server that builds its own session traces nothing unless
+        asked: a long-running server must not grow a span list."""
+        async def scenario():
+            async with make_server(ServeConfig(window_seconds=0.0)) as server:
+                for seed in range(6):
+                    assert (await server.submit(fresh_gemm(seed))).ok
+                tracer = server.session.tracer
+                assert not tracer.enabled
+                assert not getattr(tracer, "spans", [])
+
+        run(scenario())
+
     def test_sampler_runs_for_the_server_lifetime(self):
         async def scenario():
             config = ServeConfig(window_seconds=0.01)
@@ -361,7 +517,7 @@ class TestTelemetry:
     def test_openmetrics_text_is_valid_and_reconciles(self):
         async def scenario():
             config = ServeConfig(window_seconds=0.01)
-            async with make_server(config) as server:
+            async with make_server(config, tracer=SpanTracer()) as server:
                 generator = LoadGenerator(seed=4, params=PARAMS)
                 results = await generator.run(
                     server, generator.generate(6), concurrency=6
@@ -460,6 +616,40 @@ class TestLifecycle:
             await server.stop()  # must flush, not strand the future
             result = await asyncio.wait_for(task, timeout=60)
             assert result.ok
+
+        run(scenario())
+
+    def test_stop_right_after_cached_path_admissions(self):
+        """``stop()`` racing requests whose digests are still running
+        answers every one, lets every store land before the hash thread
+        goes, and hands the loop's exception handler nothing."""
+        async def scenario():
+            loop = asyncio.get_running_loop()
+            errors = []
+            loop.set_exception_handler(
+                lambda _, context: errors.append(context)
+            )
+            config = ServeConfig(window_seconds=10.0, max_batch_size=64)
+            server = make_server(config)
+            await server.start()
+            cached = fresh_gemm(30)
+            warm = asyncio.create_task(server.submit(cached))
+            await asyncio.sleep(0)
+            fresh = [fresh_gemm(31 + i) for i in range(4)]
+            tasks = [asyncio.create_task(server.submit(r))
+                     for r in [cached, *fresh, fresh[0]]]
+            await asyncio.sleep(0)  # admitted; digests still running
+            await server.stop()
+            # every computed value was checked and stored before stop
+            # returned: the five distinct requests are all cached.
+            assert len(server.cache) == 5
+            results = await asyncio.wait_for(
+                asyncio.gather(warm, *tasks), timeout=60
+            )
+            assert all(r.ok for r in results)
+            gc.collect()
+            await asyncio.sleep(0)
+            assert errors == []
 
         run(scenario())
 

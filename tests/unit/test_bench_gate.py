@@ -17,19 +17,19 @@ sys.path.insert(0, str(BENCH_DIR))
 import bench_engine  # noqa: E402
 
 
-def fake_record(device_p50: float, vec_p50: float) -> dict:
+def fake_record(*pair_speedups: float) -> dict:
     return {
         "shape": {"m": 256, "n": 128, "k": 256},
-        "device_timing": {"p50": device_p50},
-        "vectorized_timing": {"p50": vec_p50},
+        "vectorized_timing": {},
+        "pair_speedups": list(pair_speedups),
     }
 
 
-def fake_stepwise_record(device_p50: float, warm_p50: float) -> dict:
+def fake_stepwise_record(*pair_speedups: float) -> dict:
     return {
         "shape": {"m": 256, "n": 128, "k": 256},
-        "device_timing": {"p50": device_p50},
-        "warm_timing": {"p50": warm_p50},
+        "warm_timing": {},
+        "pair_speedups": list(pair_speedups),
     }
 
 
@@ -42,9 +42,11 @@ def write_baseline(path: Path, speedups: dict) -> None:
 
 class TestSmokeSection:
     def test_p50_speedups_and_shapes(self):
+        """The gated figure is the median of the per-pair speedups: one
+        preempted pair moves neither it nor the gate."""
         section = bench_engine.smoke_section({
-            "PE": fake_record(1.0, 0.01),
-            "SCHED": fake_record(2.0, 0.02),
+            "PE": fake_record(100.0, 20.0, 110.0),
+            "SCHED": fake_record(90.0, 100.0, 120.0, 300.0, 100.0),
         })
         assert section["speedup_p50"] == {"PE": 100.0, "SCHED": 100.0}
         assert section["shapes"]["PE"]["m"] == 256
@@ -53,8 +55,8 @@ class TestSmokeSection:
         """Engine records compare device/vectorized; stepwise records
         compare device/warm — one section covers both."""
         section = bench_engine.smoke_section({
-            "SCHED": fake_record(1.0, 0.01),
-            "STEPWISE": fake_stepwise_record(1.0, 0.025),
+            "SCHED": fake_record(100.0),
+            "STEPWISE": fake_stepwise_record(40.0),
         })
         assert section["speedup_p50"] == {"SCHED": 100.0,
                                           "STEPWISE": 40.0}
@@ -65,14 +67,14 @@ class TestCheckRegression:
         baseline = tmp_path / "b.json"
         write_baseline(baseline, {"PE": 100.0})
         # 80x vs 100x baseline is inside the 25% allowance (floor 75x)
-        records = {"PE": fake_record(1.0, 1 / 80)}
+        records = {"PE": fake_record(80.0)}
         assert bench_engine.check_regression(records, str(baseline), 0.25) == []
         assert "ok" in capsys.readouterr().out
 
     def test_fails_beyond_allowance(self, tmp_path, capsys):
         baseline = tmp_path / "b.json"
         write_baseline(baseline, {"PE": 100.0})
-        records = {"PE": fake_record(1.0, 1 / 60)}  # 60x < 75x floor
+        records = {"PE": fake_record(60.0)}  # 60x < 75x floor
         failures = bench_engine.check_regression(records, str(baseline), 0.25)
         assert len(failures) == 1 and "regressed" in failures[0]
         assert "REGRESSION" in capsys.readouterr().out
@@ -80,12 +82,12 @@ class TestCheckRegression:
     def test_missing_smoke_section_warns_and_passes(self, tmp_path, capsys):
         baseline = tmp_path / "b.json"
         baseline.write_text(json.dumps({"benchmark": "bench_engine"}))
-        records = {"PE": fake_record(1.0, 1.0)}
+        records = {"PE": fake_record(1.0)}
         assert bench_engine.check_regression(records, str(baseline), 0.25) == []
         assert "no smoke section" in capsys.readouterr().err
 
     def test_unreadable_baseline_warns_and_passes(self, tmp_path, capsys):
-        records = {"PE": fake_record(1.0, 1.0)}
+        records = {"PE": fake_record(1.0)}
         missing = tmp_path / "nope.json"
         assert bench_engine.check_regression(records, str(missing), 0.25) == []
         assert "unreadable" in capsys.readouterr().err
@@ -93,7 +95,7 @@ class TestCheckRegression:
     def test_unknown_variant_warns_and_passes(self, tmp_path, capsys):
         baseline = tmp_path / "b.json"
         write_baseline(baseline, {"SCHED": 50.0})
-        records = {"PE": fake_record(1.0, 1 / 10)}
+        records = {"PE": fake_record(10.0)}
         assert bench_engine.check_regression(records, str(baseline), 0.25) == []
         assert "no smoke entry for PE" in capsys.readouterr().err
 
@@ -103,7 +105,7 @@ class TestWriteBaseline:
         path = tmp_path / "BENCH_engine.json"
         path.write_text(json.dumps({"benchmark": "bench_engine",
                                     "variants": {"RAW": {}}}))
-        bench_engine.write_smoke_baseline({"PE": fake_record(2.0, 0.5)},
+        bench_engine.write_smoke_baseline({"PE": fake_record(4.0)},
                                           str(path))
         payload = json.loads(path.read_text())
         assert payload["variants"] == {"RAW": {}}  # untouched
@@ -111,7 +113,7 @@ class TestWriteBaseline:
 
     def test_creates_fresh_payload(self, tmp_path):
         path = tmp_path / "new.json"
-        bench_engine.write_smoke_baseline({"PE": fake_record(1.0, 0.25)},
+        bench_engine.write_smoke_baseline({"PE": fake_record(4.0)},
                                           str(path))
         payload = json.loads(path.read_text())
         assert payload["smoke"]["speedup_p50"]["PE"] == 4.0
@@ -131,7 +133,7 @@ class TestPlanRegression:
     def test_plan_record_gated_like_engine_records(self, tmp_path, capsys):
         baseline = tmp_path / "b.json"
         write_baseline(baseline, {"STEPWISE": 40.0})
-        records = {"STEPWISE": fake_stepwise_record(1.0, 0.05)}  # 20x < 30x
+        records = {"STEPWISE": fake_stepwise_record(20.0)}  # 20x < 30x
         failures = bench_engine.check_regression(records, str(baseline), 0.25)
         assert len(failures) == 1 and "regressed" in failures[0]
         assert "REGRESSION" in capsys.readouterr().out
