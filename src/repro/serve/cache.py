@@ -21,9 +21,11 @@ hashed, so the server stores a value only under the digest it was
 computed from: a digest taken *before* the kernel ran (the one the
 request was checked under) and one taken *after* must be equal.  A
 caller that writes to its operands in between makes the two differ,
-and its value is not stored.  The value is copied when the response
-is delivered and handed to :meth:`OperandCache.put` with
-``copy=False`` once the second digest lands.
+and its value is not stored.  The second digest is taken after the
+response is delivered, before the cache check of any request admitted
+after that response; a caller that puts the original content back
+inside that gap can still leave the product of what the kernel read
+under the original content's key (see :mod:`repro.serve.server`).
 """
 
 from __future__ import annotations
@@ -75,18 +77,12 @@ class OperandCache:
             self.misses += 1
             return False, None
 
-    def put(self, key: CacheKey, value: Any, *, copy: bool = True) -> None:
-        """Insert a value, evicting the LRU entry if full.
-
-        The value is copied in, unless ``copy=False`` says the caller
-        hands over a copy no one else holds.
-        """
+    def put(self, key: CacheKey, value: Any) -> None:
+        """Insert a value (copied in), evicting the LRU entry if full."""
         if self.capacity == 0:
             return
-        if copy:
-            value = _copy_value(value)
         with self._lock:
-            self._entries[key] = value
+            self._entries[key] = _copy_value(value)
             self._entries.move_to_end(key)
             while len(self._entries) > self.capacity:
                 self._entries.popitem(last=False)

@@ -8,16 +8,18 @@ with an async request surface.  The pipeline per request:
    hashed; a closed server turns the request away with a
    *structured* rejection (``RequestError``), never an exception.
    Otherwise the request's operands go to the hash thread and the
-   request joins its bin at once; only when the in-flight window is
-   full does it wait for its digest, to be answered from the cache
-   or refused with ``retryable=True`` (backpressure);
+   request takes an in-flight slot and joins its bin at once.  Only
+   when every slot is taken does it wait for its digest first, to be
+   answered from the cache or, if the window is still full, refused
+   with ``retryable=True`` (backpressure);
 2. **cache** — when the digest lands, the operand cache is probed by
    content hash; a hit responds with a copied value and zero traffic
-   and leaves its bin (a bin it leaves empty has its timer
-   cancelled).  Hashing overlaps the coalescing window the request
-   waits out anyway, and the dispatcher waits for any digest still
-   running before a group executes, so every request checks the
-   cache before it computes;
+   and leaves its bin and its slot (a bin it leaves empty has its
+   timer cancelled).  Hashing overlaps the coalescing window the
+   request waits out anyway, and the dispatcher waits for any digest
+   still running before a group executes, so every request checks
+   the cache before it computes.  ``admitted`` counts a request once
+   it holds a slot and has missed the cache, so hits never count;
 3. **bin** — the request joins the open batch for its
    ``(shape_bin, options)`` key; the first arrival arms the coalescing
    window timer, a full bin dispatches early;
@@ -34,8 +36,13 @@ with an async request surface.  The pipeline per request:
    value is copied as the response is delivered, its operands are
    hashed again, and the copy is stored only if that second digest
    equals the first.  A caller that writes to its operands before the
-   kernel read them gets the product of what the kernel read, and no
-   later request can hit it.
+   kernel read them gets the product of what the kernel read, and a
+   later request holding the original content misses.  The second
+   digest runs after the response is delivered: a caller that puts
+   the original content back before it runs can still leave that
+   product under the original content's key.  A caller that reuses
+   its operand buffers is safe once a request admitted after its
+   response has been answered (see the threading rule below).
 
 Telemetry honours the tracer's reconciliation contract: the executor
 thread opens one ``serve.batch`` span per dispatch and, still inside
@@ -50,10 +57,11 @@ thread touches only the session and the tracer; the hash thread only
 reads operands and returns digests.  There is one hash thread, so
 digests land in the order they were asked for: a store's second
 digest lands before the cache check of any request admitted after
-that response.  A caller may attach its own
-:class:`~repro.obs.series.MetricsSampler` to :meth:`metrics_registry`;
-its thread only *reads* counters (plain int/float loads under the
-GIL).
+that response, and every hit admitted before a request has left its
+slot by the time that request's own digest lands.  A caller may
+attach its own :class:`~repro.obs.series.MetricsSampler` to
+:meth:`metrics_registry`; its thread only *reads* counters (plain
+int/float loads under the GIL).
 
 When ``config.metrics_port`` is set, :meth:`start` serves the
 :meth:`openmetrics` exposition over a minimal asyncio HTTP endpoint
@@ -63,7 +71,6 @@ When ``config.metrics_port`` is set, :meth:`start` serves the
 from __future__ import annotations
 
 import asyncio
-import copy
 import functools
 import time
 from concurrent.futures import ThreadPoolExecutor
@@ -88,7 +95,7 @@ from repro.core.session import Session
 from repro.errors import ConfigError, UnsupportedShapeError
 from repro.obs.promexp import render_openmetrics
 from repro.obs.registry import MetricsRegistry, flatten
-from repro.serve.cache import OperandCache
+from repro.serve.cache import OperandCache, _copy_value
 from repro.serve.config import ServeConfig
 from repro.serve.slo import BinReport, SLOTracker
 
@@ -104,6 +111,7 @@ class _Pending:
     ``digest`` is the running content hash until the cache check has
     used it; ``cache_key`` is set by that check, and stays ``None``
     when the cache is off or the hash failed (computed, never stored).
+    ``in_flight`` is set once the request holds an in-flight slot.
     """
 
     __slots__ = (
@@ -113,6 +121,7 @@ class _Pending:
         "bin_label",
         "digest",
         "cache_key",
+        "in_flight",
         "future",
         "admitted_at",
     )
@@ -131,6 +140,7 @@ class _Pending:
         self.bin_label = format_bin(shape_bin)
         self.digest: "asyncio.Future[str] | None" = None
         self.cache_key: tuple[str, SubmitOptions] | None = None
+        self.in_flight = False
         self.future = future
         self.admitted_at = admitted_at
 
@@ -345,8 +355,9 @@ class ReproServer:
         on the server's hash thread while it waits out the coalescing
         window, and a cache hit is answered as soon as its digest lands
         (see the module docstring).  Only a full in-flight window makes
-        the caller wait for the digest: a hit is still answered, a miss
-        is refused as retryable backpressure.
+        the caller wait for the digest: a hit is still answered, and a
+        miss is refused as retryable backpressure if the window is
+        still full then.
 
         Never raises for request-level failure — malformed shapes,
         operands too large for one CG's main memory, an unknown
@@ -396,27 +407,36 @@ class ReproServer:
             pending.digest.add_done_callback(
                 functools.partial(self._check_cache, pending)
             )
-        if self._inflight < self.config.max_pending:
+            if self._inflight >= self.config.max_pending:
+                # a full window still answers hits before it refuses;
+                # digests land in order, so every hit admitted earlier
+                # has left its slot by the time this one lands.
+                await asyncio.wait((pending.digest,))
+        if pending.future.done():
+            result = pending.future.result()
+        elif self._closed:
+            return self._refused(
+                "ShutdownError", "server is shutting down", retryable=False,
+                start=start,
+            )
+        elif self._inflight >= self.config.max_pending:
+            return self._refused(
+                "RejectedError",
+                f"admission window is full ({self.config.max_pending} "
+                "requests in flight) — retry later",
+                retryable=True,
+                start=start,
+            )
+        else:
             self._inflight += 1
-            self._admitted += 1
+            pending.in_flight = True
+            if pending.digest is None:  # no cache, or it missed already
+                self._admitted += 1
             self._enqueue(pending)
             try:
                 result = await pending.future
             finally:
                 self._inflight -= 1
-        else:
-            # a full window still answers hits before it refuses
-            if pending.digest is not None:
-                await asyncio.wait((pending.digest,))
-            if not pending.future.done():
-                return self._refused(
-                    "RejectedError",
-                    f"admission window is full ({self.config.max_pending} "
-                    "requests in flight) — retry later",
-                    retryable=True,
-                    start=start,
-                )
-            result = pending.future.result()
         result = replace(result, total_seconds=time.monotonic() - start)
         if result.cache_hit:
             self._cache_hits += 1
@@ -477,14 +497,19 @@ class ReproServer:
 
         The probe runs once per request.  A hit leaves its bin, so a
         bin of hits never dispatches; a failed hash leaves the request
-        without a cache key, to be computed and never stored.
+        without a cache key, to be computed and never stored.  A miss
+        that holds an in-flight slot counts as admitted.
         """
         pending.digest = None
-        if digest.cancelled() or digest.exception() is not None:
+        hit = False
+        if not digest.cancelled() and digest.exception() is None:
+            pending.cache_key = (digest.result(), pending.options)
+            hit, value = self.cache.get(pending.cache_key)
+        if not hit:
+            if pending.in_flight:
+                self._admitted += 1
             return
-        pending.cache_key = (digest.result(), pending.options)
-        hit, value = self.cache.get(pending.cache_key)
-        if not hit or pending.future.done():
+        if pending.future.done():
             return
         key = pending.bin_key
         group = self._bins.get(key)
@@ -510,7 +535,7 @@ class ReproServer:
         the one the request was checked under.
         """
         assert pending.cache_key is not None
-        kept = copy.deepcopy(value)
+        kept = _copy_value(value)
         after = self._hash(pending.request)
         after.add_done_callback(
             functools.partial(self._stored, pending.cache_key, kept)
@@ -527,7 +552,7 @@ class ReproServer:
             and after.exception() is None
             and after.result() == key[0]
         ):
-            self.cache.put(key, value, copy=False)
+            self.cache.put(key, value)
 
     # -- binning and coalescing (event-loop thread only) ---------------
 

@@ -339,6 +339,71 @@ class TestOperandCacheIntegration:
                 assert stats["batches"] == 1
                 assert stats["open_bins"] == 0
                 assert stats["cache_hits"] == 1
+                # the hit held a slot while it hashed, but was never
+                # admitted to compute
+                assert stats["admitted"] == 2
+                assert stats["inflight"] == 0
+
+        run(scenario())
+
+    def test_operands_restored_after_a_later_response_leave_the_cache_right(
+        self,
+    ):
+        """A store check lands before the cache check of any request
+        admitted after that response.  A caller that zeroes A inside the
+        window, gets its response, and puts A back once such a request
+        has been answered leaves nothing wrong in the cache: a later
+        request holding A's content misses and gets A·B."""
+        async def scenario():
+            config = ServeConfig(window_seconds=0.3)
+            async with make_server(config) as server:
+                rng = np.random.default_rng(13)
+                a = np.asfortranarray(rng.standard_normal((128, 96)))
+                b = np.asfortranarray(rng.standard_normal((96, 64)))
+                original = a.copy(order="F")
+                cached = fresh_gemm(14)
+                assert (await server.submit(cached)).ok
+                racing = asyncio.create_task(
+                    server.submit(GemmRequest(a=a, b=b))
+                )
+                await asyncio.sleep(0.05)  # admitted, not yet dispatched
+                a[:] = 0.0
+                assert (await racing).ok
+                # admitted after that response, answered from the cache
+                assert (await server.submit(cached)).cache_hit
+                a[:] = original
+                await asyncio.sleep(0.3)  # a late store check would land
+                again = await server.submit(
+                    GemmRequest(a=original.copy(order="F"), b=b)
+                )
+                assert again.ok
+                assert not again.cache_hit
+                np.testing.assert_allclose(again.value, original @ b,
+                                           atol=1e-9)
+
+        run(scenario())
+
+    def test_hits_in_flight_do_not_crowd_out_a_fresh_request(self):
+        """Repeats that fill the in-flight window hold their slots only
+        until their digests land, which is before a later request's: a
+        fresh request that finds the window full of them is admitted."""
+        async def scenario():
+            config = ServeConfig(window_seconds=0.05, max_pending=2)
+            async with make_server(config) as server:
+                cached = fresh_gemm(50)
+                assert (await server.submit(cached)).ok
+                first, second, fresh = await asyncio.gather(
+                    server.submit(cached),
+                    server.submit(cached),
+                    server.submit(fresh_gemm(51)),
+                )
+                assert first.cache_hit and second.cache_hit
+                assert fresh.ok and not fresh.cache_hit
+                stats = server.stats()
+                assert stats["rejected"] == 0
+                assert stats["admitted"] == stats["batched_requests"] == 2
+                assert stats["cache_hits"] == 2
+                assert stats["inflight"] == 0
 
         run(scenario())
 
@@ -650,6 +715,25 @@ class TestLifecycle:
             gc.collect()
             await asyncio.sleep(0)
             assert errors == []
+
+        run(scenario())
+
+    def test_stop_refuses_a_request_waiting_on_a_full_window(self):
+        """A request that found the window full and waits for its digest
+        is refused once ``stop()`` has begun, never queued behind it."""
+        async def scenario():
+            config = ServeConfig(window_seconds=10.0, max_pending=1)
+            server = make_server(config)
+            await server.start()
+            parked = asyncio.create_task(server.submit(fresh_gemm(60)))
+            await asyncio.sleep(0)  # takes the only slot
+            waiting = asyncio.create_task(server.submit(fresh_gemm(61)))
+            await asyncio.sleep(0)  # window full: waits for its digest
+            await server.stop()
+            assert (await parked).ok
+            refused = await asyncio.wait_for(waiting, timeout=60)
+            assert not refused.ok
+            assert refused.error.kind == "ShutdownError"
 
         run(scenario())
 
