@@ -54,6 +54,13 @@ baseline speedup").  A baseline without a ``smoke`` section
 downgrades the gate to a warning so the first run on a fresh baseline
 never hard-fails; ``--write-baseline`` refreshes the section in
 place.
+
+The committed ``smoke.speedup_p50`` floors follow one rule: per case,
+the median of the gated figure over 20 ``--smoke`` runs of the same
+code on the gating host (each run's figure is what
+``--write-baseline PATH`` writes).  Re-derive them by that rule
+whenever a change moves either engine's speed on purpose; a single
+run's figure is not a floor.
 """
 
 from __future__ import annotations

@@ -385,6 +385,9 @@ class RequestResult:
     service_seconds: float = 0.0
     #: admission-to-response wall seconds (serving tier only).
     total_seconds: float = 0.0
+    #: why the request ran the way it did; the serving tier records the
+    #: ``blocking`` it ran and its ``blocking_source`` (see
+    #: ``ScheduleResult.blocking_sources``).
     attrs: dict[str, Any] = field(default_factory=dict)
 
     @property

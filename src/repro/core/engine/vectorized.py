@@ -148,7 +148,8 @@ class VectorizedEngine(Engine):
         modeled = (shape if self.needs_padded_staging(impl)
                    else params.pad_shape(*shape))
         grid = params.check_shape(*modeled)
-        cg.reset_cpes()
+        # no CPE reset: neither engine here reads LDM or registers, and
+        # the device variants reset the cluster when they start
         cg.mpe.spawn(cg.spec.n_cpes)
         mapping = impl.mapping_cls(params)
         # Double buffering changes *when* transfers are issued relative
@@ -176,7 +177,9 @@ class VectorizedEngine(Engine):
 
         ``shape`` is the logical ``(m, n, k)`` and ``grid`` the padded
         block grid: edge panels are clipped to the logical extents,
-        while the tallies book every padded block.
+        while the tallies book every padded block, each panel's
+        ``grid_m`` A/C blocks and strip multiplications as one
+        count-multiplied tally per kind.
         """
         grid_m, grid_n, grid_k = grid
         m, n, k = shape
@@ -203,15 +206,14 @@ class VectorizedEngine(Engine):
                             c_v[:, jb] *= beta
                         c_v[:, jb] += res_j.T
                     mapping.tally_load_b(cg)
-                    for _ in range(grid_m):
-                        mapping.tally_load_a(cg)
-                        mapping.tally_load_c(cg)
-                        mapping.tally_store_c(cg)
-                        self._tally_sharing(cg, impl.scheme, params)
+                    mapping.tally_load_a(cg, grid_m)
+                    mapping.tally_load_c(cg, grid_m)
+                    mapping.tally_store_c(cg, grid_m)
+                    self._tally_sharing(cg, impl.scheme, params, grid_m)
 
     @staticmethod
-    def _tally_sharing(cg, scheme, params) -> None:
-        """Book the register traffic of one full strip multiplication.
+    def _tally_sharing(cg, scheme, params, count=1) -> None:
+        """Book the register traffic of ``count`` strip multiplications.
 
         Per step the device path issues 8 A broadcasts and 8 B
         broadcasts (one per owner on the step's mesh lines) and 56 + 56
@@ -220,8 +222,8 @@ class VectorizedEngine(Engine):
         """
         a_nbytes = params.p_m * params.p_k * 8
         b_nbytes = params.p_k * params.p_n * 8
-        n_bcasts = GRID * GRID  # 8 owners x 8 steps
-        receives = 2 * GRID * (GRID * GRID - GRID)  # 2 x 8 steps x 56
+        n_bcasts = GRID * GRID * count  # 8 owners x 8 steps
+        receives = 2 * GRID * (GRID * GRID - GRID) * count  # 2 x 8 x 56
         if scheme is Scheme.PE:
             row_nbytes, col_nbytes = a_nbytes, b_nbytes
         else:
@@ -248,7 +250,6 @@ class VectorizedEngine(Engine):
         m, n, k = check_gemm_shapes(a, b, c)
         t_m, t_n, t_k = impl.tile_geometry(m, n, k)
         panel_m, panel_n = m // GRID, n // GRID
-        cg.reset_cpes()
         cg.mpe.spawn(cg.spec.n_cpes)
         tb = cg.spec.dma.transaction_bytes
         stats = cg.dma.stats

@@ -221,41 +221,43 @@ class DataThreadMapping(ABC):
     # exactly what the per-CPE ``load_*``/``store_c`` path would have
     # accumulated; the stepwise engine books them after each strided
     # plan copy, and the fused engine books them standalone (its data
-    # movement is implicit in views over main memory).
+    # movement is implicit in views over main memory), ``count`` blocks
+    # at a time.
 
     @abstractmethod
-    def tally_load_a(self, cg: CoreGroup) -> None:
-        """Book the DMA statistics of one A block load."""
+    def tally_load_a(self, cg: CoreGroup, count: int = 1) -> None:
+        """Book the DMA statistics of ``count`` A block loads."""
 
     @abstractmethod
-    def tally_load_b(self, cg: CoreGroup) -> None:
-        """Book the DMA statistics of one B block load."""
+    def tally_load_b(self, cg: CoreGroup, count: int = 1) -> None:
+        """Book the DMA statistics of ``count`` B block loads."""
 
     @abstractmethod
-    def tally_load_c(self, cg: CoreGroup) -> None:
-        """Book the DMA statistics of one C block load."""
+    def tally_load_c(self, cg: CoreGroup, count: int = 1) -> None:
+        """Book the DMA statistics of ``count`` C block loads."""
 
     @abstractmethod
-    def tally_store_c(self, cg: CoreGroup) -> None:
-        """Book the DMA statistics of one C block store."""
+    def tally_store_c(self, cg: CoreGroup, count: int = 1) -> None:
+        """Book the DMA statistics of ``count`` C block stores."""
 
     def _tally_pe(self, cg: CoreGroup, direction: DMADirection,
-                  rows: int, cols: int) -> None:
-        """Book the stats of 64 per-CPE ``PE_MODE`` transfers."""
+                  rows: int, cols: int, count: int) -> None:
+        """Book the stats of ``count`` x 64 per-CPE ``PE_MODE`` transfers."""
         nbytes = rows * cols * 8
         tb = cg.spec.dma.transaction_bytes
         cg.dma.stats.tally(
             DMAMode.PE, direction, nbytes, nbytes // tb,
-            transfers=GRID * GRID,
+            transfers=GRID * GRID * count,
         )
 
     def _tally_row(self, cg: CoreGroup, direction: DMADirection,
-                   rows: int, cols: int) -> None:
-        """Book the stats of 8 collective ``ROW_MODE`` strip transfers."""
+                   rows: int, cols: int, count: int) -> None:
+        """Book the stats of ``count`` x 8 collective ``ROW_MODE`` strips."""
         nbytes = rows * cols * 8
         tb = cg.spec.dma.transaction_bytes
         cg.dma.stats.tally(
-            DMAMode.ROW, direction, nbytes, nbytes // tb, transfers=GRID
+            DMAMode.ROW, direction, nbytes, nbytes // tb,
+            transfers=GRID * count,
         )
 
 
@@ -340,17 +342,21 @@ class PEMapping(DataThreadMapping):
         }
 
     # every PE_MODE block transfer is 64 per-CPE tile descriptors
-    def tally_load_a(self, cg):
-        self._tally_pe(cg, DMADirection.GET, self.params.p_m, self.params.p_k)
+    def tally_load_a(self, cg, count=1):
+        self._tally_pe(cg, DMADirection.GET, self.params.p_m, self.params.p_k,
+                       count)
 
-    def tally_load_b(self, cg):
-        self._tally_pe(cg, DMADirection.GET, self.params.p_k, self.params.p_n)
+    def tally_load_b(self, cg, count=1):
+        self._tally_pe(cg, DMADirection.GET, self.params.p_k, self.params.p_n,
+                       count)
 
-    def tally_load_c(self, cg):
-        self._tally_pe(cg, DMADirection.GET, self.params.p_m, self.params.p_n)
+    def tally_load_c(self, cg, count=1):
+        self._tally_pe(cg, DMADirection.GET, self.params.p_m, self.params.p_n,
+                       count)
 
-    def tally_store_c(self, cg):
-        self._tally_pe(cg, DMADirection.PUT, self.params.p_m, self.params.p_n)
+    def tally_store_c(self, cg, count=1):
+        self._tally_pe(cg, DMADirection.PUT, self.params.p_m, self.params.p_n,
+                       count)
 
 
 class RowMapping(DataThreadMapping):
@@ -444,14 +450,18 @@ class RowMapping(DataThreadMapping):
         }
 
     # A and C ride the 8 collective ROW_MODE strips; B stays PE_MODE
-    def tally_load_a(self, cg):
-        self._tally_row(cg, DMADirection.GET, self.params.b_m, self.params.p_k)
+    def tally_load_a(self, cg, count=1):
+        self._tally_row(cg, DMADirection.GET, self.params.b_m, self.params.p_k,
+                        count)
 
-    def tally_load_b(self, cg):
-        self._tally_pe(cg, DMADirection.GET, self.params.p_k, self.params.p_n)
+    def tally_load_b(self, cg, count=1):
+        self._tally_pe(cg, DMADirection.GET, self.params.p_k, self.params.p_n,
+                       count)
 
-    def tally_load_c(self, cg):
-        self._tally_row(cg, DMADirection.GET, self.params.b_m, self.params.p_n)
+    def tally_load_c(self, cg, count=1):
+        self._tally_row(cg, DMADirection.GET, self.params.b_m, self.params.p_n,
+                        count)
 
-    def tally_store_c(self, cg):
-        self._tally_row(cg, DMADirection.PUT, self.params.b_m, self.params.p_n)
+    def tally_store_c(self, cg, count=1):
+        self._tally_row(cg, DMADirection.PUT, self.params.b_m, self.params.p_n,
+                        count)

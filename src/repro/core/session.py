@@ -127,6 +127,8 @@ class Session:
         self.variant = str(variant).upper()
         #: the engine scalar calls and batch dispatch both run.
         self.engine = check_engine(engine or DEFAULT_ENGINE)
+        #: the default blocking: the serving tier's coalescing key and
+        #: LU's blocking.  GEMMs resolve theirs per shape (see dgemm).
         self.params = params or get_variant(self.variant).default_params()
         self.pad = pad
         self.check = check
@@ -240,8 +242,9 @@ class Session:
         Blocking resolves exactly as for a batch item (see
         :meth:`CGScheduler.resolve_blocking
         <repro.multi.scheduler.CGScheduler.resolve_blocking>`): the
-        session's ``params``, the variant's paper blocking unless the
-        session was built with its own.
+        ``params=`` the session was built with, else the blocking the
+        estimator rates fastest on this call's padded shape (the
+        variant's paper blocking on the paper's shapes).
         """
         self._require_open()
         m, n, k = as_gemm_request(
@@ -309,9 +312,11 @@ class Session:
 
         ``blocking=`` passes per-item :class:`BlockingParams` overrides
         down the dispatch path: one instance for the whole batch, or a
-        sequence matching the batch length (``None`` entries resolve
-        to the session's ``params``).  Bad overrides fail up
-        front with errors naming the item index.
+        sequence matching the batch length.  An item without one runs
+        the session's ``params=`` if it was built with them, else the
+        estimator's pick for its shape; ``result.blocking_sources``
+        says which.  Bad overrides fail up front with errors naming the
+        item index.
         """
         self._require_open()
         items = list(items)

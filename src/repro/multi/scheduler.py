@@ -13,6 +13,10 @@ single-CG kernel into a chip-level throughput engine:
   :class:`~repro.core.context.ExecutionContext` keeps serving them from
   its LRU staging-plan cache (in-place restage, zero fresh
   allocations);
+- **pad-aware blocking** — an item without an override runs the
+  blocking the estimator rates fastest on its own padded shape
+  (:meth:`CGScheduler.blocking_for`), unless the scheduler was built
+  with ``params=``;
 - **least-modeled-load dispatch** — a shape's first appearance lands on
   the CG with the least accumulated modeled time (via
   :class:`~repro.perf.estimator.Estimator`), and a bin spills to the
@@ -73,6 +77,7 @@ from repro.obs.registry import MetricsRegistry, context_meter
 from repro.obs.tracer import ensure_tracer
 from repro.perf.calibration import Calibration, DEFAULT_CALIBRATION
 from repro.perf.estimator import Estimator
+from repro.tuning.search import pick_blocking
 
 __all__ = [
     "CGScheduler",
@@ -208,6 +213,12 @@ class ScheduleResult:
     #: item-scoped snapshots partition the CG's delta — summing
     #: ``item_traffic`` reproduces ``traffic`` bit-exactly.
     item_traffic: tuple[ContextStats, ...]
+    #: the blocking each item ran, in input order.
+    blocking: tuple[BlockingParams, ...]
+    #: why each item ran its blocking: ``"override"`` (a ``blocking=``
+    #: entry), ``"params"`` (the ``params=`` the scheduler was built
+    #: with) or ``"resolved"`` (:meth:`CGScheduler.blocking_for`'s pick).
+    blocking_sources: tuple[str, ...]
 
     @property
     def ok(self) -> bool:
@@ -306,7 +317,10 @@ class CGScheduler:
         self.n_core_groups = pool
         self.variant = str(variant).upper()
         self.engine = check_engine(engine)
+        #: the variant's paper blocking unless the caller pinned one;
+        #: without a pin, each shape runs :meth:`blocking_for`'s pick.
         self.params = params or get_variant(self.variant).default_params()
+        self._pinned = params is not None
         self.pad = pad
         self.check = check
         #: compiled index plans, one cache for the whole pool: plans are
@@ -376,19 +390,37 @@ class CGScheduler:
 
     # -- planning ------------------------------------------------------
 
+    def blocking_for(self, m: int, n: int, k: int) -> BlockingParams:
+        """The blocking an ``m x n x k`` item runs when no override names one.
+
+        The ``params=`` the scheduler was built with, when given.
+        Otherwise the estimator's pick for the logical shape
+        (:func:`~repro.tuning.search.pick_blocking`): the variant's
+        paper blocking, or a blocking that covers the shape in one n-
+        and one k-panel where the model rates that strictly faster on
+        the logical flops.  Picks are memoized per process.
+        """
+        if self._pinned:
+            return self.params
+        return pick_blocking(
+            self.variant, m, n, k, self.params,
+            self.processor.spec, self._estimator.cal,
+        )
+
     def modeled_item_seconds(
         self, m: int, n: int, k: int, params: BlockingParams | None = None
     ) -> float:
         """Modeled single-CG seconds for one item (at its padded shape).
 
-        ``params`` defaults to the scheduler's blocking; per-item
-        overrides pass their own so the model prices the blocking that
-        will actually run.  A zero-size item costs 0 s: ``dgemm``
-        returns before staging it.
+        ``params`` defaults to :meth:`blocking_for` the shape, the
+        blocking a batch item without an override runs; per-item
+        overrides pass their own.  Either way the model prices the
+        blocking that will actually run.  A zero-size item costs 0 s:
+        ``dgemm`` returns before staging it.
         """
         if 0 in (m, n, k):
             return 0.0
-        params = params or self.params
+        params = params or self.blocking_for(m, n, k)
         key = (params.pad_shape(m, n, k), params)
         with self._cache_lock:
             seconds = self._seconds_cache.get(key)
@@ -408,12 +440,21 @@ class CGScheduler:
         """Effective per-item blocking, validated (errors name the item).
 
         Resolution order per item: an explicit ``blocking=`` override
-        wins; otherwise the scheduler's ``params`` apply (the variant's
-        paper blocking unless the caller passed its own).  Every resolved
-        choice is checked against the LDM budget and the variant's
-        buffering regime up front, so a bad override fails before any
-        item executes, naming its index as :func:`validate_items` does.
+        wins; then the ``params=`` the scheduler was built with; then
+        the estimator's pick for the item's logical shape
+        (:meth:`blocking_for`).  Every resolved choice is checked
+        against the LDM budget and the variant's buffering regime up
+        front, so a bad override fails before any item executes, naming
+        its index as :func:`validate_items` does.
         """
+        return self._resolve(shapes, blocking)[0]
+
+    def _resolve(
+        self,
+        shapes: Sequence[tuple[int, int, int]],
+        blocking: BlockingParams | Sequence[BlockingParams | None] | None,
+    ) -> tuple[list[BlockingParams], list[str]]:
+        """:meth:`resolve_blocking` plus each item's blocking source."""
         count = len(shapes)
         if blocking is None:
             overrides: list[BlockingParams | None] = [None] * count
@@ -429,13 +470,19 @@ class CGScheduler:
         spec = self.processor.spec
         traits = get_variant(self.variant).traits
         resolved: list[BlockingParams] = []
-        for idx, override in enumerate(overrides):
+        sources: list[str] = []
+        for idx, (override, shape) in enumerate(zip(overrides, shapes)):
             if override is not None and not isinstance(override, BlockingParams):
                 raise ConfigError(
                     f"batch item {idx}: blocking override must be "
                     f"BlockingParams, got {type(override).__name__}"
                 )
-            params = override or self.params
+            if override is not None:
+                params, source = override, "override"
+            elif self._pinned:
+                params, source = self.params, "params"
+            else:
+                params, source = self.blocking_for(*shape), "resolved"
             try:
                 params.validate(spec)
             except Exception as exc:
@@ -454,7 +501,8 @@ class CGScheduler:
                     f"{self.variant} must be {regime}-buffered"
                 )
             resolved.append(params)
-        return resolved
+            sources.append(source)
+        return resolved, sources
 
     def plan(
         self,
@@ -486,17 +534,19 @@ class CGScheduler:
         Affinity keeps the staging-plan cache hot; the spill bound
         keeps a single dominant shape from serializing the whole pool.
 
-        ``params_list`` supplies per-item blocking (defaults to the
-        scheduler's own); bins are keyed on (padded shape, params), so
-        two items padding identically under *different* blocking do not
-        share staging-plan affinity they cannot actually exploit.
+        ``params_list`` supplies per-item blocking (defaults to
+        :meth:`blocking_for` each shape); bins are keyed on (padded
+        shape, params), so two items padding identically under
+        *different* blocking do not share staging-plan affinity they
+        cannot actually exploit.
         """
         loads = [0.0] * self.n_core_groups
         bins: dict[tuple, int] = {}
         assignments: list[int] = []
         item_seconds: list[float] = []
         for idx, (m, n, k) in enumerate(shapes):
-            params = params_list[idx] if params_list is not None else self.params
+            params = (params_list[idx] if params_list is not None
+                      else self.blocking_for(m, n, k))
             key = (params.pad_shape(m, n, k), params)
             seconds = self.modeled_item_seconds(m, n, k, params=params)
             lightest = min(range(self.n_core_groups), key=loads.__getitem__)
@@ -561,10 +611,12 @@ class CGScheduler:
 
         ``blocking=`` supplies per-item :class:`BlockingParams`: a
         single instance applies to every item; a sequence (``None``
-        entries fall back to the scheduler's ``params``) must match the
-        batch length.  Overrides are validated up front with errors
+        entries resolve as :meth:`resolve_blocking` does) must match
+        the batch length.  Overrides are validated up front with errors
         naming the item index; an unknown ``engine=`` name raises
         :class:`~repro.errors.ConfigError` before any item runs.
+        ``result.blocking`` and ``result.blocking_sources`` record what
+        each item ran and why.
         """
         items = list(items)
         if not items:
@@ -591,7 +643,7 @@ class CGScheduler:
         *, engine: str, check: bool, blocking=None,
     ) -> ScheduleResult:
         shapes = validate_items(items)
-        params_list = self.resolve_blocking(shapes, blocking)
+        params_list, sources = self._resolve(shapes, blocking)
         plan = self.plan_shapes(shapes, params_list=params_list)
         # one slot per item, each written only by the worker running it
         outputs: list = [None] * len(items)
@@ -605,6 +657,7 @@ class CGScheduler:
         def run_item(idx: int) -> None:
             item, home = items[idx], plan.assignments[idx]
             ctx = self._contexts[home]
+            params = params_list[idx]
             # item-scoped traffic attribution: the running worker is the
             # context's only writer, so the before/after delta is
             # exactly what this item moved, on success or failure.
@@ -619,13 +672,15 @@ class CGScheduler:
                     track=home + 1, parent=parent,
                     item=idx, cg=home,
                     modeled_seconds=plan.item_seconds[idx], engine=engine,
+                    blocking=f"{params.p_m}x{params.p_n}x{params.p_k}",
+                    blocking_source=sources[idx],
                 ):
                     outputs[idx] = dgemm(
                         item.a, item.b, item.c,
                         alpha=item.alpha, beta=item.beta,
                         transa=item.transa, transb=item.transb,
                         variant=self.variant, engine=engine,
-                        params=params_list[idx],
+                        params=params,
                         context=ctx, pad=self.pad,
                         check=check, tracer=tracer,
                         plan_cache=self.plan_cache,
@@ -658,14 +713,14 @@ class CGScheduler:
                 # what the run did up to the failure, for the caller's
                 # accounting (Session.batch folds it)
                 exc.schedule_result = self._result(
-                    plan, shapes, params_list, starts, outputs, errors,
-                    item_traffic)
+                    plan, shapes, params_list, sources, starts, outputs,
+                    errors, item_traffic)
                 raise
-            return self._result(plan, shapes, params_list, starts, outputs,
-                                errors, item_traffic)
+            return self._result(plan, shapes, params_list, sources, starts,
+                                outputs, errors, item_traffic)
 
-    def _result(self, plan, shapes, params_list, starts, outputs, errors,
-                item_traffic) -> ScheduleResult:
+    def _result(self, plan, shapes, params_list, sources, starts, outputs,
+                errors, item_traffic) -> ScheduleResult:
         """Fold a run's per-item slots and per-CG deltas since ``starts``."""
         deltas = [
             ctx.stats().since(start)
@@ -707,6 +762,8 @@ class CGScheduler:
             flops=flops,
             padded_flops=padded_flops,
             item_traffic=tuple(item_traffic),
+            blocking=tuple(params_list),
+            blocking_sources=tuple(sources),
         )
 
     def _run_queues(self, queues: list[list[int]], run_item) -> None:

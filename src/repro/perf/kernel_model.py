@@ -19,7 +19,10 @@ from repro.isa.profile import KernelProfile, profile_kernel
 __all__ = ["KernelModel"]
 
 
-@lru_cache(maxsize=64)
+# unbounded on purpose: blocked variants validate their tiles against the
+# LDM before they are profiled and RAW caps its tiles, so the keys are a
+# finite set, and an evicted profile costs a pipeline simulation again.
+@lru_cache(maxsize=None)
 def _profile(p_m: int, p_n: int, p_k: int, scheduled: bool) -> KernelProfile:
     return profile_kernel(MicrokernelSpec(p_m, p_n, p_k), scheduled=scheduled)
 

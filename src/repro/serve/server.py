@@ -197,8 +197,9 @@ def _check_fits(shape: tuple[int, int, int], budget: int) -> None:
     The bound is the logical footprint, which is what the default
     ``vectorized`` engine stages: padding stays in its model.  A request
     run with ``SubmitOptions(engine="device")`` (or ``"stepwise"``)
-    still stages the padded shape, so it can pass this check and fail
-    staging with ``MemoryError``.
+    stages its shape padded to the blocking it resolves to (see
+    :meth:`~repro.multi.scheduler.CGScheduler.blocking_for`), so it
+    can pass this check and fail staging with ``MemoryError``.
     """
     m, n, k = shape
     need = 8 * (m * k + k * n + m * n)
@@ -683,6 +684,10 @@ class ReproServer:
         results: list[RequestResult] = []
         for i, pending in enumerate(group):
             traffic = batch.item_traffic[i]
+            attrs: dict[str, Any] = {
+                "blocking": batch.blocking[i],
+                "blocking_source": batch.blocking_sources[i],
+            }
             err = errors.get(i)
             if err is not None:
                 results.append(
@@ -690,6 +695,7 @@ class ReproServer:
                         error=RequestError(kind=err.kind, message=err.message),
                         traffic=traffic,
                         bin=pending.bin_label,
+                        attrs=attrs,
                     )
                 )
                 continue
@@ -701,6 +707,7 @@ class ReproServer:
                     value=value,
                     traffic=traffic,
                     bin=pending.bin_label,
+                    attrs=attrs,
                 )
             )
         return results

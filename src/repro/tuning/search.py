@@ -10,19 +10,36 @@ reproduces that choice mechanically and ranks the alternatives:
 - scored by :class:`repro.perf.estimator.Estimator` on a target shape
   (padded up to each candidate's block factors so every candidate is
   scored on work >= the request, never on a conveniently smaller one).
+
+:func:`autotune` ranks the whole space for one shape, offline.
+:func:`pick_blocking` is the request-path rule on the same score: it
+weighs the variant's default against one blocking per ``pM`` that
+covers the shape in a single n- and k-panel, so a small or odd shape
+stops executing a paper-sized block grid, and it is memoized per
+process.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 from repro.errors import ConfigError
 from repro.arch.config import SW26010Spec, DEFAULT_SPEC
-from repro.core.params import BlockingParams
+from repro.core.params import DMA_GRANULE_DOUBLES, GRID, R_N, BlockingParams
+from repro.core.variants import VARIANTS
 from repro.perf.calibration import Calibration, DEFAULT_CALIBRATION
 from repro.perf.estimator import Estimator
 
-__all__ = ["Candidate", "TuningResult", "enumerate_candidates", "autotune"]
+__all__ = [
+    "Candidate",
+    "TuningResult",
+    "autotune",
+    "enumerate_candidates",
+    "pick_blocking",
+    "score",
+    "single_panel_candidates",
+]
 
 
 @dataclass(frozen=True)
@@ -55,6 +72,30 @@ class TuningResult:
             ):
                 return idx
         raise KeyError(f"{params} was not in the search space")
+
+
+def score(
+    estimator: Estimator,
+    variant: str,
+    m: int,
+    n: int,
+    k: int,
+    params: BlockingParams,
+) -> Candidate:
+    """Modeled Gflop/s of ``params`` on the logical flops of ``m x n x k``.
+
+    The estimate runs on the shape padded to the candidate's own block
+    factors, while the flops stay the logical ``2*m*n*k``: padding
+    waste counts against oversized blocks.
+    """
+    padded = params.pad_shape(m, n, k)
+    estimate = estimator.estimate(variant, *padded, params=params)
+    useful = 2.0 * m * n * k
+    return Candidate(
+        params=params,
+        gflops=useful / estimate.seconds / 1e9,
+        padded_shape=padded,
+    )
 
 
 def enumerate_candidates(
@@ -104,34 +145,80 @@ def autotune(
         raise ConfigError("shape must be positive")
     if top < 1:
         raise ConfigError("top must be >= 1")
-    from repro.core.variants import VARIANTS
-
     traits = VARIANTS[variant.upper()].traits
     if double_buffered is None:
         double_buffered = traits.double_buffered
     estimator = Estimator(spec, calibration)
-    scored: list[Candidate] = []
-    for params in enumerate_candidates(
-        double_buffered=double_buffered, p_n_step=p_n_step, p_k_step=p_k_step,
-        spec=spec,
-    ):
-        if bool(params.double_buffered) != bool(traits.double_buffered):
-            continue
-        pm = -(-m // params.b_m) * params.b_m
-        pn = -(-n // params.b_n) * params.b_n
-        pk = -(-k // params.b_k) * params.b_k
-        estimate = estimator.estimate(variant, pm, pn, pk, params=params)
-        # Gflop/s on the *useful* flops: padding waste counts against
-        # oversized blocks
-        useful = 2.0 * m * n * k
-        scored.append(
-            Candidate(
-                params=params,
-                gflops=useful / estimate.seconds / 1e9,
-                padded_shape=(pm, pn, pk),
-            )
+    scored = [
+        score(estimator, variant, m, n, k, params)
+        for params in enumerate_candidates(
+            double_buffered=double_buffered,
+            p_n_step=p_n_step,
+            p_k_step=p_k_step,
+            spec=spec,
         )
+        if bool(params.double_buffered) == bool(traits.double_buffered)
+    ]
     scored.sort(key=lambda c: c.gflops, reverse=True)
     return TuningResult(
         variant=variant.upper(), shape=(m, n, k), candidates=tuple(scored[:top])
     )
+
+
+def single_panel_candidates(
+    n: int,
+    k: int,
+    double_buffered: bool,
+    spec: SW26010Spec = DEFAULT_SPEC,
+) -> list[BlockingParams]:
+    """One blocking per ``pM`` in {16, 32} that covers ``n`` and ``k`` in one panel.
+
+    ``pK = 16*ceil(k/128)`` puts all of ``k`` in one k-panel and
+    ``pN = 4*ceil(n/32)`` all of ``n`` in one n-panel; ``pN`` is then
+    lowered in steps of 4 until the tiles fit the LDM under the
+    buffering regime.  A ``pM`` whose tiles do not fit at any ``pN`` is
+    left out.
+    """
+    p_k = DMA_GRANULE_DOUBLES * -(-k // (GRID * DMA_GRANULE_DOUBLES))
+    out: list[BlockingParams] = []
+    for p_m in (16, 32):
+        p_n = R_N * -(-n // (GRID * R_N))
+        while p_n > 0:
+            params = BlockingParams(p_m, p_n, p_k, double_buffered=double_buffered)
+            if params.fits(spec):
+                out.append(params)
+                break
+            p_n -= R_N
+    return out
+
+
+# picks kept per process: a pick is a pure function of its arguments,
+# so a fresh session resolves a known shape for free.
+@functools.lru_cache(maxsize=4096)
+def pick_blocking(
+    variant: str,
+    m: int,
+    n: int,
+    k: int,
+    default: BlockingParams,
+    spec: SW26010Spec = DEFAULT_SPEC,
+    calibration: Calibration = DEFAULT_CALIBRATION,
+) -> BlockingParams:
+    """The blocking the model rates fastest for one ``m x n x k`` request.
+
+    Candidates are ``default`` and :func:`single_panel_candidates` in
+    ``default``'s buffering regime, each scored by :func:`score`; a
+    candidate must beat the default strictly, so a shape the default
+    serves as well (the paper's large shapes) keeps the paper blocking
+    and its traffic.  RAW ignores blocking and a zero-size shape runs
+    nothing: both keep ``default``.
+    """
+    if 0 in (m, n, k) or not VARIANTS[variant.upper()].traits.shared:
+        return default
+    estimator = Estimator(spec, calibration)
+    best = score(estimator, variant, m, n, k, default)
+    for params in single_panel_candidates(n, k, default.double_buffered, spec):
+        candidate = score(estimator, variant, m, n, k, params)
+        if candidate.gflops > best.gflops:
+            best = candidate
+    return best.params

@@ -15,12 +15,15 @@ from repro.core.engine import (
     VectorizedEngine,
     get_engine,
 )
+from repro.arch.core_group import CoreGroup
 from repro.core.engine.base import Engine
 from repro.core.params import BlockingParams
+from repro.core.variants import get_variant
 from repro.core.session import Session
 from repro.errors import ConfigError
 from repro.multi.scheduler import CGScheduler
 from repro.obs import SpanTracer
+from repro.obs.registry import cg_meter
 from repro.workloads.matrices import gemm_operands
 
 SINGLE = BlockingParams.small(double_buffered=False)
@@ -138,3 +141,50 @@ class TestEngineSelection:
         with Session(params=DOUBLE) as s:
             out = s.dgemm(a, b, c, beta=1.0, engine="vectorized")
             assert np.allclose(out, a @ b + c, rtol=1e-11, atol=1e-8)
+
+
+class TestFusedTallies:
+    """The fused engine books each panel's ``grid_m`` A/C blocks and
+    strip multiplications as one count-multiplied tally per kind and
+    leaves the CPEs alone; every ``strip_mult`` span's counters stay
+    those of one block at a time (``test_prop_engine`` holds the
+    totals equal to the device engine's)."""
+
+    SHAPES = {False: (256, 128, 256), True: (200, 100, 200)}
+
+    @pytest.mark.parametrize("padded", [False, True])
+    @pytest.mark.parametrize("variant", ["PE", "ROW", "DB", "SCHED"])
+    def test_each_panel_span_books_its_blocks(self, variant, padded):
+        params = DOUBLE if get_variant(variant).traits.double_buffered else SINGLE
+        a, b, c = gemm_operands(*self.SHAPES[padded], seed=11)
+        tracer = SpanTracer()
+        dgemm(a, b, c, alpha=1.5, beta=0.5, variant=variant,
+              engine="vectorized", params=params, pad=padded, tracer=tracer)
+        spans = tracer.by_name("strip_mult")
+        grid_m, grid_n, grid_k = params.check_shape(
+            *params.pad_shape(*self.SHAPES[padded]))
+        assert grid_m == 2 and len(spans) == grid_n * grid_k
+
+        # one panel, one block at a time, on a fresh core group
+        impl = get_variant(variant)
+        mapping = impl.mapping_cls(params)
+        cg = CoreGroup()
+        replay = SpanTracer()
+        with replay.span("panel", meter=cg_meter(cg)):
+            mapping.tally_load_b(cg)
+            for _ in range(grid_m):
+                mapping.tally_load_a(cg)
+                mapping.tally_load_c(cg)
+                mapping.tally_store_c(cg)
+                VectorizedEngine._tally_sharing(cg, impl.scheme, params)
+        (want,) = replay.spans
+        for span in spans:
+            assert span.counters == want.counters
+
+    def test_fused_run_leaves_the_cpes_alone(self):
+        cg = CoreGroup()
+        cg.cpe((0, 0)).ldm.alloc("probe", (4, 4))
+        a, b, c = gemm_operands(DOUBLE.b_m, DOUBLE.b_n, DOUBLE.b_k, seed=2)
+        dgemm(a, b, c, variant="SCHED", engine="vectorized", params=DOUBLE,
+              core_group=cg)
+        assert cg.cpe((0, 0)).ldm.names() == ["probe"]

@@ -40,7 +40,8 @@ class TestResolveBlocking:
         overrides = [ALT, None, PARAMS]
         resolved = scheduler.resolve_blocking(SHAPES, blocking=overrides)
         assert resolved[0] == ALT
-        assert resolved[1] == scheduler.params  # None -> scheduler default
+        # None -> what an item without an override runs
+        assert resolved[1] == scheduler.blocking_for(*SHAPES[1])
         assert resolved[2] == PARAMS
 
     def test_length_mismatch_counts_both_sides(self):
