@@ -6,7 +6,8 @@ same batch on one core group.  Three claims are checked:
 
 - the **modeled makespan** on the pool never exceeds the serial
   single-CG modeled time (the acceptance bar for the scheduler), and
-  approaches ``serial / n_cgs`` as the mix balances;
+  the smoke's 16-item mix keeps a modeled load balance of at least
+  :data:`LOAD_BALANCE_FLOOR` on 4 CGs (a host-independent check);
 - the **functional outputs** are bit-identical to a serial loop of
   ``dgemm`` calls, so the dispatch layer costs no numerics;
 - **parallel dispatch** (``run(parallel=True)``, fused vectorized
@@ -50,6 +51,9 @@ from repro.workloads.matrices import mixed_batch
 
 PARAMS = BlockingParams.small(double_buffered=True)
 ITEMS = 16
+#: modeled ``serial / (n_cgs * makespan)`` floor for the 16-item smoke
+#: mix on 4 CGs: longest-first dispatch reads 1.00 there.
+LOAD_BALANCE_FLOOR = 0.95
 
 #: the parallel-dispatch bench runs fused mode at paper-sized blocking.
 PAPER_PARAMS = get_variant("SCHED").default_params()
@@ -228,6 +232,11 @@ def smoke() -> int:
             f"modeled makespan {result.makespan_seconds} exceeds serial "
             f"time {result.serial_seconds}"
         )
+    if result.load_balance_efficiency < LOAD_BALANCE_FLOOR:
+        failures.append(
+            f"modeled load balance {result.load_balance_efficiency:.2f} on "
+            f"4 CGs is below the {LOAD_BALANCE_FLOOR:.2f} floor"
+        )
     after = [proc.cg(g).memory.used_bytes for g in range(4)]
     if after != baselines:
         failures.append(f"CG byte budgets leaked: {baselines} -> {after}")
@@ -242,7 +251,8 @@ def smoke() -> int:
     if not failures:
         print(
             f"scheduler smoke OK: {ITEMS} items, "
-            f"{result.modeled_speedup:.2f}x modeled speedup on 4 CGs, "
+            f"{result.modeled_speedup:.2f}x modeled speedup on 4 CGs "
+            f"(load balance {result.load_balance_efficiency:.2f}), "
             f"budgets restored; parallel dispatch "
             f"{record['p50_speedup']:.2f}x wall-clock p50 on "
             f"{record['effective_cores']} core(s), outputs bit-identical"

@@ -160,8 +160,7 @@ class GemmRequest:
     def shape_bin(self, params: "BlockingParams") -> tuple[Any, ...]:
         """The coalescing key: kind plus the padded ``(m, n, k)``.
 
-        Requests with equal bins share one staging plan on a CG, which
-        is exactly what the serving tier batches together.
+        The serving tier batches requests with equal bins together.
         """
         m, n, k = self.validate()
         return (self.kind, *params.pad_shape(m, n, k))
@@ -386,8 +385,9 @@ class RequestResult:
     #: admission-to-response wall seconds (serving tier only).
     total_seconds: float = 0.0
     #: why the request ran the way it did; the serving tier records the
-    #: ``blocking`` it ran and its ``blocking_source`` (see
-    #: ``ScheduleResult.blocking_sources``).
+    #: ``blocking`` it ran, its ``blocking_source`` (see
+    #: ``ScheduleResult.blocking_sources``) and the ``core_group`` that
+    #: ran it.
     attrs: dict[str, Any] = field(default_factory=dict)
 
     @property

@@ -99,8 +99,8 @@ def conv2d_gemm_batch(
     ``processor`` (a fresh chip by default), on its first
     ``n_core_groups`` CGs (all by default).  The layers are
     independent, which is exactly the workload the scheduler exists
-    for; same-shape layers keep one CG's staging-plan cache hot.  Any
-    layer failure propagates.
+    for; same-shape layers split evenly across the pool.  Any layer
+    failure propagates.
 
     Returns the N x O x oh x ow feature maps per layer, in order.
     """

@@ -5,8 +5,8 @@ the chip; this experiment models the other route to full-chip
 utilization: a *stream of independent GEMMs* (LU trailing updates,
 convolution layers, served inference traffic) dispatched by
 :class:`~repro.multi.scheduler.CGScheduler`.  Items need no inter-CG
-communication at all, so the question is purely how well shape-aware
-binning plus least-modeled-load dispatch balances a mixed-shape batch.
+communication at all, so the question is purely how well longest-first,
+least-modeled-load dispatch balances a mixed-shape batch.
 
 Planning uses :meth:`CGScheduler.plan_shapes`, which needs only the
 ``(m, n, k)`` tuples — so the sweep runs at paper scale without

@@ -11,8 +11,8 @@ subpackage extends the reproduction to the full chip:
   partitioned by columns across CGs, A is broadcast over the NoC, each
   CG runs the paper's single-CG SCHED kernel on its panel;
 - :mod:`repro.multi.scheduler` — :class:`CGScheduler`, the device pool
-  that dispatches independent batch items across the CGs (shape-aware
-  binning + least-modeled-load), each CG behind its own long-lived
+  that dispatches independent batch items across the CGs (longest-first,
+  least-modeled-load), each CG behind its own long-lived
   :class:`~repro.core.context.ExecutionContext`.
 
 The NoC bandwidth is **not** published in the paper; the model uses a

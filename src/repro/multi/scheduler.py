@@ -8,20 +8,15 @@ the items are independent, so no inter-CG communication is needed at
 all.  :class:`CGScheduler` is the runtime layer that turns the
 single-CG kernel into a chip-level throughput engine:
 
-- **shape-aware binning** — items of the same (padded) shape are routed
-  to the same CG, so that CG's
-  :class:`~repro.core.context.ExecutionContext` keeps serving them from
-  its LRU staging-plan cache (in-place restage, zero fresh
-  allocations);
 - **pad-aware blocking** — an item without an override runs the
   blocking the estimator rates fastest on its own padded shape
   (:meth:`CGScheduler.blocking_for`), unless the scheduler was built
   with ``params=``;
-- **least-modeled-load dispatch** — a shape's first appearance lands on
-  the CG with the least accumulated modeled time (via
-  :class:`~repro.perf.estimator.Estimator`), and a bin spills to the
-  least-loaded CG when staying would worsen the makespan by more than
-  the item's own cost, re-homing the bin so the cache warms up there;
+- **longest-first, least-loaded dispatch** — items are placed in
+  decreasing order of modeled time (via
+  :class:`~repro.perf.estimator.Estimator`), each on the CG with the
+  least modeled load so far, so equal items split evenly across the
+  pool and the makespan stays within Graham's list-scheduling bound;
 - **per-item failure isolation** — an item that raises is recorded as
   an :class:`ItemError`, its CG's transient device state is reset and
   its context stays usable; the other items and CGs are unaffected;
@@ -59,7 +54,7 @@ from __future__ import annotations
 import contextlib
 import threading
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 
@@ -132,8 +127,6 @@ class SchedulePlan:
     item_seconds: tuple[float, ...]
     #: accumulated modeled seconds per CG.
     cg_seconds: tuple[float, ...]
-    #: (padded shape, blocking params) -> CG currently homing that bin.
-    shape_bins: dict = field(hash=False, compare=False, default_factory=dict)
 
     @property
     def n_core_groups(self) -> int:
@@ -526,42 +519,38 @@ class CGScheduler:
     ) -> SchedulePlan:
         """Plan a batch given only its (m, n, k) shapes.
 
-        Dispatch rule, per item in stream order: a shape already binned
-        goes to its bin's CG — unless that CG is ahead of the
-        least-loaded one by more than this item's own modeled cost, in
-        which case the bin spills (and re-homes) to the least-loaded
-        CG.  A new shape always starts on the least-loaded CG.
-        Affinity keeps the staging-plan cache hot; the spill bound
-        keeps a single dominant shape from serializing the whole pool.
+        Longest-processing-time-first list scheduling: items are taken
+        in decreasing order of modeled seconds (a stable sort, so equal
+        items keep their input order), and each goes to the CG with the
+        least modeled load so far, the lowest index on ties.  Equal
+        items therefore split evenly, at most one apart per CG, and the
+        makespan never exceeds ``serial / n_cgs + (1 - 1/n_cgs) *
+        max_item`` (Graham's bound).  Only the CG an item runs on
+        depends on the order: each CG still walks its queue in input
+        order.
 
         ``params_list`` supplies per-item blocking (defaults to
-        :meth:`blocking_for` each shape); bins are keyed on (padded
-        shape, params), so two items padding identically under
-        *different* blocking do not share staging-plan affinity they
-        cannot actually exploit.
+        :meth:`blocking_for` each shape).
         """
+        if params_list is None:
+            params_list = [None] * len(shapes)
+        item_seconds = [
+            self.modeled_item_seconds(*shape, params=params)
+            for shape, params in zip(shapes, params_list)
+        ]
         loads = [0.0] * self.n_core_groups
-        bins: dict[tuple, int] = {}
-        assignments: list[int] = []
-        item_seconds: list[float] = []
-        for idx, (m, n, k) in enumerate(shapes):
-            params = (params_list[idx] if params_list is not None
-                      else self.blocking_for(m, n, k))
-            key = (params.pad_shape(m, n, k), params)
-            seconds = self.modeled_item_seconds(m, n, k, params=params)
-            lightest = min(range(self.n_core_groups), key=loads.__getitem__)
-            home = bins.get(key)
-            if home is None or loads[home] - loads[lightest] > seconds:
-                home = lightest
-                bins[key] = home
-            loads[home] += seconds
-            assignments.append(home)
-            item_seconds.append(seconds)
+        assignments = [0] * len(shapes)
+        longest_first = sorted(
+            range(len(shapes)), key=item_seconds.__getitem__, reverse=True
+        )
+        for idx in longest_first:
+            home = min(range(self.n_core_groups), key=loads.__getitem__)
+            loads[home] += item_seconds[idx]
+            assignments[idx] = home
         return SchedulePlan(
             assignments=tuple(assignments),
             item_seconds=tuple(item_seconds),
             cg_seconds=tuple(loads),
-            shape_bins=bins,
         )
 
     # -- execution -----------------------------------------------------

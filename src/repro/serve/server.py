@@ -687,6 +687,7 @@ class ReproServer:
             attrs: dict[str, Any] = {
                 "blocking": batch.blocking[i],
                 "blocking_source": batch.blocking_sources[i],
+                "core_group": batch.plan.assignments[i],
             }
             err = errors.get(i)
             if err is not None:

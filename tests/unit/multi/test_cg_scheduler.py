@@ -3,14 +3,27 @@
 import numpy as np
 import pytest
 
+from hypothesis import given, settings, strategies as st
+
 from repro.api import GemmRequest
 from repro.core.api import dgemm
 from repro.core.params import BlockingParams
 from repro.errors import ConfigError
 from repro.multi import CGScheduler, SW26010Processor
+from repro.obs import SpanTracer
 from repro.workloads.matrices import gemm_operands, mixed_batch
 
 PARAMS = BlockingParams.small(double_buffered=True)
+
+_PLAN_DIMS = st.sampled_from([16, 64, 100, 128, 256, 300])
+
+
+@pytest.fixture(scope="module")
+def planners():
+    """One planning-only scheduler per pool size, so hypothesis
+    examples share their modeled-seconds caches."""
+    return {pool: CGScheduler(n_core_groups=pool, params=PARAMS)
+            for pool in range(1, 5)}
 
 
 def same_shape_items(n, m=None, cols=None, k=None, seed=0):
@@ -52,12 +65,28 @@ class TestConstruction:
 
 class TestPlanning:
     def test_same_shape_items_bin_but_do_not_starve(self):
-        """Affinity must not serialize a uniform batch on one CG."""
+        """A uniform batch splits exactly evenly across the pool."""
         scheduler = CGScheduler(n_core_groups=4, params=PARAMS)
         plan = scheduler.plan_shapes([(PARAMS.b_m, PARAMS.b_n, PARAMS.b_k)] * 8)
-        used = set(plan.assignments)
-        assert len(used) == 4
-        assert max(plan.cg_seconds) <= 3 * min(plan.cg_seconds)
+        assert plan.assignments == (0, 1, 2, 3, 0, 1, 2, 3)
+        assert max(plan.cg_seconds) == min(plan.cg_seconds)
+
+    @pytest.mark.parametrize("pool", [1, 2, 3, 4])
+    @pytest.mark.parametrize("count", [1, 5, 8, 11])
+    def test_equal_items_differ_by_at_most_one_per_cg(self, pool, count):
+        scheduler = CGScheduler(n_core_groups=pool, params=PARAMS)
+        plan = scheduler.plan_shapes(
+            [(PARAMS.b_m, PARAMS.b_n, PARAMS.b_k)] * count
+        )
+        per_cg = [plan.assignments.count(g) for g in range(pool)]
+        assert sum(per_cg) == count
+        assert max(per_cg) - min(per_cg) <= 1
+
+    def test_shared_a_batch_splits_four_and_four(self):
+        """Eight equal 768x256x768 items: four per CG on a 2-CG pool."""
+        plan = CGScheduler(n_core_groups=2).plan_shapes([(768, 256, 768)] * 8)
+        assert [plan.assignments.count(g) for g in range(2)] == [4, 4]
+        assert plan.load_balance_efficiency == 1.0
 
     def test_distinct_shapes_spread_least_loaded(self):
         scheduler = CGScheduler(n_core_groups=4, params=PARAMS)
@@ -71,22 +100,43 @@ class TestPlanning:
         # four distinct shapes on an idle pool: one CG each
         assert sorted(plan.assignments) == [0, 1, 2, 3]
 
-    def test_repeated_shape_keeps_home_cg(self):
-        """A recurring shape sticks to its bin while loads stay close."""
-        scheduler = CGScheduler(n_core_groups=4, params=PARAMS)
-        shape = (PARAMS.b_m, PARAMS.b_n, PARAMS.b_k)
-        other = (2 * PARAMS.b_m, 2 * PARAMS.b_n, 2 * PARAMS.b_k)
-        plan = scheduler.plan_shapes([shape, other, shape])
-        assert plan.assignments[0] == plan.assignments[2]
+    def test_longest_item_is_placed_first(self):
+        """A long item at the end of the stream still gets a CG alone."""
+        scheduler = CGScheduler(n_core_groups=2, params=PARAMS)
+        small = (PARAMS.b_m, PARAMS.b_n, PARAMS.b_k)
+        large = (PARAMS.b_m, PARAMS.b_n, 4 * PARAMS.b_k)
+        plan = scheduler.plan_shapes([small] * 3 + [large])
+        assert plan.assignments == (1, 1, 1, 0)
+        assert plan.makespan_seconds == plan.item_seconds[-1]
 
-    def test_padded_shapes_share_a_bin(self):
-        """Shapes that pad to the same block multiple are one bin."""
-        scheduler = CGScheduler(n_core_groups=4, params=PARAMS)
-        a = (PARAMS.b_m - 8, PARAMS.b_n - 8, PARAMS.b_k - 8)
-        b = (PARAMS.b_m, PARAMS.b_n, PARAMS.b_k)
-        plan = scheduler.plan_shapes([a, b])
-        assert plan.assignments[0] == plan.assignments[1]
-        assert len(plan.shape_bins) == 1
+    def test_each_cg_runs_its_items_in_input_order(self):
+        """Placement is longest-first; each CG's queue stays in order."""
+        tracer = SpanTracer()
+        scheduler = CGScheduler(n_core_groups=2, params=PARAMS,
+                                tracer=tracer)
+        items = mixed_batch(8, params=PARAMS, seed=3)
+        result = scheduler.run(items, parallel=True)
+        assert result.ok
+        spans = sorted(tracer.by_name("cg_dispatch"), key=lambda s: s.start)
+        for g in range(2):
+            ran = [s.attrs["item"] for s in spans if s.attrs["cg"] == g]
+            assert ran == [i for i, home in enumerate(result.plan.assignments)
+                           if home == g]
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        shapes=st.lists(
+            st.tuples(_PLAN_DIMS, _PLAN_DIMS, _PLAN_DIMS),
+            min_size=1, max_size=12,
+        ),
+        pool=st.integers(1, 4),
+    )
+    def test_makespan_within_graham_bound(self, planners, shapes, pool):
+        """List scheduling's bound: serial/n + (1 - 1/n) * longest item."""
+        plan = planners[pool].plan_shapes(shapes)
+        bound = (plan.serial_seconds / pool
+                 + (1 - 1 / pool) * max(plan.item_seconds))
+        assert plan.makespan_seconds <= bound * (1 + 1e-12)
 
     def test_makespan_never_exceeds_serial(self):
         scheduler = CGScheduler(n_core_groups=4, params=PARAMS)
@@ -155,7 +205,7 @@ class TestExecution:
         assert sum(t.items for t in result.per_cg) == len(result)
 
     def test_binned_items_hit_the_staging_plan_cache(self):
-        """Same-shape items on one CG restage in place (the binning win)."""
+        """Same-shape items that share a CG restage in place."""
         result = CGScheduler(n_core_groups=4, params=PARAMS).run(
             same_shape_items(8)
         )
@@ -252,8 +302,11 @@ class TestMidKernelFailure:
         monkeypatch.setattr(comm, "row_broadcast", failing_third_call)
         result = scheduler.run(items, parallel=parallel)
 
-        # items 0 and 1 share CG 0; item 0 dies in its first sharing step
-        assert result.plan.assignments[:2] == (0, 0)
+        # item 0 dies in its first sharing step on CG 0, and longest-
+        # first dispatch deals the equal items round-robin, so a later
+        # item runs on CG 0 after the failure
+        homes = result.plan.assignments
+        assert homes[0] == 0 and 0 in homes[1:]
         assert [(e.index, e.core_group, e.kind) for e in result.errors] == [
             (0, 0, "RuntimeError")
         ]

@@ -199,6 +199,23 @@ class TestCoalescing:
 
         run(scenario())
 
+    def test_same_bin_riders_run_on_different_cgs(self):
+        """Two equal riders of one batch split across the 2-CG pool,
+        and each response names the CG that ran it."""
+        async def scenario():
+            config = ServeConfig(window_seconds=30.0, max_batch_size=2)
+            async with make_server(config) as server:
+                results = await asyncio.gather(
+                    server.submit(fresh_gemm(5)), server.submit(fresh_gemm(6))
+                )
+                assert server.stats()["batches"] == 1
+                return results
+
+        results = run(scenario())
+        assert all(r.ok for r in results)
+        assert results[0].bin == results[1].bin
+        assert {r.attrs["core_group"] for r in results} == {0, 1}
+
     def test_zero_window_disables_coalescing(self):
         async def scenario():
             config = ServeConfig(window_seconds=0.0)

@@ -24,7 +24,7 @@ class TestSchedulerScaling:
         assert makespans == sorted(makespans, reverse=True)
 
     def test_four_cg_speedup_band(self, result):
-        assert 2.0 <= result.speedup_at_4 <= 4.0
+        assert 3.8 <= result.speedup_at_4 <= 4.0
 
     def test_unknown_pool_raises(self, result):
         with pytest.raises(KeyError):

@@ -230,6 +230,7 @@ class TestBlockingSource:
         assert result.attrs == {
             "blocking": BlockingParams(16, 28, 80),
             "blocking_source": "resolved",
+            "core_group": 0,
         }
 
 
