@@ -54,7 +54,7 @@ PAIRS = 15
 SAMPLER_PERIOD = 0.01
 
 #: acceptance target from the telemetry design: the sampler thread
-#: should cost at most this fraction of serving p50.
+#: should cost at most this fraction of a serving wave's wall time.
 OVERHEAD_TARGET = 0.02
 #: hard smoke gate, set far above the target so host noise cannot
 #: fail CI while a real regression (sampling in the request path,
