@@ -36,13 +36,13 @@ devices explicitly: ``dgemm`` runs one multiply on one core group,
 ``dgemm_multi_cg`` splits one multiply into column panels over the
 chip's core groups.
 
-The typed request surface (:mod:`repro.api`) is the structured
-alternative: build a :class:`~repro.api.GemmRequest` /
-:class:`~repro.api.ConvRequest` / :class:`~repro.api.LuRequest` and
-``Session.submit`` it for a :class:`~repro.api.RequestResult` with
-per-request traffic and typed errors — or serve the same requests
-asynchronously with coalescing, admission control, an operand cache
-and SLO reporting through :mod:`repro.serve`::
+The typed request surface (:mod:`repro.api`) has one request kind,
+:class:`~repro.api.GemmRequest`; LU and convolution are GEMM consumers
+in :mod:`repro.apps`.  ``Session.batch`` takes a list of requests, and
+:mod:`repro.serve` serves them asynchronously with coalescing,
+admission control, an operand cache and SLO reporting, answering each
+with a :class:`~repro.api.RequestResult` that carries the request's
+own traffic or a typed error::
 
     from repro import GemmRequest
     from repro.serve import ReproServer, ServeConfig
@@ -66,9 +66,7 @@ trace::
 
 from repro._version import __version__
 from repro.api import (
-    ConvRequest,
     GemmRequest,
-    LuRequest,
     RequestError,
     RequestResult,
     SubmitOptions,
@@ -105,8 +103,6 @@ __all__ = [
     "Session",
     "SessionStats",
     "GemmRequest",
-    "LuRequest",
-    "ConvRequest",
     "SubmitOptions",
     "RequestResult",
     "RequestError",

@@ -8,11 +8,12 @@ bare exception string).
 
 This module is that surface:
 
-- :class:`GemmRequest` / :class:`LuRequest` / :class:`ConvRequest` —
-  one immutable dataclass per workload, each knowing how to validate
-  itself, report its effective shape, compute its padded *shape bin*
-  (the coalescing key), and hash its operand contents (the serving
-  tier's operand-cache key);
+- :class:`GemmRequest` — the one request kind: an immutable
+  ``alpha * op(A) @ op(B) + beta * C`` that validates itself, reports
+  its effective shape, computes its padded *shape bin* (the coalescing
+  key) and hashes its operand contents (the serving tier's
+  operand-cache key).  LU and convolution are GEMM consumers and live
+  above it, in :mod:`repro.apps`;
 - :class:`SubmitOptions` — per-request execution options (engine,
   result checking), hashable so same-option requests can share one
   dispatched batch;
@@ -22,8 +23,8 @@ This module is that surface:
 - :func:`as_request` / :func:`as_gemm_request` — the single
   normalization funnel every public entry point routes through.
 
-Sync ``Session.batch``/``Session.submit`` and async ``repro.serve``
-consume these dataclasses verbatim.
+Sync ``Session.batch`` and async ``repro.serve`` consume these
+dataclasses verbatim.
 
 Import discipline: this module sits *below* ``repro.core`` — at
 runtime it imports only :mod:`repro.errors` and numpy, so the core
@@ -46,10 +47,7 @@ if TYPE_CHECKING:  # pragma: no cover - typing only, avoids import cycles
 
 __all__ = [
     "DEFAULT_SUBMIT_OPTIONS",
-    "ConvRequest",
     "GemmRequest",
-    "LuRequest",
-    "Request",
     "RequestError",
     "RequestResult",
     "SubmitOptions",
@@ -116,7 +114,7 @@ class GemmRequest:
     transa: str = "N"
     transb: str = "N"
 
-    #: workload discriminator used for binning and reporting.
+    #: the shape-bin label's prefix (``gemm:MxNxK``).
     kind: ClassVar[str] = "gemm"
 
     def validate(self) -> tuple[int, int, int]:
@@ -187,120 +185,6 @@ def _trans_shape(flag: str, shape: tuple[int, int]) -> tuple[int, int]:
     return (shape[1], shape[0]) if str(flag).upper() == "T" else shape
 
 
-@dataclass(frozen=True)
-class LuRequest:
-    """One blocked LU factorization (``PA = LU``) of a square matrix."""
-
-    a: np.ndarray
-    panel: int = 64
-
-    kind: ClassVar[str] = "lu"
-
-    def validate(self) -> tuple[int, int, int]:
-        """Check the matrix; return ``(n, n, panel)`` as the shape."""
-        a = np.asarray(self.a)
-        if a.ndim != 2 or a.shape[0] != a.shape[1]:
-            raise UnsupportedShapeError(
-                f"blocked_lu needs a square matrix, got {a.shape}"
-            )
-        if self.panel < 1:
-            raise ConfigError(f"panel width must be >= 1, got {self.panel}")
-        return (int(a.shape[0]), int(a.shape[1]), int(self.panel))
-
-    def shape_bin(self, params: "BlockingParams") -> tuple[Any, ...]:
-        n, _, panel = self.validate()
-        return (self.kind, n, panel)
-
-    def content_hash(self) -> str:
-        digest = hashlib.sha256()
-        digest.update(f"{self.kind}|{self.panel}".encode())
-        _hash_array(digest, np.asarray(self.a))
-        return digest.hexdigest()
-
-
-@dataclass(frozen=True)
-class ConvRequest:
-    """One 2-D convolution (NCHW images, OIHW kernels) lowered to GEMM."""
-
-    images: np.ndarray
-    kernels: np.ndarray
-    stride: int = 1
-
-    kind: ClassVar[str] = "conv"
-
-    def _dims(self) -> tuple[int, int, int, int, int, int, int, int]:
-        images = np.asarray(self.images)
-        kernels = np.asarray(self.kernels)
-        if images.ndim != 4:
-            raise UnsupportedShapeError(
-                f"expected NCHW images, got shape {images.shape}"
-            )
-        if kernels.ndim != 4:
-            raise UnsupportedShapeError(
-                f"expected OIHW kernels, got shape {kernels.shape}"
-            )
-        n, c, h, w = (int(d) for d in images.shape)
-        o, ci, kh, kw = (int(d) for d in kernels.shape)
-        if ci != c:
-            raise UnsupportedShapeError(
-                f"kernel expects {ci} input channels, images have {c}"
-            )
-        if self.stride < 1:
-            raise ConfigError(f"stride must be >= 1, got {self.stride}")
-        if h < kh or w < kw:
-            raise UnsupportedShapeError(
-                f"images {h}x{w} are smaller than the {kh}x{kw} kernel"
-            )
-        return n, c, h, w, o, kh, kw, self.stride
-
-    def validate(self) -> tuple[int, int, int]:
-        """Check shapes; return the lowered GEMM's ``(m, n, k)``."""
-        n, c, h, w, o, kh, kw, stride = self._dims()
-        oh = (h - kh) // stride + 1
-        ow = (w - kw) // stride + 1
-        return (o, n * oh * ow, c * kh * kw)
-
-    def fold_shape(self) -> tuple[int, int, int, int]:
-        """The ``(n, o, oh, ow)`` feature-map shape of the result."""
-        n, _, h, w, o, kh, kw, stride = self._dims()
-        return (n, o, (h - kh) // stride + 1, (w - kw) // stride + 1)
-
-    def lower(self) -> GemmRequest:
-        """Lower to the equivalent :class:`GemmRequest` (im2col)."""
-        from repro.apps.conv import im2col
-
-        _, c, _, _, o, kh, kw, stride = self._dims()
-        cols = im2col(
-            np.asarray(self.images, dtype=np.float64), kh, kw, stride
-        )
-        w_flat = np.asarray(self.kernels, dtype=np.float64).reshape(
-            o, c * kh * kw
-        )
-        return GemmRequest(a=w_flat, b=cols)
-
-    def fold(self, out_flat: np.ndarray) -> np.ndarray:
-        """Fold the lowered GEMM's output back to N x O x oh x ow."""
-        n, o, oh, ow = self.fold_shape()
-        return np.ascontiguousarray(
-            out_flat.reshape(o, n, oh, ow).transpose(1, 0, 2, 3)
-        )
-
-    def shape_bin(self, params: "BlockingParams") -> tuple[Any, ...]:
-        m, n, k = self.validate()
-        return (self.kind, *params.pad_shape(m, n, k))
-
-    def content_hash(self) -> str:
-        digest = hashlib.sha256()
-        digest.update(f"{self.kind}|{self.stride}".encode())
-        _hash_array(digest, np.asarray(self.images))
-        _hash_array(digest, np.asarray(self.kernels))
-        return digest.hexdigest()
-
-
-#: any typed request the submit surfaces accept.
-Request = GemmRequest | LuRequest | ConvRequest
-
-
 def format_bin(bin_key: tuple[Any, ...]) -> str:
     """Render a :meth:`shape_bin` key as a stable display label.
 
@@ -316,7 +200,7 @@ def format_bin(bin_key: tuple[Any, ...]) -> str:
 
 @dataclass(frozen=True)
 class SubmitOptions:
-    """Per-request execution options, shared by sync and async submit.
+    """Execution options of ``Session.batch`` and ``ReproServer.submit``.
 
     ``None`` fields defer to the session's configuration.  The
     dataclass is hashable (no operand payloads), so the serving tier
@@ -324,7 +208,8 @@ class SubmitOptions:
     """
 
     #: execution engine (a name in ``repro.core.engine.ENGINES``), or
-    #: the session default; submit rejects unknown names.
+    #: the session default; the server refuses unknown names at
+    #: admission.
     engine: str | None = None
     #: verify results against the engine contract
     #: (:func:`repro.core.reference.contract_violation`).
@@ -360,16 +245,15 @@ class RequestResult:
     """The structured response to one request.
 
     Exactly one of ``value``/``error`` is meaningful: ``ok`` requests
-    carry the computed value (the GEMM output, the folded feature
-    maps, or an ``LUResult``), failed ones a :class:`RequestError`.
+    carry the GEMM output, failed ones a :class:`RequestError`.
     ``traffic`` is this request's own staging/DMA/regcomm delta —
     summing it over every response reconciles bit-exactly with
     ``Session.stats().traffic`` (cache hits contribute zero, having
     moved nothing).
     """
 
-    #: the computed value; ``None`` when ``error`` is set.
-    value: Any = None
+    #: the computed ``(m, n)`` result; ``None`` when ``error`` is set.
+    value: np.ndarray | None = None
     error: RequestError | None = None
     #: this request's staging/DMA/regcomm delta (``None`` only when
     #: the request never reached a device).
@@ -427,14 +311,11 @@ def as_gemm_request(
     return request
 
 
-def as_request(obj: Any) -> Request:
-    """Check that ``obj`` is a typed request (the submit surfaces' funnel).
+def as_request(obj: Any) -> GemmRequest:
+    """Check that ``obj`` is a :class:`GemmRequest` (the submit funnel).
 
-    Accepts the three request dataclasses; anything else raises
-    :class:`ConfigError`.
+    Anything else raises :class:`ConfigError`.
     """
-    if isinstance(obj, (GemmRequest, LuRequest, ConvRequest)):
+    if isinstance(obj, GemmRequest):
         return obj
-    raise ConfigError(
-        f"expected a GemmRequest/LuRequest/ConvRequest, got {type(obj).__name__}"
-    )
+    raise ConfigError(f"expected a GemmRequest, got {type(obj).__name__}")

@@ -14,7 +14,7 @@ from typing import Sequence
 import numpy as np
 
 from repro.errors import ConfigError, UnsupportedShapeError
-from repro.api import ConvRequest
+from repro.api import GemmRequest
 from repro.arch.core_group import CoreGroup
 from repro.core.api import dgemm
 from repro.core.context import ExecutionContext
@@ -56,6 +56,42 @@ def im2col(images: np.ndarray, kh: int, kw: int, stride: int = 1) -> np.ndarray:
     return cols
 
 
+def _lower(
+    images: np.ndarray, kernels: np.ndarray, stride: int
+) -> tuple[GemmRequest, tuple[int, int, int, int]]:
+    """Check a convolution and lower it to one GEMM (im2col).
+
+    Returns ``W_flat @ patches`` as a :class:`~repro.api.GemmRequest`
+    and the ``(n, o, oh, ow)`` feature-map shape its output folds back
+    to (see :func:`_fold`).
+    """
+    images = np.asarray(images, dtype=np.float64)
+    kernels = np.asarray(kernels, dtype=np.float64)
+    if images.ndim != 4:
+        raise UnsupportedShapeError(f"expected NCHW images, got shape {images.shape}")
+    if kernels.ndim != 4:
+        raise UnsupportedShapeError(
+            f"expected OIHW kernels, got shape {kernels.shape}"
+        )
+    n, c, h, w = images.shape
+    o, ci, kh, kw = kernels.shape
+    if ci != c:
+        raise UnsupportedShapeError(
+            f"kernel expects {ci} input channels, images have {c}"
+        )
+    cols = im2col(images, kh, kw, stride)
+    gemm = GemmRequest(a=kernels.reshape(o, c * kh * kw), b=cols)
+    return gemm, (n, o, (h - kh) // stride + 1, (w - kw) // stride + 1)
+
+
+def _fold(out_flat: np.ndarray, maps: tuple[int, int, int, int]) -> np.ndarray:
+    """Fold the lowered GEMM's ``O x (N*oh*ow)`` output to N x O x oh x ow."""
+    n, o, oh, ow = maps
+    return np.ascontiguousarray(
+        out_flat.reshape(o, n, oh, ow).transpose(1, 0, 2, 3)
+    )
+
+
 def conv2d_gemm(
     images: np.ndarray,
     kernels: np.ndarray,
@@ -69,19 +105,17 @@ def conv2d_gemm(
 
     Returns N x O x oh x ow feature maps.  The GEMM is
     ``(O x C*kh*kw) @ (C*kh*kw x N*oh*ow)``, padded to the CG block
-    factors; lowering and folding go through
-    :class:`~repro.api.ConvRequest`.  Pass ``context=`` when convolving
-    a sequence of same-shape layers so the staging allocations stay
-    warm between calls.
+    factors.  Pass ``context=`` when convolving a sequence of
+    same-shape layers so the staging allocations stay warm between
+    calls.
     """
-    request = ConvRequest(images, kernels, stride)
-    gemm = request.lower()
+    gemm, maps = _lower(images, kernels, stride)
     out_flat = dgemm(
         gemm.a, gemm.b, variant=variant,
         params=params or BlockingParams.small(double_buffered=True),
         core_group=core_group, context=context, pad=True,
     )
-    return request.fold(out_flat)
+    return _fold(out_flat, maps)
 
 
 def conv2d_gemm_batch(
@@ -107,16 +141,15 @@ def conv2d_gemm_batch(
     if not layers:
         raise ConfigError("empty layer batch")
     params = params or BlockingParams.small(double_buffered=True)
-    requests = [ConvRequest(images, kernels, stride) for images, kernels in layers]
-    items = [request.lower() for request in requests]
+    items, maps = zip(
+        *(_lower(images, kernels, stride) for images, kernels in layers)
+    )
     with CGScheduler(
         processor, n_core_groups=n_core_groups, variant=variant,
         params=params,
     ) as scheduler:
         outputs = scheduler.run(items, isolate_failures=False).outputs
-    return tuple(
-        request.fold(out) for request, out in zip(requests, outputs)
-    )
+    return tuple(_fold(out, shape) for out, shape in zip(outputs, maps))
 
 
 def conv2d_reference(

@@ -270,7 +270,7 @@ def build_serve_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="repro-dgemm serve",
         description="Drive the asyncio serving tier (repro.serve) with a "
-                    "seeded mixed workload and verify the serving contract",
+                    "seeded GEMM workload and verify the serving contract",
     )
     parser.add_argument("--requests", type=int, default=32,
                         help="requests in the main wave (default 32)")
@@ -427,9 +427,7 @@ async def _serve_session(args) -> int:
             from repro.api import GemmRequest
 
             before = server.session.plan_cache.stats()
-            template = next(
-                r for r in requests if isinstance(r, GemmRequest)
-            )
+            template = requests[0]
             rng = np.random.default_rng(len(requests))
             fresh = GemmRequest(
                 a=rng.standard_normal(np.asarray(template.a).shape),
@@ -452,19 +450,19 @@ async def _serve_session(args) -> int:
 
         # coalescing: with a window armed, same-bin requests must share
         # dispatches — strictly fewer session.batch spans than
-        # batch-path (non-LU) requests.
+        # dispatched requests.
         tracer = server.session.tracer
         batch_spans = sum(
             1 for s in tracer.spans if s.name == "session.batch"
         )
-        batch_path = sum(
+        dispatched = sum(
             1 for s in tracer.spans if s.name == "serve.request"
-        ) - sum(1 for r in results if r.bin.startswith("lu:"))
-        if args.window > 0 and batch_spans >= batch_path:
+        )
+        if args.window > 0 and batch_spans >= dispatched:
             print(f"error: no coalescing — {batch_spans} dispatches for "
-                  f"{batch_path} batch-path requests", file=sys.stderr)
+                  f"{dispatched} dispatched requests", file=sys.stderr)
             return 1
-        print(f"coalescing: {batch_path} batch-path requests ran in "
+        print(f"coalescing: {dispatched} dispatched requests ran in "
               f"{batch_spans} session.batch dispatches")
 
         # the reconciliation contract: summing every serve.request

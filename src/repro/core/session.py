@@ -32,19 +32,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.errors import ConfigError, UnsupportedShapeError
-from repro.api import (
-    DEFAULT_SUBMIT_OPTIONS,
-    ConvRequest,
-    LuRequest,
-    Request,
-    RequestError,
-    RequestResult,
-    SubmitOptions,
-    as_gemm_request,
-    as_request,
-    format_bin,
-)
+from repro.errors import ConfigError
+from repro.api import DEFAULT_SUBMIT_OPTIONS, SubmitOptions, as_gemm_request
 from repro.arch.config import SW26010Spec, DEFAULT_SPEC
 from repro.core.api import dgemm as _dgemm
 from repro.core.context import ContextStats, ExecutionContext
@@ -127,8 +116,8 @@ class Session:
         self.variant = str(variant).upper()
         #: the engine scalar calls and batch dispatch both run.
         self.engine = check_engine(engine or DEFAULT_ENGINE)
-        #: the default blocking: the serving tier's coalescing key and
-        #: LU's blocking.  GEMMs resolve theirs per shape (see dgemm).
+        #: the default blocking: the serving tier's coalescing key.
+        #: GEMMs resolve theirs per shape (see dgemm).
         self.params = params or get_variant(self.variant).default_params()
         self.pad = pad
         self.check = check
@@ -155,8 +144,8 @@ class Session:
         #: down exactly once; scheduler.close() additionally waits out
         #: any in-flight batch on the scheduler's own run guard.
         self._close_lock = threading.Lock()
-        #: guards the cumulative accounting fold (concurrent submit()
-        #: callers each fold their own deltas).
+        #: guards the cumulative accounting fold (concurrent dgemm()
+        #: and batch() callers each fold their own deltas).
         self._stats_lock = threading.Lock()
         self._calls = 0
         self._batches = 0
@@ -354,100 +343,6 @@ class Session:
             self._flops += result.flops
             self._padded_flops += result.padded_flops
             self._traffic = self._traffic.plus(result.traffic)
-
-    def submit(
-        self,
-        request: Request,
-        *,
-        options: SubmitOptions | None = None,
-    ) -> RequestResult:
-        """Execute one typed request; never raises on request failure.
-
-        The synchronous half of the typed surface shared with
-        :mod:`repro.serve`: takes a
-        :class:`~repro.api.GemmRequest`/:class:`~repro.api.ConvRequest`
-        /:class:`~repro.api.LuRequest` and returns a structured
-        :class:`~repro.api.RequestResult` — value, this request's own
-        traffic delta, and a :class:`~repro.api.RequestError` instead
-        of an exception when the request is malformed, names an unknown
-        engine, or fails to execute.
-        (Session-level misuse — submitting on a closed session — still
-        raises.)
-
-        GEMM and conv requests run as a batch of one through the
-        scheduler (conv is lowered via im2col and its output folded
-        back to feature maps); LU runs :func:`repro.apps.lu.blocked_lu`
-        on the session's warm CG-0 context.  Either way the request's
-        traffic is folded into :meth:`stats`, so summing per-request
-        deltas over any set of submissions reconciles bit-exactly with
-        the session totals.
-        """
-        self._require_open()
-        opts = options or DEFAULT_SUBMIT_OPTIONS
-        try:
-            request = as_request(request)
-            request.validate()
-            bin_label = format_bin(request.shape_bin(self.params))
-            if opts.engine is not None:
-                check_engine(opts.engine)
-        except (ConfigError, UnsupportedShapeError) as exc:
-            return RequestResult(
-                error=RequestError(kind=type(exc).__name__, message=str(exc)),
-                traffic=ContextStats.zero(),
-            )
-        if isinstance(request, LuRequest):
-            return self._submit_lu(request, bin_label)
-        gemm = request.lower() if isinstance(request, ConvRequest) else request
-        result = self.batch([gemm], options=opts)
-        traffic = result.item_traffic[0]
-        if result.errors:
-            err = result.errors[0]
-            return RequestResult(
-                error=RequestError(kind=err.kind, message=err.message),
-                traffic=traffic,
-                bin=bin_label,
-            )
-        value = result.outputs[0]
-        if isinstance(request, ConvRequest):
-            value = request.fold(value)
-        return RequestResult(
-            value=value,
-            traffic=traffic,
-            bin=bin_label,
-        )
-
-    def _submit_lu(self, request: LuRequest, bin_label: str) -> RequestResult:
-        """Run one LU factorization on the warm scalar context."""
-        from repro.apps.lu import blocked_lu
-
-        ctx = self._scalar_context()
-        before = ctx.stats()
-        try:
-            value = blocked_lu(
-                request.a,
-                panel=request.panel,
-                variant=self.variant,
-                params=self.params,
-                context=ctx,
-                tracer=self.tracer,
-            )
-        except Exception as exc:
-            delta = ctx.stats().since(before)
-            with self._stats_lock:
-                self._traffic = self._traffic.plus(delta)
-                self._failures += 1
-            return RequestResult(
-                error=RequestError(kind=type(exc).__name__, message=str(exc)),
-                traffic=delta,
-                bin=bin_label,
-            )
-        delta = ctx.stats().since(before)
-        with self._stats_lock:
-            self._traffic = self._traffic.plus(delta)
-            self._calls += 1
-            self._flops += value.gemm_flops
-            self._padded_flops += value.gemm_flops
-        return RequestResult(value=value, traffic=delta, bin=bin_label)
 
     def resil_stats(self) -> dict:
         """Always ``{"retries": 0, "fallbacks": 0}``: nothing retries.

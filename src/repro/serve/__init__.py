@@ -7,10 +7,12 @@ Public surface::
     async with ReproServer(config=ServeConfig(window_seconds=0.02)) as s:
         result = await s.submit(GemmRequest(a, b))
 
-The tier consumes only the typed request/response dataclasses in
-:mod:`repro.api`; it adds coalescing, admission control, an operand
-cache, and per-bin SLO reporting on top of the synchronous
-:class:`~repro.core.session.Session`.
+The tier takes :class:`~repro.api.GemmRequest`, the one request kind
+in :mod:`repro.api`, and answers with its typed results; it adds
+coalescing, admission control, an operand cache, and per-bin SLO
+reporting on top of the synchronous
+:class:`~repro.core.session.Session`, running every coalesced group
+as one ``Session.batch``.
 """
 
 from repro.serve.cache import OperandCache

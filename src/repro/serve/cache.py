@@ -1,9 +1,9 @@
 """Content-addressed LRU cache over completed request values.
 
-The serving tier sees repeated operands constantly — the same weight
-matrix multiplied against a stream of activations, the same trailing
-shape re-factored — and the device model makes recomputation
-expensive on purpose.  The cache keys on
+The serving tier sees exact repeats — a client retrying a request
+whose response it lost, the same weights applied to the same input
+again — and the device model makes recomputation expensive on
+purpose.  The cache keys on
 :meth:`~repro.api.GemmRequest.content_hash` (operand *contents* plus
 every compute attribute) together with the effective
 :class:`~repro.api.SubmitOptions`, because the same operands on a
@@ -30,10 +30,8 @@ under the original content's key (see :mod:`repro.serve.server`).
 
 from __future__ import annotations
 
-import copy
 import threading
 from collections import OrderedDict
-from typing import Any
 
 import numpy as np
 
@@ -45,14 +43,8 @@ __all__ = ["OperandCache"]
 CacheKey = tuple[str, SubmitOptions]
 
 
-def _copy_value(value: Any) -> Any:
-    if isinstance(value, np.ndarray):
-        return value.copy()
-    return copy.deepcopy(value)
-
-
 class OperandCache:
-    """A bounded LRU of ``(content_hash, options) -> value``.
+    """A bounded LRU of ``(content_hash, options) -> result array``.
 
     ``capacity == 0`` disables storage entirely (every probe misses).
     Thread-safe under one lock; the server only touches it from the
@@ -61,28 +53,28 @@ class OperandCache:
 
     def __init__(self, capacity: int) -> None:
         self.capacity = int(capacity)
-        self._entries: OrderedDict[CacheKey, Any] = OrderedDict()
+        self._entries: OrderedDict[CacheKey, np.ndarray] = OrderedDict()
         self._lock = threading.Lock()
         self.hits = 0
         self.misses = 0
         self.evictions = 0
 
-    def get(self, key: CacheKey) -> tuple[bool, Any]:
+    def get(self, key: CacheKey) -> tuple[bool, np.ndarray | None]:
         """Probe the cache; returns ``(hit, copied_value_or_None)``."""
         with self._lock:
             if key in self._entries:
                 self._entries.move_to_end(key)
                 self.hits += 1
-                return True, _copy_value(self._entries[key])
+                return True, self._entries[key].copy()
             self.misses += 1
             return False, None
 
-    def put(self, key: CacheKey, value: Any) -> None:
+    def put(self, key: CacheKey, value: np.ndarray) -> None:
         """Insert a value (copied in), evicting the LRU entry if full."""
         if self.capacity == 0:
             return
         with self._lock:
-            self._entries[key] = _copy_value(value)
+            self._entries[key] = value.copy()
             self._entries.move_to_end(key)
             while len(self._entries) > self.capacity:
                 self._entries.popitem(last=False)

@@ -1,12 +1,11 @@
 """A deterministic load generator: the serving tier's test harness.
 
-Produces a mixed, seeded request stream shaped like real traffic:
-GEMMs drawn from a small set of shape templates (so same-bin requests
-exist to coalesce), a fraction of convolutions and LU factorizations,
-and a fraction of *exact repeats* of earlier requests (so the operand
-cache has something to hit).  Determinism matters — the CLI smoke test
-and the integration tests assert exact zero-drop counts, and a seeded
-generator makes those assertions reproducible.
+Produces a seeded GEMM request stream shaped like real traffic: shapes
+drawn from a small set of templates (so same-bin requests exist to
+coalesce), and a fraction of *exact repeats* of earlier requests (so
+the operand cache has something to hit).  Determinism matters — the
+CLI smoke test and the integration tests assert exact zero-drop
+counts, and a seeded generator makes those assertions reproducible.
 """
 
 from __future__ import annotations
@@ -15,7 +14,7 @@ import asyncio
 
 import numpy as np
 
-from repro.api import ConvRequest, GemmRequest, LuRequest, Request, RequestResult
+from repro.api import GemmRequest, RequestResult
 from repro.core.params import BlockingParams
 from repro.serve.server import ReproServer
 
@@ -23,7 +22,7 @@ __all__ = ["LoadGenerator"]
 
 
 class LoadGenerator:
-    """Seeded mixed-workload generator over a server's request surface.
+    """Seeded GEMM workload generator over a server's request surface.
 
     ``params`` sizes the GEMM templates to the session's blocking
     factors so most requests pad cleanly into a few shared bins;
@@ -37,16 +36,12 @@ class LoadGenerator:
         *,
         seed: int = 0,
         params: BlockingParams | None = None,
-        conv_fraction: float = 0.15,
-        lu_fraction: float = 0.1,
         repeat_fraction: float = 0.25,
     ) -> None:
         self.params = params or BlockingParams.small(double_buffered=True)
-        self.conv_fraction = float(conv_fraction)
-        self.lu_fraction = float(lu_fraction)
         self.repeat_fraction = float(repeat_fraction)
         self._rng = np.random.default_rng(seed)
-        self._history: list[Request] = []
+        self._history: list[GemmRequest] = []
 
     def _gemm_templates(self) -> list[tuple[int, int, int]]:
         bm, bn, bk = self.params.b_m, self.params.b_n, self.params.b_k
@@ -67,31 +62,15 @@ class LoadGenerator:
             return GemmRequest(a=a, b=b, c=c, alpha=1.0, beta=1.0)
         return GemmRequest(a=a, b=b)
 
-    def _make_conv(self) -> ConvRequest:
-        images = self._rng.standard_normal((2, 2, 8, 8))
-        kernels = self._rng.standard_normal((4, 2, 3, 3))
-        return ConvRequest(images=images, kernels=kernels)
-
-    def _make_lu(self) -> LuRequest:
-        n = int(self.params.b_m) * 2
-        a = self._rng.standard_normal((n, n)) + n * np.eye(n)
-        return LuRequest(a=a, panel=max(8, n // 4))
-
-    def generate(self, count: int) -> list[Request]:
-        """``count`` requests: mixed kinds, some exact repeats."""
-        requests: list[Request] = []
+    def generate(self, count: int) -> list[GemmRequest]:
+        """``count`` requests, some of them exact repeats."""
+        requests: list[GemmRequest] = []
         for _ in range(count):
             if self._history and self._rng.random() < self.repeat_fraction:
                 pick = int(self._rng.integers(len(self._history)))
                 requests.append(self._history[pick])
                 continue
-            draw = self._rng.random()
-            if draw < self.lu_fraction:
-                request: Request = self._make_lu()
-            elif draw < self.lu_fraction + self.conv_fraction:
-                request = self._make_conv()
-            else:
-                request = self._make_gemm()
+            request = self._make_gemm()
             self._history.append(request)
             requests.append(request)
         return requests
@@ -99,7 +78,7 @@ class LoadGenerator:
     async def run(
         self,
         server: ReproServer,
-        requests: list[Request],
+        requests: list[GemmRequest],
         *,
         concurrency: int = 16,
     ) -> list[RequestResult]:
@@ -112,7 +91,7 @@ class LoadGenerator:
         """
         semaphore = asyncio.Semaphore(max(1, concurrency))
 
-        async def one(request: Request) -> RequestResult:
+        async def one(request: GemmRequest) -> RequestResult:
             async with semaphore:
                 return await server.submit(request)
 

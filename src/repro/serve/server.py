@@ -27,8 +27,7 @@ with an async request surface.  The pipeline per request:
    task that executes each on a single-worker thread pool (the
    scheduler below is one physical chip — a second in-flight batch
    would fight it for the same core groups), as
-   ``Session.batch(parallel=True)``; LU requests ride the same FIFO as
-   singleton groups through ``Session.submit``;
+   ``Session.batch(parallel=True)``;
 5. **respond** — every rider of the batch gets its own
    :class:`~repro.api.RequestResult` with per-request traffic and
    queue/service/total timing, and the SLO ledger records it.  A
@@ -77,12 +76,11 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
 from typing import Any, Callable
 
+import numpy as np
+
 from repro.api import (
     DEFAULT_SUBMIT_OPTIONS,
-    ConvRequest,
     GemmRequest,
-    LuRequest,
-    Request,
     RequestError,
     RequestResult,
     SubmitOptions,
@@ -95,7 +93,7 @@ from repro.core.session import Session
 from repro.errors import ConfigError, UnsupportedShapeError
 from repro.obs.promexp import render_openmetrics
 from repro.obs.registry import MetricsRegistry, flatten
-from repro.serve.cache import OperandCache, _copy_value
+from repro.serve.cache import OperandCache
 from repro.serve.config import ServeConfig
 from repro.serve.slo import BinReport, SLOTracker
 
@@ -128,7 +126,7 @@ class _Pending:
 
     def __init__(
         self,
-        request: Request,
+        request: GemmRequest,
         options: SubmitOptions,
         shape_bin: tuple[Any, ...],
         future: "asyncio.Future[RequestResult]",
@@ -167,20 +165,6 @@ def _delta_meter(traffic: ContextStats) -> Callable[[], dict]:
         return flatten("ctx", traffic.as_dict())
 
     return meter
-
-
-def _request_flops(request: Request, shape: tuple[int, int, int]) -> float:
-    """Nominal flop count of one request from its validated shape.
-
-    GEMM and lowered conv do ``2*m*n*k``; blocked LU of an ``n x n``
-    matrix does the classic ``2/3 * n^3`` (``shape`` is ``(n, n,
-    panel)`` there, so the panel width is ignored).
-    """
-    if isinstance(request, LuRequest):
-        n = float(shape[0])
-        return (2.0 / 3.0) * n * n * n
-    m, n, k = shape
-    return 2.0 * float(m) * float(n) * float(k)
 
 
 def _check_fits(shape: tuple[int, int, int], budget: int) -> None:
@@ -346,7 +330,7 @@ class ReproServer:
 
     async def submit(
         self,
-        request: Request,
+        request: GemmRequest,
         *,
         options: SubmitOptions | None = None,
     ) -> RequestResult:
@@ -384,7 +368,6 @@ class ReproServer:
             shape = request.validate()
             _check_fits(shape, self.session.processor.spec.main_memory_bytes)
             shape_bin = request.shape_bin(self.session.params)
-            flops = _request_flops(request, shape)
             if opts.engine is not None:
                 check_engine(opts.engine)
         except (ConfigError, UnsupportedShapeError) as exc:
@@ -454,7 +437,8 @@ class ReproServer:
             self._failed += 1
         gflops: float | None = None
         if result.ok and result.service_seconds > 0:
-            gflops = flops / result.service_seconds / 1e9
+            m, n, k = shape
+            gflops = 2.0 * m * n * k / result.service_seconds / 1e9
         dma_bytes: float | None = None
         if result.traffic is not None and result.traffic.dma_bytes > 0:
             dma_bytes = float(result.traffic.dma_bytes)
@@ -481,7 +465,7 @@ class ReproServer:
 
     # -- the operand cache (event-loop thread; hashing on the hash thread)
 
-    def _hash(self, request: Request) -> "asyncio.Future[str]":
+    def _hash(self, request: GemmRequest) -> "asyncio.Future[str]":
         """Hash ``request``'s operands on the hash thread."""
         assert self._loop is not None
         digest = self._loop.run_in_executor(
@@ -527,7 +511,7 @@ class ReproServer:
             )
         )
 
-    def _store(self, pending: _Pending, value: Any) -> None:
+    def _store(self, pending: _Pending, value: np.ndarray) -> None:
         """Cache a computed value if its operands still hash to its key.
 
         Called as the response is delivered: the copy is taken now,
@@ -536,7 +520,7 @@ class ReproServer:
         the one the request was checked under.
         """
         assert pending.cache_key is not None
-        kept = _copy_value(value)
+        kept = value.copy()
         after = self._hash(pending.request)
         after.add_done_callback(
             functools.partial(self._stored, pending.cache_key, kept)
@@ -545,7 +529,7 @@ class ReproServer:
     def _stored(
         self,
         key: tuple[str, SubmitOptions],
-        value: Any,
+        value: np.ndarray,
         after: "asyncio.Future[str]",
     ) -> None:
         if (
@@ -558,13 +542,8 @@ class ReproServer:
     # -- binning and coalescing (event-loop thread only) ---------------
 
     def _enqueue(self, pending: _Pending) -> None:
-        if (
-            isinstance(pending.request, LuRequest)
-            or self.config.window_seconds == 0
-            or self.config.max_batch_size == 1
-        ):
-            # LU runs on the warm scalar context and cannot share a
-            # scheduler batch; a zero window means coalescing is off.
+        if self.config.window_seconds == 0 or self.config.max_batch_size == 1:
+            # a zero window means coalescing is off
             self._queue.put_nowait([pending])
             return
         key = pending.bin_key
@@ -622,95 +601,56 @@ class ReproServer:
             for pending, result in zip(group, results):
                 if pending.future.done():
                     continue
-                if result.ok and pending.cache_key is not None:
+                if result.value is not None and pending.cache_key is not None:
                     self._store(pending, result.value)
                 pending.future.set_result(result)
 
     def _execute(self, group: list[_Pending]) -> list[RequestResult]:
-        """Run one coalesced group on the session (executor thread)."""
+        """Run one coalesced group as one ``Session.batch`` (executor thread)."""
         dispatch_start = time.monotonic()
-        opts = group[0].options
         label = group[0].bin_label
         tracer = self.session.tracer
         with tracer.span(
             "serve.batch", cat="serve", items=len(group), bin=label
         ):
-            if isinstance(group[0].request, LuRequest):
-                results = [
-                    self.session.submit(p.request, options=opts)
-                    for p in group
-                ]
-            else:
-                results = self._execute_gemm_group(group, opts)
+            batch = self.session.batch(
+                [p.request for p in group], parallel=True, options=group[0].options
+            )
             service = time.monotonic() - dispatch_start
-            # one serve.request span per rider, nested in the still-
-            # open serve.batch span; the delta meter makes each span's
-            # counters exactly that request's attributed traffic.
-            out: list[RequestResult] = []
-            for pending, result in zip(group, results):
-                result = replace(
-                    result,
+            errors = {e.index: e for e in batch.errors}
+            results: list[RequestResult] = []
+            for i, pending in enumerate(group):
+                err = errors.get(i)
+                traffic = batch.item_traffic[i]
+                result = RequestResult(
+                    value=batch.outputs[i],  # None for a failed item
+                    error=(
+                        None if err is None
+                        else RequestError(kind=err.kind, message=err.message)
+                    ),
+                    traffic=traffic,
+                    bin=pending.bin_label,
                     queue_seconds=dispatch_start - pending.admitted_at,
                     service_seconds=service,
+                    attrs={
+                        "blocking": batch.blocking[i],
+                        "blocking_source": batch.blocking_sources[i],
+                        "core_group": batch.plan.assignments[i],
+                    },
                 )
-                traffic = result.traffic
-                if traffic is None:
-                    traffic = ContextStats.zero()
+                # one serve.request span per rider, nested in the still-
+                # open serve.batch span; the delta meter makes each
+                # span's counters exactly that request's attributed
+                # traffic.
                 with tracer.span(
                     "serve.request",
                     cat="serve",
                     meter=_delta_meter(traffic),
-                    bin=result.bin or label,
+                    bin=pending.bin_label,
                     ok=result.ok,
                 ):
                     pass
-                out.append(result)
-        return out
-
-    def _execute_gemm_group(
-        self, group: list[_Pending], opts: SubmitOptions
-    ) -> list[RequestResult]:
-        """One ``Session.batch`` for a coalesced GEMM/conv group."""
-        items: list[GemmRequest] = []
-        for pending in group:
-            request = pending.request
-            if isinstance(request, ConvRequest):
-                items.append(request.lower())
-            else:
-                assert isinstance(request, GemmRequest)
-                items.append(request)
-        batch = self.session.batch(items, parallel=True, options=opts)
-        errors = {e.index: e for e in batch.errors}
-        results: list[RequestResult] = []
-        for i, pending in enumerate(group):
-            traffic = batch.item_traffic[i]
-            attrs: dict[str, Any] = {
-                "blocking": batch.blocking[i],
-                "blocking_source": batch.blocking_sources[i],
-                "core_group": batch.plan.assignments[i],
-            }
-            err = errors.get(i)
-            if err is not None:
-                results.append(
-                    RequestResult(
-                        error=RequestError(kind=err.kind, message=err.message),
-                        traffic=traffic,
-                        bin=pending.bin_label,
-                        attrs=attrs,
-                    )
-                )
-                continue
-            value = batch.outputs[i]
-            if isinstance(pending.request, ConvRequest):
-                value = pending.request.fold(value)
-            results.append(
-                RequestResult(
-                    value=value,
-                    traffic=traffic,
-                    bin=pending.bin_label,
-                    attrs=attrs,
-                )
-            )
+                results.append(result)
         return results
 
     # -- reporting -----------------------------------------------------

@@ -16,9 +16,11 @@ random} at ``BlockingParams.small``, and asserts
 
 Zero-size draws (``m``, ``n`` or ``k`` = 0) cross the entry points
 ``dgemm`` (each engine), ``Session.dgemm``, ``Session.batch`` and
-``Session.submit``: each returns early as reference BLAS does, with
-the reference's ``(m, n)`` result and no traffic booked.
+``ReproServer.submit``: each returns early as reference BLAS does,
+with the reference's ``(m, n)`` result and no traffic booked.
 """
+
+import asyncio
 
 import numpy as np
 import pytest
@@ -31,6 +33,7 @@ from repro.core.params import BlockingParams
 from repro.core.reference import contract_violation
 from repro.core.session import Session
 from repro.core.variants import get_variant
+from repro.serve import ReproServer, ServeConfig
 from repro.workloads.matrices import gemm_operands
 
 ENGINES = ("device", "vectorized", "stepwise")
@@ -142,19 +145,26 @@ def test_contract_at_paper_blocking(variant):
 
 
 def _zero_size_session(entry, a, b, c, alpha, beta, transa, transb, pad):
-    """One zero-size call through a Session entry; returns (result,
-    DMA bytes booked)."""
+    """One zero-size call through a Session or server entry; returns
+    (result, DMA bytes booked)."""
     call = dict(alpha=alpha, beta=beta, transa=transa, transb=transb)
+    request = GemmRequest(a, b, c, **call)
     with Session(params=DOUBLE, n_core_groups=1, pad=pad) as session:
         if entry == "Session.dgemm":
             out = session.dgemm(a, b, c, **call)
             return out, session.stats().traffic.dma_bytes
-        request = GemmRequest(a, b, c, **call)
         if entry == "Session.batch":
             result = session.batch([request])
             assert result.ok, result.errors
             return result.outputs[0], result.traffic.dma_bytes
-        result = session.submit(request)
+
+        async def round_trip():
+            async with ReproServer(session=session,
+                                   config=ServeConfig(window_seconds=0)
+                                   ) as server:
+                return await server.submit(request)
+
+        result = asyncio.run(round_trip())
         assert result.ok, result.error
         return result.value, result.traffic.dma_bytes
 
@@ -165,7 +175,7 @@ def _zero_size_session(entry, a, b, c, alpha, beta, transa, transb, pad):
         lambda dims: 0 in dims
     ),
     entry=st.sampled_from(
-        ["dgemm", "Session.dgemm", "Session.batch", "Session.submit"]
+        ["dgemm", "Session.dgemm", "Session.batch", "ReproServer.submit"]
     ),
     variant=st.sampled_from(["RAW", "SCHED"]),
     pad=st.booleans(),

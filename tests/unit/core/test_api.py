@@ -1,5 +1,7 @@
 """Unit tests for the public dgemm entry point."""
 
+import asyncio
+
 import numpy as np
 import pytest
 
@@ -13,6 +15,7 @@ from repro.core.reference import reference_dgemm
 from repro.core.session import Session
 from repro.errors import UnsupportedShapeError
 from repro.multi import dgemm_multi_cg
+from repro.serve import ReproServer, ServeConfig
 from repro.workloads.matrices import gemm_operands
 
 
@@ -198,10 +201,19 @@ def _session_batch(engine, params, a, b, c, alpha, beta):
     return result.outputs[0]
 
 
-def _session_submit(engine, params, a, b, c, alpha, beta):
-    request = GemmRequest(a, b, c, alpha=alpha, beta=beta)
-    with Session(engine=engine, params=params, n_core_groups=1) as session:
-        result = session.submit(request)
+def _serve_one(request, options=None, **session_kwargs):
+    """One ``ReproServer.submit`` round trip, coalescing off."""
+    async def round_trip():
+        async with ReproServer(config=ServeConfig(window_seconds=0),
+                               **session_kwargs) as server:
+            return await server.submit(request, options=options)
+
+    return asyncio.run(round_trip())
+
+
+def _server_submit(engine, params, a, b, c, alpha, beta):
+    result = _serve_one(GemmRequest(a, b, c, alpha=alpha, beta=beta),
+                        engine=engine, params=params, n_core_groups=1)
     assert result.error is None
     return result.value
 
@@ -216,7 +228,7 @@ def _multi_cg(engine, params, a, b, c, alpha, beta):
 ENTRY_POINT_CASES = [
     pytest.param(engine, run, id=f"{engine}-{run.__name__.lstrip('_')}")
     for engine in ("device", "stepwise", "vectorized")
-    for run in (_dgemm, _session_dgemm, _session_batch, _session_submit)
+    for run in (_dgemm, _session_dgemm, _session_batch, _server_submit)
 ] + [pytest.param(DEFAULT_ENGINE, _multi_cg,
                   id=f"{DEFAULT_ENGINE}-multi_cg")]
 
@@ -318,14 +330,13 @@ class TestCheckFollowsTheContract:
         assert np.isnan(out[3]).all()
 
     @pytest.mark.parametrize("where", ["session", "options"])
-    def test_session_submit_accepts_propagated_nan(self, where,
-                                                   nan_operands, small):
+    def test_server_submit_accepts_propagated_nan(self, where,
+                                                  nan_operands, small):
         a, b, c = nan_operands
-        request = GemmRequest(a, b, c, beta=1.0)
-        with Session(params=small, n_core_groups=1,
-                     check=where == "session") as session:
-            options = SubmitOptions(check=True) if where == "options" else None
-            result = session.submit(request, options=options)
+        options = SubmitOptions(check=True) if where == "options" else None
+        result = _serve_one(GemmRequest(a, b, c, beta=1.0), options,
+                            params=small, n_core_groups=1,
+                            check=where == "session")
         assert result.error is None
         assert np.isnan(result.value[3]).all()
 

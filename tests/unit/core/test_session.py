@@ -125,15 +125,6 @@ class TestUnknownEngine:
                         options=SubmitOptions(engine="bogus"))
             assert s.stats().items == 0
 
-    def test_submit_returns_config_error(self):
-        with Session(params=PARAMS) as s:
-            a, b, _ = gemm_operands(PARAMS.b_m, PARAMS.b_n, PARAMS.b_k, seed=9)
-            result = s.submit(GemmRequest(a, b),
-                              options=SubmitOptions(engine="bogus"))
-            assert not result.ok
-            assert result.error.kind == "ConfigError"
-            assert s.stats().batches == 0
-
     def test_session_engine_checked_at_construction(self):
         with pytest.raises(ConfigError, match="unknown engine"):
             Session(params=PARAMS, engine="bogus")

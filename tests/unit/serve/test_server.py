@@ -7,12 +7,8 @@ import sys
 import numpy as np
 import pytest
 
-from repro.api import (
-    ConvRequest,
-    GemmRequest,
-    LuRequest,
-    SubmitOptions,
-)
+from repro.api import GemmRequest, SubmitOptions
+from repro.core.context import ContextStats
 from repro.core.params import BlockingParams
 from repro.core.reference import reference_dgemm
 from repro.core.session import Session
@@ -68,8 +64,7 @@ class TestRequestPath:
                 assert len(results) == 32
                 assert all(r is not None for r in results)
                 assert all(r.ok for r in results)
-                kinds = {r.bin.split(":")[0] for r in results}
-                assert {"gemm", "conv", "lu"} <= kinds
+                assert all(r.bin.startswith("gemm:") for r in results)
                 report = server.slo_report()
                 assert report, "SLO report must not be empty"
                 for entry in report:
@@ -156,17 +151,18 @@ class TestRequestPath:
 
         run(scenario())
 
-    def test_conv_request_folds_to_feature_maps(self):
+    def test_non_request_is_a_structured_error(self):
+        """Anything but a ``GemmRequest`` is refused at admission as a
+        ``ConfigError`` result, never raised and never dispatched."""
         async def scenario():
-            rng = np.random.default_rng(1)
-            request = ConvRequest(
-                images=rng.standard_normal((2, 2, 6, 6)),
-                kernels=rng.standard_normal((3, 2, 3, 3)),
-            )
             async with make_server() as server:
-                result = await server.submit(request)
-                assert result.ok
-                assert result.value.shape == request.fold_shape()
+                result = await server.submit([np.eye(4), np.eye(4)])
+                assert not result.ok
+                assert result.error.kind == "ConfigError"
+                assert "expected a GemmRequest" in result.error.message
+                assert result.traffic == ContextStats.zero()
+                stats = server.stats()
+                assert (stats["failed"], stats["batches"]) == (1, 0)
 
         run(scenario())
 

@@ -139,22 +139,22 @@ class TestOperandCache:
     def test_lru_eviction_order(self):
         cache = OperandCache(2)
         opts = SubmitOptions()
-        cache.put(("a", opts), 1)
-        cache.put(("b", opts), 2)
+        cache.put(("a", opts), np.full(1, 1.0))
+        cache.put(("b", opts), np.full(1, 2.0))
         assert cache.get(("a", opts))[0]  # refresh a
-        cache.put(("c", opts), 3)  # evicts b
+        cache.put(("c", opts), np.full(1, 3.0))  # evicts b
         assert not cache.get(("b", opts))[0]
         assert cache.get(("a", opts))[0]
         assert cache.get(("c", opts))[0]
 
     def test_options_are_part_of_the_key(self):
         cache = OperandCache(4)
-        cache.put(("h", SubmitOptions(engine="device")), 1)
+        cache.put(("h", SubmitOptions(engine="device")), np.ones(1))
         assert not cache.get(("h", SubmitOptions()))[0]
 
     def test_zero_capacity_disables_storage(self):
         cache = OperandCache(0)
-        cache.put(("h", SubmitOptions()), 1)
+        cache.put(("h", SubmitOptions()), np.ones(1))
         assert not cache.get(("h", SubmitOptions()))[0]
         assert cache.stats()["entries"] == 0
 
@@ -162,7 +162,7 @@ class TestOperandCache:
         cache = OperandCache(2)
         opts = SubmitOptions()
         for key in ("a", "b", "c", "d"):
-            cache.put((key, opts), 1)
+            cache.put((key, opts), np.ones(1))
         stats = cache.stats()
         assert stats["evictions"] == 2
         assert stats["entries"] == 2

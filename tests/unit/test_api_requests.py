@@ -7,9 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.api import (
-    ConvRequest,
     GemmRequest,
-    LuRequest,
     RequestError,
     RequestResult,
     SubmitOptions,
@@ -102,13 +100,6 @@ class TestContentHash:
             GemmRequest(a=a, b=b, c=c, beta=1.0).content_hash() != base
         )
 
-    def test_hash_distinguishes_kinds(self):
-        a = np.eye(8)
-        assert (
-            LuRequest(a=a).content_hash()
-            != GemmRequest(a=a, b=a).content_hash()
-        )
-
     def test_layout_is_part_of_the_hash(self):
         # same bytes and shape, different matrices: A and A.T
         a = np.asfortranarray(np.arange(16.0).reshape(4, 4))
@@ -161,56 +152,6 @@ class TestContentHash:
         assert peak < a.nbytes // 4
 
 
-class TestLuRequest:
-    def test_validate(self):
-        assert LuRequest(a=np.eye(12), panel=4).validate() == (12, 12, 4)
-
-    def test_rejects_non_square(self):
-        with pytest.raises(UnsupportedShapeError, match="square"):
-            LuRequest(a=np.zeros((4, 5))).validate()
-
-    def test_rejects_bad_panel(self):
-        with pytest.raises(ConfigError, match="panel"):
-            LuRequest(a=np.eye(4), panel=0).validate()
-
-    def test_shape_bin(self):
-        assert LuRequest(a=np.eye(12), panel=4).shape_bin(PARAMS) == (
-            "lu", 12, 4,
-        )
-
-
-class TestConvRequest:
-    def test_validate_returns_lowered_shape(self):
-        r = ConvRequest(
-            images=np.zeros((2, 3, 8, 8)), kernels=np.zeros((4, 3, 3, 3))
-        )
-        # m=o, n=n*oh*ow, k=c*kh*kw
-        assert r.validate() == (4, 2 * 6 * 6, 3 * 3 * 3)
-        assert r.fold_shape() == (2, 4, 6, 6)
-
-    def test_channel_mismatch(self):
-        r = ConvRequest(
-            images=np.zeros((2, 3, 8, 8)), kernels=np.zeros((4, 2, 3, 3))
-        )
-        with pytest.raises(UnsupportedShapeError, match="channels"):
-            r.validate()
-
-    def test_lower_fold_round_trip_matches_direct_conv(self):
-        rng = np.random.default_rng(0)
-        r = ConvRequest(
-            images=rng.standard_normal((2, 2, 6, 6)),
-            kernels=rng.standard_normal((3, 2, 3, 3)),
-        )
-        gemm = r.lower()
-        out = r.fold(np.asarray(gemm.a) @ np.asarray(gemm.b))
-        n, o, oh, ow = r.fold_shape()
-        assert out.shape == (n, o, oh, ow)
-        # spot-check one output pixel against the direct correlation
-        patch = np.asarray(r.images)[1, :, 2:5, 3:6]
-        expected = float(np.sum(patch * np.asarray(r.kernels)[2]))
-        assert np.isclose(out[1, 2, 2, 3], expected)
-
-
 class TestSubmitOptions:
     def test_defaults_defer_to_session(self):
         opts = SubmitOptions()
@@ -250,7 +191,6 @@ class TestResponses:
 class TestFormatBin:
     def test_renders_kind_and_dims(self):
         assert format_bin(("gemm", 64, 96, 32)) == "gemm:64x96x32"
-        assert format_bin(("lu", 256, 64)) == "lu:256x64"
 
 
 #: keyword spellings the GEMM entry points accepted with a deprecation
