@@ -84,7 +84,9 @@ class TestRequestPath:
                 )
                 assert not result.ok
                 assert result.error.kind == "UnsupportedShapeError"
+                assert "inner dimensions" in result.error.message
                 assert not result.error.retryable
+                assert result.traffic == ContextStats.zero()
 
         run(scenario())
 
