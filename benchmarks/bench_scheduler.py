@@ -62,7 +62,8 @@ PARALLEL_REPS = 5
 #: wall-clock acceptance bar for a 4-CG fused batch on a >=4-core host.
 PARALLEL_SPEEDUP_FLOOR = 2.0
 #: softer bar when only 2-3 cores are available to overlap on; below
-#: the lowest of 24 BLAS-pinned smoke runs on a 2-core host (1.70x).
+#: the lowest of 20 smoke runs on a 2-core host, host BLAS at one
+#: thread and each CG worker pinned to its CPU by the scheduler (1.52x).
 PARALLEL_SPEEDUP_FLOOR_2CORE = 1.5
 
 

@@ -289,10 +289,12 @@ class Session:
         loop of ``dgemm`` calls would.  Either way :meth:`stats` counts
         the failure and the traffic of every item that ran.
 
-        ``parallel=True`` runs each CG's queue on its own worker thread
-        (see :meth:`CGScheduler.run
-        <repro.multi.scheduler.CGScheduler.run>`); outputs and
-        accounting are bit-identical to the default serial dispatch.
+        ``parallel=True`` runs each CG's queue on its own worker thread,
+        pinned to its own CPU of the calling thread's mask (see
+        :meth:`CGScheduler.run <repro.multi.scheduler.CGScheduler.run>`;
+        a pinned worker cannot leave a CPU another process is using);
+        outputs and accounting are bit-identical to the default serial
+        dispatch.
 
         ``options=`` (a :class:`~repro.api.SubmitOptions`) applies
         per-batch execution overrides: engine and result checking.  The

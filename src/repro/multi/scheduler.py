@@ -44,14 +44,29 @@ fixed at plan time and walked only by that CG's worker, so every
 stay exact), and every item's output, error and traffic land in that
 item's own result slot.
 
+The scheduler places its own workers.  A parallel run reads the
+calling thread's CPU mask, ``cpus = sorted(os.sched_getaffinity(0))``,
+and the worker that walks CG ``g``'s queue pins itself to
+``cpus[g % len(cpus)]`` before its first item, so the CGs of a batch
+run on different CPUs even where the host never moves a thread off the
+CPU it started on.  A caller allowed only one CPU puts every worker on
+it; the caller's own mask is never changed.  The cost: a pinned worker
+cannot leave a CPU that another process is using.  Where
+``os.sched_setaffinity`` is missing (macOS, Windows) or the pin raises
+``OSError``, the worker runs unpinned.  Each ``cg_dispatch`` span's
+``cpu`` attribute names the CPU its worker was pinned to, or ``None``.
+
 Serial mode remains the default and runs the same per-item step, just
 driven by an inline loop in input order instead of worker queues, so
-its outputs and accounting are bit-identical to a parallel run's.
+its outputs and accounting are bit-identical to a parallel run's.  A
+one-item or one-CG run takes the same inline loop on the caller, even
+with ``parallel=True``.
 """
 
 from __future__ import annotations
 
 import contextlib
+import os
 import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
@@ -581,9 +596,13 @@ class CGScheduler:
         index, whatever ``isolate_failures`` says.
 
         With ``parallel=True`` every CG's item queue runs on its own
-        worker thread from the scheduler's pool; outputs, modeled
-        accounting and span-counter reconciliation are identical to
-        serial mode (see the module docstring for the threading model).
+        worker thread from the scheduler's pool, pinned to CPU
+        ``cpus[g % len(cpus)]`` of the calling thread's mask for CG
+        ``g``; a pinned worker cannot leave a CPU another process is
+        using.  Outputs, modeled accounting and span-counter
+        reconciliation are identical to serial mode (see the module
+        docstring for the threading and placement model).  A one-item
+        batch runs inline on the caller, unpinned.
         Serial mode (the default) executes items inline in input order:
         with ``n_core_groups=1`` and ``isolate_failures=False`` that is
         a loop of :func:`~repro.core.api.dgemm` calls on one staging
@@ -643,7 +662,7 @@ class CGScheduler:
         # worker threads' dispatch subtrees, so the trace stays one tree.
         parent = tracer.current()
 
-        def run_item(idx: int) -> None:
+        def run_item(idx: int, cpu: int | None = None) -> None:
             item, home = items[idx], plan.assignments[idx]
             ctx = self._contexts[home]
             params = params_list[idx]
@@ -659,7 +678,7 @@ class CGScheduler:
                     "cg_dispatch", cat="dispatch",
                     meter=context_meter(ctx),
                     track=home + 1, parent=parent,
-                    item=idx, cg=home,
+                    item=idx, cg=home, cpu=cpu,
                     modeled_seconds=plan.item_seconds[idx], engine=engine,
                     blocking=f"{params.p_m}x{params.p_n}x{params.p_k}",
                     blocking_source=sources[idx],
@@ -756,7 +775,11 @@ class CGScheduler:
         )
 
     def _run_queues(self, queues: list[list[int]], run_item) -> None:
-        """Walk each CG's fixed item queue on that CG's worker thread.
+        """Walk each CG's fixed item queue on a worker pinned to its own CPU.
+
+        The placement rule is the module docstring's.  A worker pins on
+        every walk, because pool threads take queues in no fixed order,
+        and hands ``run_item`` its CPU, or ``None`` when unpinned.
 
         An exception escaping ``run_item`` (the
         ``isolate_failures=False`` contract) aborts the run: every
@@ -764,19 +787,32 @@ class CGScheduler:
         re-raises on the calling thread.
         """
         aborts: list[BaseException] = []
+        cpus = (
+            sorted(os.sched_getaffinity(0))
+            if hasattr(os, "sched_setaffinity") else []
+        )
 
-        def worker(queue: list[int]) -> None:
+        def worker(g: int, queue: list[int]) -> None:
+            cpu = cpus[g % len(cpus)] if cpus else None
+            if cpu is not None:
+                try:
+                    os.sched_setaffinity(0, {cpu})
+                except OSError:
+                    cpu = None
             for idx in queue:
                 if aborts:
                     return
                 try:
-                    run_item(idx)
+                    run_item(idx, cpu)
                 except BaseException as exc:
                     aborts.append(exc)
                     return
 
         pool = self._worker_pool()
-        futures = [pool.submit(worker, queue) for queue in queues if queue]
+        futures = [
+            pool.submit(worker, g, queue)
+            for g, queue in enumerate(queues) if queue
+        ]
         for future in futures:
             future.result()  # surfaces worker-plumbing bugs loudly
         if aborts:

@@ -7,6 +7,7 @@ coordination layer neither corrupts shared state nor lets two runs
 overlap on one scheduler.
 """
 
+import os
 import sys
 import threading
 
@@ -87,6 +88,143 @@ class TestParallelEquivalence:
             result = sched.run(items, parallel=True)
         assert result.ok
         assert sched._workers is None  # no pool spun up for one CG
+
+
+needs_pinning = pytest.mark.skipif(
+    not hasattr(os, "sched_setaffinity"),
+    reason="os.sched_setaffinity exists only on Linux",
+)
+
+
+def record_masks(monkeypatch):
+    """Wrap the scheduler's ``dgemm``: each call appends (core group, CPU mask)."""
+    calls = []
+    real_dgemm = scheduler_module.dgemm
+
+    def recording_dgemm(*args, **kwargs):
+        calls.append(
+            (kwargs["context"].core_group, frozenset(os.sched_getaffinity(0)))
+        )
+        return real_dgemm(*args, **kwargs)
+
+    monkeypatch.setattr(scheduler_module, "dgemm", recording_dgemm)
+    return calls
+
+
+def masks_by_cg(sched, calls):
+    cg_of = {
+        id(sched.processor.cg(g)): g for g in range(sched.n_core_groups)
+    }
+    by_cg = {}
+    for core_group, mask in calls:
+        by_cg.setdefault(cg_of[id(core_group)], set()).add(mask)
+    return by_cg
+
+
+def dispatch_cpus(tracer):
+    return {
+        s.attrs["item"]: (s.attrs["cg"], s.attrs["cpu"])
+        for s in tracer.spans if s.name == "cg_dispatch"
+    }
+
+
+class TestWorkerPlacement:
+    """The worker walking CG g's queue runs pinned to ``cpus[g % len(cpus)]``
+    of the calling thread's mask; serial and one-item runs stay inline."""
+
+    @needs_pinning
+    @pytest.mark.parametrize("n_cgs", [2, 4])
+    def test_each_cg_worker_runs_on_its_cpu(self, monkeypatch, n_cgs):
+        caller_mask = os.sched_getaffinity(0)
+        if len(caller_mask) < 2:
+            pytest.skip("placement across CPUs needs a caller mask of 2+ CPUs")
+        cpus = sorted(caller_mask)
+        calls = record_masks(monkeypatch)
+        tracer = SpanTracer()
+        items = mixed_batch(8, params=PARAMS, seed=4)
+        with build_scheduler(n_core_groups=n_cgs, tracer=tracer) as sched:
+            result = sched.run(items, parallel=True)
+            by_cg = masks_by_cg(sched, calls)
+        assert result.ok
+        assert set(result.plan.assignments) == set(range(n_cgs))
+        assert by_cg == {
+            g: {frozenset({cpus[g % len(cpus)]})} for g in range(n_cgs)
+        }
+        assert dispatch_cpus(tracer) == {
+            idx: (g, cpus[g % len(cpus)])
+            for idx, g in enumerate(result.plan.assignments)
+        }
+        assert os.sched_getaffinity(0) == caller_mask
+
+    @needs_pinning
+    def test_single_cpu_caller_puts_every_worker_on_its_cpu(
+        self, monkeypatch
+    ):
+        cpu = max(os.sched_getaffinity(0))
+        calls = record_masks(monkeypatch)
+        tracer = SpanTracer()
+        items = mixed_batch(8, params=PARAMS, seed=4)
+        outcome = {}
+
+        def pinned_caller():
+            os.sched_setaffinity(0, {cpu})
+            with build_scheduler(tracer=tracer) as sched:
+                outcome["result"] = sched.run(items, parallel=True)
+                outcome["by_cg"] = masks_by_cg(sched, calls)
+            outcome["mask"] = os.sched_getaffinity(0)
+
+        caller = threading.Thread(target=pinned_caller)
+        caller.start()
+        caller.join(timeout=60)
+        assert not caller.is_alive()
+        assert outcome["result"].ok
+        assert outcome["by_cg"] == {g: {frozenset({cpu})} for g in range(4)}
+        assert {c for _, c in dispatch_cpus(tracer).values()} == {cpu}
+        assert outcome["mask"] == {cpu}
+
+    @pytest.mark.parametrize("failure", [
+        pytest.param("raises", marks=needs_pinning), "missing",
+    ])
+    def test_pin_failure_runs_unpinned(self, monkeypatch, failure):
+        items = mixed_batch(8, params=PARAMS, seed=6)
+        with build_scheduler() as sched:
+            serial = sched.run(items)
+
+        def refuse(pid, mask):
+            raise OSError(22, "Invalid argument")
+
+        if failure == "raises":
+            monkeypatch.setattr(os, "sched_setaffinity", refuse)
+        else:
+            monkeypatch.delattr(os, "sched_setaffinity", raising=False)
+        tracer = SpanTracer()
+        with build_scheduler(tracer=tracer) as sched:
+            par = sched.run(items, parallel=True)
+        assert par.ok
+        for ref, out in zip(serial.outputs, par.outputs):
+            assert np.array_equal(ref, out)
+        assert par.item_traffic == serial.item_traffic
+        assert {c for _, c in dispatch_cpus(tracer).values()} == {None}
+
+    @pytest.mark.parametrize("n_items, parallel", [(6, False), (1, True)])
+    def test_serial_and_one_item_runs_stay_on_the_caller(
+        self, monkeypatch, n_items, parallel
+    ):
+        threads = []
+        real_dgemm = scheduler_module.dgemm
+
+        def recording_dgemm(*args, **kwargs):
+            threads.append(threading.current_thread())
+            return real_dgemm(*args, **kwargs)
+
+        monkeypatch.setattr(scheduler_module, "dgemm", recording_dgemm)
+        tracer = SpanTracer()
+        items = mixed_batch(n_items, params=PARAMS, seed=3)
+        with build_scheduler(tracer=tracer) as sched:
+            assert sched.run(items, parallel=parallel).ok
+            assert sched._workers is None
+        assert set(threads) == {threading.current_thread()}
+        assert {c for _, c in dispatch_cpus(tracer).values()} == {None}
 
 
 class TestParallelSession:
